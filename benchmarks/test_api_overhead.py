@@ -6,23 +6,18 @@ on top of the PR-1 batch engine.  This bench runs the identical batched
 database workload both ways -- through the facade and by driving
 ``BatchedMVPProcessor`` directly on the same adapter-generated programs
 -- and asserts the facade's throughput is within 5% of the direct
-path's.  The measurements land in ``BENCH_api.json`` at the repo root
-(the perf trajectory CI and future sessions consume).
+path's.  The estimate is the median of paired back-to-back timings
+(:func:`repro.bench.paired_comparison`); the recorded rates are each
+path's median.  The measurements land in ``BENCH_api.json`` at the repo
+root, the perf trajectory CI reads.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-import time
-
 from repro.api import Engine, ScenarioSpec, adapter_for
-from repro.bench import (
-    ThroughputResult,
-    smoke_mode,
-    speedup,
-    write_bench_json,
-)
+from repro.bench import paired_comparison, smoke_mode, write_bench_json
 from repro.crossbar import CrossbarStack
 from repro.mvp.batch import BatchedMVPProcessor
 
@@ -31,7 +26,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 BATCH = 16 if smoke_mode() else 64
 SIZE = 512 if smoke_mode() else 4096   # table rows (= crossbar columns)
 ITEMS = 4                              # CNF queries per run
-REPEATS = 5
+PAIRS = 30                             # paired direct/facade timings
 # The product bar is <5%, asserted on the full-size workload.  Smoke
 # runs (CI on shared runners) use a shrunken workload where a single
 # scheduler stall is a larger fraction of the runtime, so they get a
@@ -67,36 +62,16 @@ def _ops_per_run() -> int:
     return int(result.cost.counters["bit_operations"])
 
 
-def _interleaved_best(ops: int) -> tuple[ThroughputResult,
-                                         ThroughputResult]:
-    """Best-of-N for both paths, alternating runs.
-
-    Interleaving cancels slow machine-state drift (thermal, cache,
-    background load) that sequential best-of-N blocks would attribute
-    to whichever path ran second.
-    """
-    best = {"direct": float("inf"), "facade": float("inf")}
-    for _ in range(REPEATS):
-        for name, fn in (("direct", _direct_run), ("facade", _facade_run)):
-            t0 = time.perf_counter()
-            fn()
-            best[name] = min(best[name], time.perf_counter() - t0)
-    return tuple(
-        ThroughputResult(
-            name=f"{label}_batched_mvp", ops=ops, seconds=best[key],
-            ops_per_second=ops / best[key], repeats=REPEATS,
-        )
-        for key, label in (("direct", "direct"), ("facade", "facade"))
-    )
-
-
 class TestFacadeOverhead:
     def test_facade_overhead_under_five_percent(self, save_report,
                                                 benchmark):
         ops = _ops_per_run()       # also warms both code paths
         _direct_run()
-        direct, facade = _interleaved_best(ops)
-        ratio = speedup(facade, direct)   # > 1 means the facade was faster
+        direct, facade, ratio = paired_comparison(
+            ("direct_batched_mvp", _direct_run),
+            ("facade_batched_mvp", _facade_run),
+            ops, pairs=PAIRS,
+        )                          # ratio > 1 means the facade was faster
         overhead = max(0.0, 1.0 - ratio)
 
         benchmark(_facade_run)
@@ -114,7 +89,8 @@ class TestFacadeOverhead:
             f"facade Engine.run:          {facade.ops_per_second:.3e} "
             f"bit-ops/s\n"
             f"facade/direct throughput:   {ratio:.4f} "
-            f"(overhead {overhead:.2%}, bar {MAX_OVERHEAD:.0%})"
+            f"(overhead {overhead:.2%}, bar {MAX_OVERHEAD:.0%}; "
+            f"median of {PAIRS} paired runs)"
         )
         save_report("api_overhead", text)
 

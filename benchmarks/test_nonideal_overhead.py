@@ -5,10 +5,11 @@ Spec v2 routes every engine's hardware construction through
 ``Crossbar``/``CrossbarStack`` and the nonideal fabrics.  The product
 bar: with an all-default spec, the v2-aware engine path costs < 5%
 versus driving the seed processors directly -- the hook may not tax
-users who never touch the new axes.  The fault-injection sweep
-throughput (nonideal fabrics, per-item campaigns, fidelity probes) is
-*recorded* for the perf trajectory but not gated: robustness studies
-pay for the physics they ask for.
+users who never touch the new axes.  The estimate is the median of
+paired back-to-back timings (:func:`repro.bench.paired_comparison`).
+The fault-injection sweep throughput (nonideal fabrics, per-item
+campaigns, fidelity probes) is *recorded* for the perf trajectory but
+not gated: robustness studies pay for the physics they ask for.
 
 Measurements land in ``BENCH_nonideal.json`` at the repo root and
 ``results/nonideal_overhead.txt``.
@@ -22,8 +23,8 @@ from pathlib import Path
 from repro.api import Engine, ScenarioSpec, adapter_for
 from repro.bench import (
     ThroughputResult,
+    paired_comparison,
     smoke_mode,
-    speedup,
     write_bench_json,
 )
 from repro.crossbar import CrossbarStack
@@ -35,7 +36,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 BATCH = 16 if smoke_mode() else 64
 SIZE = 512 if smoke_mode() else 4096
 ITEMS = 4
-REPEATS = 5
+PAIRS = 30
 MAX_OVERHEAD = 0.10 if smoke_mode() else 0.05
 
 SPEC = ScenarioSpec(engine="mvp_batched", workload="database",
@@ -66,26 +67,6 @@ def _direct_seed_run() -> None:
     processor.total_stats()
 
 
-def _interleaved_best(ops: int) -> tuple[ThroughputResult,
-                                         ThroughputResult]:
-    """Best-of-N for both paths, alternating runs (cancels drift)."""
-    best = {"direct": float("inf"), "v2": float("inf")}
-    for _ in range(REPEATS):
-        for name, fn in (("direct", _direct_seed_run),
-                         ("v2", _v2_engine_run)):
-            t0 = time.perf_counter()
-            fn()
-            best[name] = min(best[name], time.perf_counter() - t0)
-    return tuple(
-        ThroughputResult(
-            name=f"{label}_ideal_batched_mvp", ops=ops,
-            seconds=best[key], ops_per_second=ops / best[key],
-            repeats=REPEATS,
-        )
-        for key, label in (("direct", "direct_seed"), ("v2", "specv2"))
-    )
-
-
 def _fault_sweep() -> int:
     """One fault-rate x sigma robustness sweep; returns cells run."""
     specs = expand_grid(
@@ -105,8 +86,11 @@ class TestNonidealOverhead:
         ops = int(Engine.from_spec(SPEC).run()
                   .cost.counters["bit_operations"])
         _direct_seed_run()  # warm both paths
-        direct, v2 = _interleaved_best(ops)
-        ratio = speedup(v2, direct)   # > 1 means v2 was faster
+        direct, v2, ratio = paired_comparison(
+            ("direct_seed_ideal_batched_mvp", _direct_seed_run),
+            ("specv2_ideal_batched_mvp", _v2_engine_run),
+            ops, pairs=PAIRS,
+        )                   # ratio > 1 means v2 was faster
         overhead = max(0.0, 1.0 - ratio)
 
         benchmark(_v2_engine_run)
@@ -134,7 +118,8 @@ class TestNonidealOverhead:
             f"spec-v2 engine (ideal):     {v2.ops_per_second:.3e} "
             f"bit-ops/s\n"
             f"v2/direct throughput:       {ratio:.4f} "
-            f"(overhead {overhead:.2%}, bar {MAX_OVERHEAD:.0%})\n"
+            f"(overhead {overhead:.2%}, bar {MAX_OVERHEAD:.0%}; "
+            f"median of {PAIRS} paired runs)\n"
             f"fault sweep (6 cells, fault_rate x sigma, "
             f"B={FAULT_SPEC.batch}, rows={FAULT_SPEC.size}): "
             f"{sweep_result.ops_per_second:.3g} cells/s"

@@ -5,8 +5,9 @@ facade, the MVM kernel stages and the executors.  Two product bars
 keep it honest:
 
 * **enabled**: a run under an active tracer must cost < 5% versus the
-  identical untraced run (interleaved best-of-N, same drift-cancelling
-  protocol as ``test_nonideal_overhead.py``);
+  identical untraced run (median of paired back-to-back timings,
+  :func:`repro.bench.paired_comparison`, as in
+  ``test_nonideal_overhead.py``);
 * **disabled**: with no active tracer every ``span()`` site is one
   module-global read plus a ``None`` check.  The bar is an estimate by
   construction -- per-site cost x sites hit per run must stay <= 1% of
@@ -22,12 +23,7 @@ import time
 from pathlib import Path
 
 from repro.api import Engine, ScenarioSpec
-from repro.bench import (
-    ThroughputResult,
-    smoke_mode,
-    speedup,
-    write_bench_json,
-)
+from repro.bench import paired_comparison, smoke_mode, write_bench_json
 from repro.obs import span, traced
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -39,7 +35,9 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 SIZE = 32 if smoke_mode() else 48
 ITEMS = 4 if smoke_mode() else 8
 BATCH = 32 if smoke_mode() else 32
-REPEATS = 7 if smoke_mode() else 9
+# A run takes ~30 ms, so single stalls weigh more than in the MVP
+# overhead benches: twice their pairs keep the median as steady.
+PAIRS = 60
 MAX_ENABLED_OVERHEAD = 0.10 if smoke_mode() else 0.05
 MAX_DISABLED_OVERHEAD = 0.01
 NOOP_SPAN_CALLS = 50_000 if smoke_mode() else 200_000
@@ -56,25 +54,6 @@ def _traced_run() -> int:
     with traced() as tracer:
         Engine.from_spec(SPEC).run()
     return len(tracer)
-
-
-def _interleaved_best(ops: int) -> tuple[ThroughputResult,
-                                         ThroughputResult]:
-    """Best-of-N for both paths, alternating runs (cancels drift)."""
-    best = {"off": float("inf"), "on": float("inf")}
-    for _ in range(REPEATS):
-        for name, fn in (("off", _untraced_run), ("on", _traced_run)):
-            t0 = time.perf_counter()
-            fn()
-            best[name] = min(best[name], time.perf_counter() - t0)
-    return tuple(
-        ThroughputResult(
-            name=f"analog_mvm_tracing_{label}", ops=ops,
-            seconds=best[key], ops_per_second=ops / best[key],
-            repeats=REPEATS,
-        )
-        for key, label in (("off", "disabled"), ("on", "enabled"))
-    )
 
 
 def _noop_span_seconds() -> float:
@@ -94,8 +73,11 @@ class TestObsOverhead:
         ops = int(Engine.from_spec(SPEC).run()
                   .cost.counters["adc_conversions"])
         span_count = _traced_run()  # warm both paths
-        off, on = _interleaved_best(ops)
-        ratio = speedup(on, off)      # > 1 means traced was faster
+        off, on, ratio = paired_comparison(
+            ("analog_mvm_tracing_disabled", _untraced_run),
+            ("analog_mvm_tracing_enabled", _traced_run),
+            ops, pairs=PAIRS,
+        )                             # ratio > 1 means traced was faster
         enabled_overhead = max(0.0, 1.0 - ratio)
 
         benchmark(_untraced_run)
@@ -126,7 +108,8 @@ class TestObsOverhead:
             f"tracing enabled:    {on.ops_per_second:.3e} adc-conv/s "
             f"({span_count} spans/run)\n"
             f"enabled/disabled:   {ratio:.4f} (overhead "
-            f"{enabled_overhead:.2%}, bar {MAX_ENABLED_OVERHEAD:.0%})\n"
+            f"{enabled_overhead:.2%}, bar {MAX_ENABLED_OVERHEAD:.0%}; "
+            f"median of {PAIRS} paired runs)\n"
             f"no-op span site:    {noop_seconds * 1e9:.0f} ns -> "
             f"disabled-path estimate {disabled_overhead:.3%} of the "
             f"run (bar {MAX_DISABLED_OVERHEAD:.0%})"

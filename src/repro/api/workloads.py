@@ -520,9 +520,7 @@ class DatabaseAdapter(WorkloadAdapter):
             return indexes[0].to_mvp_program(query)
 
         def stacked_fetch(column: int, value: int) -> np.ndarray:
-            return np.stack([
-                idx.bitmap(column, value).astype(int) for idx in indexes
-            ])
+            return np.stack([idx.bitmap(column, value) for idx in indexes])
 
         return lower_query(query, stacked_fetch)
 

@@ -9,6 +9,8 @@ the small, dependency-free pieces the throughput benches share:
   normalize to operations per second (best-of-N to suppress scheduler
   noise);
 * :func:`speedup` -- ratio of two measurements;
+* :func:`paired_comparison` -- the throughput ratio of two code paths
+  as the median of back-to-back paired timings (overhead benches);
 * :func:`write_bench_json` -- persist a machine-readable ``BENCH_*.json``
   record (the perf trajectory consumed by CI and future sessions);
 * :func:`smoke_mode` -- honour the ``REPRO_BENCH_SMOKE`` environment
@@ -33,6 +35,7 @@ __all__ = [
     "ThroughputResult",
     "available_cpus",
     "measure_throughput",
+    "paired_comparison",
     "round_sig",
     "smoke_mode",
     "speedup",
@@ -55,9 +58,10 @@ class ThroughputResult:
         name: workload identifier (stable across sessions; used as the
             JSON key of the perf trajectory).
         ops: logical operations serviced by one workload call.
-        seconds: best wall-clock time of the repeats, seconds.
+        seconds: wall-clock time of one call, seconds: the best of the
+            repeats, or their median for a :func:`paired_comparison`.
         ops_per_second: ``ops / seconds``.
-        repeats: timed calls taken (the best is reported).
+        repeats: timed calls taken.
     """
 
     name: str
@@ -112,6 +116,61 @@ def measure_throughput(
 def speedup(batched: ThroughputResult, looped: ThroughputResult) -> float:
     """Throughput ratio of the batched path over the looped baseline."""
     return batched.ops_per_second / looped.ops_per_second
+
+
+def paired_comparison(
+    baseline: tuple[str, Callable[[], object]],
+    candidate: tuple[str, Callable[[], object]],
+    ops: int,
+    pairs: int = 30,
+) -> tuple[ThroughputResult, ThroughputResult, float]:
+    """Throughput of two code paths doing the same work, timed in pairs.
+
+    Each pair times both callables back to back, alternating which one
+    runs first, and yields the ratio ``baseline_time / candidate_time``.
+    The median of those ratios estimates the candidate's relative
+    throughput: machine drift slower than one pair cancels inside each
+    ratio, and single stalls land in the tails the median ignores.
+    Best-of-N minima cancel neither; on a shared host they read a few
+    percent either way when two paths cost the same.  The second call
+    of a pair tends to run slower, so an even ``pairs`` (each order
+    equally often) keeps that from biasing the median.
+
+    Args:
+        baseline: ``(name, fn)`` of the reference path.
+        candidate: ``(name, fn)`` of the path under test.
+        ops: logical operations one call of either path completes.
+        pairs: paired timings taken.
+
+    Returns:
+        ``(baseline_result, candidate_result, ratio)``: each result
+        holds its path's median call time; ``ratio`` is the median
+        paired ratio (> 1 means the candidate was faster).
+    """
+    if ops < 1:
+        raise ValueError("ops must be positive")
+    if pairs < 1:
+        raise ValueError("pairs must be positive")
+    base_times: list[float] = []
+    cand_times: list[float] = []
+    for pair in range(pairs):
+        runs = [(baseline[1], base_times), (candidate[1], cand_times)]
+        if pair % 2:
+            runs.reverse()
+        for fn, samples in runs:
+            t0 = time.perf_counter()
+            fn()
+            samples.append(max(time.perf_counter() - t0, 1e-12))
+    ratio = float(np.median(np.array(base_times) / np.array(cand_times)))
+
+    def result(name: str, samples: list[float]) -> ThroughputResult:
+        seconds = float(np.median(samples))
+        return ThroughputResult(name=name, ops=ops, seconds=seconds,
+                                ops_per_second=ops / seconds,
+                                repeats=pairs)
+
+    return (result(baseline[0], base_times),
+            result(candidate[0], cand_times), ratio)
 
 
 def available_cpus() -> int:

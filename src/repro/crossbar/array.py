@@ -20,7 +20,40 @@ import numpy as np
 from repro.devices.base import DeviceParameters
 from repro.devices.variability import VariabilityModel, sample_resistances
 
-__all__ = ["Crossbar", "CrossbarStack", "sense_reference_current"]
+__all__ = ["Crossbar", "CrossbarStack", "as_bits", "sense_reference_current"]
+
+
+def as_bits(bits, copy: bool = False) -> np.ndarray:
+    """``bits`` as an int8 array, after checking every value is 0 or 1.
+
+    The check runs on the incoming values, before the cast: casting
+    first would wrap out-of-range integers into valid bits (256 -> 0,
+    257 -> 1) and truncate fractions (0.5 -> 0).  Bool input needs no
+    check.  ``copy=False`` returns an int8 input as it is.
+
+    Raises:
+        ValueError: if any value is not 0 or 1.
+    """
+    raw = np.asarray(bits)
+    if raw.dtype != np.bool_ and not ((raw == 0) | (raw == 1)).all():
+        raise ValueError("bits must be 0 or 1")
+    return raw.astype(np.int8, copy=copy)
+
+
+def _stack_word(bits, batch: int, cols: int) -> np.ndarray:
+    """One word line of a stack as checked (batch, cols) int8 bits.
+
+    Shared by the ideal and nonideal stacks' ``write_row``: ``bits`` is
+    a per-item (batch, cols) matrix, or a (cols,) word that is checked
+    once and then broadcast to the whole batch (a read-only view).
+    """
+    raw = np.asarray(bits)
+    if raw.shape not in ((cols,), (batch, cols)):
+        raise ValueError(
+            f"expected ({batch}, {cols}) or ({cols},) bits, "
+            f"got {raw.shape}"
+        )
+    return np.broadcast_to(as_bits(raw), (batch, cols))
 
 
 def sense_reference_current(params: DeviceParameters,
@@ -126,13 +159,12 @@ class Crossbar:
     def write_row(self, row: int, bits: Sequence[int] | np.ndarray) -> None:
         """Program a full word line; counts one cycle on changed cells."""
         self._check_row(row)
-        new_bits = np.asarray(bits, dtype=np.int8)
+        new_bits = np.asarray(bits)
         if new_bits.shape != (self.cols,):
             raise ValueError(
                 f"expected {self.cols} bits, got shape {new_bits.shape}"
             )
-        if not np.isin(new_bits, (0, 1)).all():
-            raise ValueError("bits must be 0 or 1")
+        new_bits = as_bits(new_bits)
         writable = ~self._stuck_mask[row]
         changed = (self.bits[row] != new_bits) & writable
         self.bits[row, writable] = new_bits[writable]
@@ -182,14 +214,13 @@ class Crossbar:
             raise ValueError("duplicate rows in batched write")
         for row in idx:
             self._check_row(int(row))
-        new_bits = np.asarray(bits, dtype=np.int8)
+        new_bits = np.asarray(bits)
         if new_bits.shape != (idx.size, self.cols):
             raise ValueError(
                 f"expected shape {(idx.size, self.cols)}, "
                 f"got {new_bits.shape}"
             )
-        if not np.isin(new_bits, (0, 1)).all():
-            raise ValueError("bits must be 0 or 1")
+        new_bits = as_bits(new_bits)
         writable = ~self._stuck_mask[idx]
         changed = (self.bits[idx] != new_bits) & writable
         stored = np.where(writable, new_bits, self.bits[idx])
@@ -436,22 +467,12 @@ class CrossbarStack:
                 the whole batch.
         """
         self._check_row(row)
-        new_bits = np.asarray(bits, dtype=np.int8)
-        if new_bits.shape == (self.cols,):
-            new_bits = np.broadcast_to(new_bits, (self.batch, self.cols))
-        if new_bits.shape != (self.batch, self.cols):
-            raise ValueError(
-                f"expected ({self.batch}, {self.cols}) or ({self.cols},) "
-                f"bits, got {np.asarray(bits).shape}"
-            )
-        if not np.isin(new_bits, (0, 1)).all():
-            raise ValueError("bits must be 0 or 1")
+        new_bits = _stack_word(bits, self.batch, self.cols)
         changed = self.bits[:, row, :] != new_bits
         self.bits[:, row, :] = new_bits
         self.program_cycles[:, row, :] += changed
         self.resistances[:, row, :] = np.where(
-            new_bits.astype(bool), self.params.r_on, self.params.r_off
-        ).astype(float)
+            new_bits, self.params.r_on, self.params.r_off)
 
     def load_tensor(self, bits: np.ndarray) -> None:
         """Program the whole stack from a (batch, rows, cols) 0/1 tensor."""

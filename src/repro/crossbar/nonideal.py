@@ -35,7 +35,11 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from repro.crossbar.array import Crossbar, sense_reference_current
+from repro.crossbar.array import (
+    Crossbar,
+    _stack_word,
+    sense_reference_current,
+)
 from repro.crossbar.faults import FaultCampaign, inject_stuck_faults
 from repro.crossbar.parasitics import (
     WireParameters,
@@ -438,15 +442,8 @@ class NonidealCrossbarStack:
             row: word-line index, shared across the batch.
             bits: (batch, cols) per-item words, or (cols,) broadcast.
         """
-        new_bits = np.asarray(bits, dtype=np.int8)
-        if new_bits.shape == (self.cols,):
-            new_bits = np.broadcast_to(new_bits, (self.batch, self.cols))
-        if new_bits.shape != (self.batch, self.cols):
-            raise ValueError(
-                f"expected ({self.batch}, {self.cols}) or ({self.cols},) "
-                f"bits, got {np.asarray(bits).shape}"
-            )
-        for item, word in zip(self.items, new_bits):
+        for item, word in zip(self.items,
+                              _stack_word(bits, self.batch, self.cols)):
             item.write_row(row, word)
 
     def load_tensor(self, bits: np.ndarray) -> None:

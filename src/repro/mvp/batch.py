@@ -193,7 +193,7 @@ class BatchedMVPProcessor:
 
     def _vload(self, instr: Instruction):
         row = instr.rows[0]
-        self.crossbar.write_row(row, np.asarray(instr.data, dtype=np.int8))
+        self.crossbar.write_row(row, instr.data)
         self._charge_write(
             np.full(self.batch, self.crossbar.cols, dtype=np.int64)
         )

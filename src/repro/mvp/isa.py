@@ -6,8 +6,12 @@ locally and streams the vector operation through the crossbar.  The ISA
 below covers the operations scouting logic natively provides (OR / AND /
 XOR / READ) plus data movement and the write-back of results.
 
-Instructions are plain frozen dataclasses -- a program is a list of them --
-so they are hashable, comparable and printable for traces.
+Instructions are frozen dataclasses -- a program is a list of them --
+so they are hashable, comparable and printable for traces.  A VLOAD
+payload is a read-only int8 array, checked and copied once when the
+instruction is built; processors write it to the crossbar as it is.
+Equality and hashing cover the opcode, the rows and the payload's shape
+and bytes, so the same bits compare equal however they were given.
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ import enum
 from typing import Sequence
 
 import numpy as np
+
+from repro.crossbar.array import as_bits
 
 __all__ = ["Opcode", "Instruction", "validate_program"]
 
@@ -36,34 +42,59 @@ class Opcode(enum.Enum):
     POPCOUNT = "popcount"  # scalar <- number of ones in the result buffer
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class Instruction:
     """One MVP macro-instruction.
 
     Attributes:
         opcode: the operation.
         rows: operand row indices (meaning depends on the opcode).
-        data: immediate bit vector for VLOAD, else None.
+        data: immediate bits for VLOAD, else None: a read-only int8
+            array of shape (cols,), or (B, cols) for batched execution.
+            Any 0/1 array-like is accepted and copied into that form.
+
+    Raises:
+        ValueError: if ``data`` holds a value other than 0 or 1.
     """
 
     opcode: Opcode
     rows: tuple[int, ...] = ()
-    data: tuple[int, ...] | None = None
+    data: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        if self.data is not None:
+            payload = as_bits(self.data, copy=True)
+            payload.flags.writeable = False
+            object.__setattr__(self, "data", payload)
+
+    def _key(self) -> tuple:
+        payload = (None if self.data is None
+                   else (self.data.shape, self.data.tobytes()))
+        return self.opcode, self.rows, payload
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Instruction):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __reduce__(self):
+        # Rebuild through the constructor: a plain unpickle or deepcopy
+        # would hand back a writeable payload.
+        return type(self), (self.opcode, self.rows, self.data)
 
     @classmethod
     def vload(cls, row: int, bits) -> "Instruction":
         """Program ``row`` with ``bits``.
 
         ``bits`` is a flat (cols,) word, or -- for batched execution -- a
-        (B, cols) matrix giving each logical array its own word; the
-        payload is stored as nested tuples so instructions stay hashable.
+        (B, cols) matrix giving each logical array its own word.  Lists,
+        integer and bool arrays all give the same read-only int8 payload;
+        a value other than 0 or 1 raises ValueError.
         """
-        arr = np.asarray(bits)
-        if arr.ndim == 2:
-            data = tuple(tuple(int(b) for b in word) for word in arr)
-        else:
-            data = tuple(int(b) for b in bits)
-        return cls(Opcode.VLOAD, rows=(row,), data=data)
+        return cls(Opcode.VLOAD, rows=(row,), data=bits)
 
     @classmethod
     def vread(cls, row: int) -> "Instruction":
@@ -163,8 +194,7 @@ def validate_program(
             if not 0 <= row < rows:
                 raise ValueError(f"pc={pc}: row {row} out of range")
         if instr.opcode is Opcode.VLOAD:
-            shape = (np.asarray(instr.data).shape
-                     if instr.data is not None else None)
+            shape = instr.data.shape if instr.data is not None else None
             allowed = [(cols,)]
             if batch is not None:
                 allowed.append((batch, cols))

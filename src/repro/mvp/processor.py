@@ -158,7 +158,7 @@ class MVPProcessor:
 
     def _vload(self, instr: Instruction):
         row = instr.rows[0]
-        self.crossbar.write_row(row, np.array(instr.data, dtype=np.int8))
+        self.crossbar.write_row(row, instr.data)
         self._charge_write(self.crossbar.cols)
         return None
 

@@ -472,8 +472,10 @@ class WorkerPool:
         Returns:
             ``{worker_id: responded}``.  A busy worker answers after
             its current task, so a short timeout distinguishes idle
-            health from liveness under load.  Inline pools are always
-            healthy.
+            health from liveness under load.  A worker found dead is
+            restarted first, and one that dies with the token queued
+            hands it to its replacement, so a restarted worker counts
+            as healthy.  Inline pools are always healthy.
         """
         if self.mode == "inline":
             return {i: True for i in range(self.workers)}
@@ -481,11 +483,11 @@ class WorkerPool:
         with self._lock:
             if not self._running:
                 raise ServingError("pool is not running")
+            self._reap_dead()
             self._pongs[token] = set()
             slots = list(self._slots)
             for slot in slots:
-                if slot.alive():
-                    slot.inbox.put(("ping", token))
+                slot.inbox.put(("ping", token))
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:
             with self._lock:
@@ -552,7 +554,9 @@ class WorkerPool:
         """(Re)fork one worker into ``slot`` (caller holds the lock).
 
         Fresh queues every time: a crashed predecessor may have died
-        holding its queues' locks, so nothing of them is reused.
+        holding its queues' locks, so nothing of them is reused.  Ping
+        tokens the predecessor left unanswered are queued again, so an
+        open :meth:`ping` hears from the replacement.
         """
         slot.inbox = self._ctx.Queue()
         slot.outbox = self._ctx.Queue()
@@ -566,6 +570,9 @@ class WorkerPool:
             name=f"repro-serve-worker-{slot.worker_id}",
         )
         slot.process.start()
+        for token, responded in self._pongs.items():
+            if slot.worker_id not in responded:
+                slot.inbox.put(("ping", token))
 
     def _dispatch_pending(self) -> None:
         """Hand queued tasks to idle live workers (caller holds lock)."""

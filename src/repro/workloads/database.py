@@ -105,9 +105,7 @@ class BitmapIndex:
             (program, rows_used).  The program ends with a POPCOUNT whose
             result equals :meth:`count`.
         """
-        return lower_query(
-            query, lambda col, value: self.bitmap(col, value).astype(int)
-        )
+        return lower_query(query, self.bitmap)
 
 
 def lower_query(

@@ -4,9 +4,14 @@ import numpy as np
 import pytest
 
 from repro.crossbar import Crossbar, CrossbarStack
+from repro.crossbar.array import as_bits
 from repro.devices import DeviceParameters, VariabilityModel
 
 PARAMS = DeviceParameters()
+
+#: Values an int8 cast would wrap or truncate into a valid-looking bit
+#: (256 -> 0, 257 -> 1, 0.5 -> 0); every write path must reject them.
+NOT_BITS = [2, -1, 256, 257, 0.5, np.nan]
 
 
 def make(rows=4, cols=8, **kwargs):
@@ -317,3 +322,53 @@ class TestCrossbarStack:
             stack.write_row(0, [2, 0])
         with pytest.raises(IndexError):
             stack.column_currents([5])
+
+
+class TestBitValueChecks:
+    """Values are checked before the int8 cast, on every write path."""
+
+    @staticmethod
+    def word(bad, cols=8):
+        return np.array([0, 1] * (cols // 2 - 1) + [1, bad])
+
+    @pytest.mark.parametrize("bad", NOT_BITS)
+    def test_write_row_rejects(self, bad):
+        xb = make()
+        with pytest.raises(ValueError, match="0 or 1"):
+            xb.write_row(0, self.word(bad))
+        with pytest.raises(ValueError, match="0 or 1"):
+            xb.write_row(0, self.word(bad).tolist())
+        assert not xb.bits.any()
+        assert not xb.program_cycles.any()
+
+    @pytest.mark.parametrize("bad", NOT_BITS)
+    def test_write_rows_rejects(self, bad):
+        xb = make()
+        with pytest.raises(ValueError, match="0 or 1"):
+            xb.write_rows([0, 1], np.stack([self.word(0), self.word(bad)]))
+        assert not xb.bits.any()
+
+    @pytest.mark.parametrize("bad", NOT_BITS)
+    def test_stack_write_row_rejects(self, bad):
+        stack = CrossbarStack(3, 2, 8, params=PARAMS)
+        with pytest.raises(ValueError, match="0 or 1"):
+            stack.write_row(0, self.word(bad))  # broadcast form
+        per_item = np.stack([self.word(0), self.word(1), self.word(bad)])
+        with pytest.raises(ValueError, match="0 or 1"):
+            stack.write_row(0, per_item)
+        assert not stack.bits.any()
+
+    def test_valid_forms_store_the_same_bits(self):
+        word = self.word(0)
+        for form in (word.tolist(), word, word.astype(bool),
+                     word.astype(np.int8), word.astype(float)):
+            xb = make()
+            xb.write_row(1, form)
+            np.testing.assert_array_equal(xb.bits[1], word)
+
+    def test_as_bits_copies_only_on_request(self):
+        word = self.word(0).astype(np.int8)
+        assert as_bits(word) is word
+        copied = as_bits(word, copy=True)
+        assert copied is not word and copied.dtype == np.int8
+        np.testing.assert_array_equal(copied, word)

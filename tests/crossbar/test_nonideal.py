@@ -173,6 +173,17 @@ class TestStackEquivalence:
         assert stack.stored_word(0).shape == (2, 6)
         assert stack.max_program_cycles() >= 1
 
+    @pytest.mark.parametrize("bad", [2, -1, 256, 257])
+    def test_stack_rejects_non_bits_before_the_cast(self, bad):
+        stack = NonidealCrossbarStack(4, 4, params=PARAMS,
+                                      rngs=[None, None])
+        word = np.array([0, 1, 1, bad])
+        with pytest.raises(ValueError, match="0 or 1"):
+            stack.write_row(0, word)
+        with pytest.raises(ValueError, match="0 or 1"):
+            stack.write_row(0, np.stack([np.zeros_like(word), word]))
+        assert not stack.bits.any()
+
     def test_stack_rejects_bad_shapes(self):
         stack = NonidealCrossbarStack(4, 4, params=PARAMS,
                                       rngs=[None, None])

@@ -33,8 +33,7 @@ def _slice_program(program, item):
     """The single-item view of a batched program (vload payload row)."""
     sliced = []
     for instr in program:
-        if (instr.opcode is Opcode.VLOAD and instr.data
-                and isinstance(instr.data[0], tuple)):
+        if instr.opcode is Opcode.VLOAD and instr.data.ndim == 2:
             sliced.append(Instruction(Opcode.VLOAD, rows=instr.rows,
                                       data=instr.data[item]))
         else:

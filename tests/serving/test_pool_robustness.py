@@ -11,7 +11,9 @@ hint -- before any work is queued.
 """
 
 import asyncio
+import concurrent.futures
 import os
+import time
 
 import pytest
 
@@ -26,10 +28,12 @@ from repro.serving import (
 from repro.serving import pool as pool_module
 
 #: Big enough that a worker is reliably still computing when the test
-#: kills it right after the started notification (~150 ms of work vs a
-#: 50 ms collector poll).
+#: kills it right after the started notification (~300 ms of work on a
+#: 2-vCPU x86 host vs a 50 ms collector poll).
 SLOW = ScenarioSpec(engine="mvp_batched", workload="database",
-                    size=2048, items=4, batch=16, seed=3)
+                    size=8192, items=4, batch=64, seed=3)
+#: A shard window of SLOW that still runs well past one collector poll.
+SLOW_WINDOW = (SLOW, 16, 48)
 QUICK = ScenarioSpec(engine="mvp_batched", workload="database", size=96,
                      items=2, batch=4, seed=3)
 
@@ -63,12 +67,13 @@ def test_worker_killed_mid_run_retries_with_identical_output():
 
 
 def test_shard_window_killed_mid_run_retries_identically():
-    want = run_shard((SLOW, 0, 8))
+    want = run_shard(SLOW_WINDOW)
     with WorkerPool(workers=1, mode="fork") as pool:
-        task = pool.submit("window", (SLOW, 0, 8))
+        task = pool.submit("window", SLOW_WINDOW)
         assert task.started.wait(timeout=30.0)
         pool._slots[0].process.kill()
         got = task.result(timeout=60.0)
+    assert task.attempts == 2
     assert got.offset == want.offset and got.count == want.count
     assert got.outputs == want.outputs
     assert got.base_cost == want.base_cost
@@ -105,10 +110,39 @@ def test_idle_dead_worker_is_restarted():
         deadline = 10.0
         while pool.stats().restarts < 1 and deadline > 0:
             deadline -= 0.05
-            import time
             time.sleep(0.05)
         assert pool.stats().restarts >= 1
         assert pool.ping(timeout=10.0) == {0: True, 1: True}
+
+
+def test_ping_right_after_idle_worker_dies():
+    """A worker found dead is restarted by the ping, then answers."""
+    with WorkerPool(workers=1, mode="fork") as pool:
+        dead = pool._slots[0].process
+        dead.kill()
+        dead.join(timeout=10.0)
+        assert not dead.is_alive()
+        assert pool.ping(timeout=10.0) == {0: True}
+        assert pool.stats().restarts == 1
+        assert pool.run(QUICK).ok
+
+
+def test_ping_token_queued_before_worker_dies_is_answered():
+    """A busy worker killed with the token in its inbox: the
+    replacement gets the token again and answers it."""
+    with WorkerPool(workers=1, mode="fork") as pool:
+        task = pool.submit("spec", SLOW)
+        assert task.started.wait(timeout=30.0)
+        with concurrent.futures.ThreadPoolExecutor(1) as executor:
+            answer = executor.submit(pool.ping, 10.0)
+            deadline = time.monotonic() + 10.0
+            while not pool._pongs and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert pool._pongs  # the token is queued behind the task
+            pool._slots[0].process.kill()
+            assert answer.result() == {0: True}
+        assert task.result(timeout=60.0).ok
+        assert task.attempts == 2
 
 
 def test_bounded_queue_rejects_with_typed_overload():
