@@ -27,8 +27,8 @@ def run_comparison():
         for rule in workload.rules:
             proc = all_implementations(homogenize(rule.compile()))[name]
             trace, cost = proc.run(workload.payload, unanchored=True)
-            energy += cost.energy
-            latency = max(latency, cost.pipelined_time)
+            energy += cost.energy_joules
+            latency = max(latency, cost.pipelined_time_seconds)
             area += proc.chip_cost().area_mm2()
             hits.extend((rule.rule_id, int(p)) for p in trace.match_ends)
         matches[name] = sorted(hits)

@@ -48,7 +48,7 @@ def test_fig9_column_height_scaling(benchmark, save_report):
             column = build_rram_column(PTM32, DeviceParameters(), bits,
                                        selected=[0])
             m = measure_discharge(column, t_stop=1e-9 + 3e-9, dt=4e-12)
-            rows.append((n, m.discharge_time, m.energy))
+            rows.append((n, m.discharge_time_seconds, m.energy_joules))
         return rows
 
     rows = benchmark.pedantic(sweep_heights, rounds=1, iterations=1)

@@ -44,7 +44,7 @@ def test_bitmap_query_bench(benchmark, save_report):
             ("matching rows", count),
             ("MVP activations", stats.activations),
             ("bit operations in-memory", stats.bit_operations),
-            ("MVP energy (pJ)", stats.energy * 1e12),
+            ("MVP energy (pJ)", stats.energy_joules * 1e12),
         ],
         title="MVP bitmap-index query (FastBit-style, ref [17])",
     )

@@ -2,8 +2,8 @@
 
 Measures whole facade runs of the batched MVP database scenario --
 workload generation, execution, golden verification, merge -- at
-``workers=1`` (plain in-process) versus ``workers=4`` (the sharded
-multiprocessing pool), plus a warm-cache replay.  The perf trajectory
+``workers=1`` (plain in-process) versus ``workers=4`` (sharded across
+a worker pool entered for each run), plus a warm-cache replay.  The perf trajectory
 lands in ``BENCH_parallel.json`` at the repo root and a rendered table
 under ``results/parallel_throughput.txt``.
 

@@ -1,21 +1,21 @@
-"""Serving bench: warm pool vs per-run spawn, coalesced vs serial.
+"""Serving bench: warm pool vs per-run spawn, served vs serial.
 
 Two throughput stories land in ``BENCH_serving.json``:
 
-* **pool_vs_spawn** -- the same sharded run executed through the
-  long-lived warm :class:`~repro.serving.pool.WorkerPool` versus
-  :class:`~repro.parallel.runner.ParallelRunner`'s per-run
-  multiprocessing pool.  The warm pool amortizes process forks,
-  interpreter warm-up and cold caches across runs -- the fix for
-  ``BENCH_parallel.json``'s 0.74x sharding loss.
+* **pool_vs_spawn** -- the same sharded run executed through a
+  long-lived warm :class:`~repro.parallel.pool.WorkerPool` versus
+  :class:`~repro.parallel.runner.ParallelRunner`, which enters a fresh
+  pool for each run.  The warm pool amortizes process forks,
+  interpreter warm-up and cold caches across runs.
 * **coalesced_vs_serial** -- a burst of seed-variant requests driven
   concurrently through :class:`~repro.serving.service.Service`
-  (deduped, coalesced into group dispatches, answered by warm workers)
-  versus the same specs executed back-to-back serially.
+  (deduped, one pool task per request, answered by warm workers)
+  versus the same specs executed back-to-back serially.  The record
+  keeps its historical ``coalesced`` names.
 
 Like the parallel bench, the scaling gates are a property of the
 *machine*: on >= 2 CPUs the acceptance bars apply (warm pool >= 1.5x
-spawn; coalesced >= 3x serial); a 1-CPU container records the honest
+spawn; served >= 3x serial); a 1-CPU container records the honest
 ratios plus only overhead floors, and the JSON says which gate was
 applied.  Determinism is asserted unconditionally: every served result
 must be bit-identical to its serial engine run.
@@ -64,8 +64,7 @@ def _comparable(result) -> dict:
 
 def _serve_burst(pool: WorkerPool) -> list:
     async def main():
-        async with Service(pool=pool, max_batch=REQUESTS,
-                           max_wait=0.005) as service:
+        async with Service(pool=pool) as service:
             return await serve_all(service, BURST)
 
     return asyncio.run(main())

@@ -48,7 +48,7 @@ def main() -> None:
           f"{max(result.levels.values())} levels")
     print(f"crossbar activations: {result.mvp_activations} "
           f"(vs {graph.number_of_edges()} edge traversals a CPU performs)")
-    print(f"in-memory energy estimate: {mvp.stats.energy * 1e9:.2f} nJ")
+    print(f"in-memory energy estimate: {mvp.stats.energy_joules * 1e9:.2f} nJ")
 
 
 if __name__ == "__main__":

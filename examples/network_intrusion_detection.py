@@ -35,14 +35,14 @@ def main() -> None:
         for rule in workload.rules:
             proc = all_implementations(homogenize(rule.compile()))[name]
             trace, cost = proc.run(workload.payload, unanchored=True)
-            energy += cost.energy
+            energy += cost.energy_joules
             area += proc.chip_cost().area_mm2()
             alerts.update((rule.rule_id, p) for p in trace.match_ends)
         # Streams run in parallel across rules: time = one pass.
         stream_time = (len(workload.payload)
                        * all_implementations(
                            homogenize(workload.rules[0].compile())
-                       )[name].kernel.delay)
+                       )[name].kernel.delay_seconds)
         alerts_by_name[name] = alerts
         rows.append((name, len(alerts), stream_time * 1e9, energy * 1e12,
                      area * 1e3))

@@ -1,10 +1,11 @@
-"""Concurrent serving end to end: warm pool, coalescer, cache tier.
+"""Concurrent serving end to end: dedup, cache tier, warm pool.
 
 Starts a :class:`repro.serving.Service` over a warm worker pool, fires
-a burst of concurrent submissions at it -- seed variants that coalesce
-into group dispatches, exact duplicates that dedup onto in-flight
-twins, and a repeat wave answered entirely by the result-cache tier --
-then prints the ServiceStats snapshot showing what each stage did.
+a burst of concurrent submissions at it -- seed variants that spread
+across the workers as one pool task each, exact duplicates that dedup
+onto in-flight twins, and a repeat wave answered entirely by the
+result-cache tier -- then prints the ServiceStats snapshot showing what
+each stage did.
 Every served result is bit-identical to a plain
 ``Engine.from_spec(spec).run()`` call; the serving layer only changes
 *when and where* runs execute, never what they compute.
@@ -22,15 +23,15 @@ from repro.serving import Service, serve_all
 base = ScenarioSpec(engine="mvp_batched", workload="database",
                     size=1024, items=4, batch=16, seed=0)
 
-# A mixed burst: 6 seed variants (coalescable -- same structure, one
-# warm lane) plus 2 exact duplicates of the first (deduped in flight).
+# A mixed burst: 6 seed variants (one pool task each) plus 2 exact
+# duplicates of the first (deduped in flight).
 burst = [base.replaced(seed=seed) for seed in range(6)] + [base, base]
 
 
 async def main() -> None:
     with tempfile.TemporaryDirectory() as cache_dir:
-        async with Service(workers=2, cache=cache_dir, max_batch=4,
-                           max_wait=0.02, max_queue=64) as service:
+        async with Service(workers=2, cache=cache_dir,
+                           max_queue=64) as service:
             results = await serve_all(service, burst)
 
             # The serving layer is invisible in the results: each one

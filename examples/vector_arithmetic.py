@@ -66,7 +66,7 @@ def main() -> None:
         ],
         title="All results verified against numpy",
     ))
-    print(f"\ntotal in-memory energy: {mvp.stats.energy * 1e9:.1f} nJ; "
+    print(f"\ntotal in-memory energy: {mvp.stats.energy_joules * 1e9:.1f} nJ; "
           f"wear: max {mvp.crossbar.max_program_cycles()} program "
           f"cycles on any cell")
     print("activation counts depend on operand WIDTH, never on the "

@@ -24,8 +24,8 @@ Subcommands:
   scenarios and figures, each with a one-line description.
 * ``serve``             -- drive a burst of concurrent requests (seed
   variants of a base spec, or a JSON list of specs) through the
-  serving subsystem: warm worker pool, in-flight dedup, result-cache
-  tier, request coalescing and bounded-queue backpressure; prints the
+  serving subsystem: in-flight dedup, result-cache tier,
+  bounded-queue backpressure and the warm worker pool; prints the
   ServiceStats snapshot and ``--stats-json PATH`` persists it.
 * ``cache prune``       -- evict least-recently-used result-cache
   entries down to ``--max-entries`` / ``--max-bytes`` caps;
@@ -74,6 +74,7 @@ from repro.parallel import (
     SweepRunner,
     expand_grid,
 )
+from repro.parallel.pool import POOL_MODES
 from repro.parallel.sweep import (
     NONIDEALITY_FIELDS,
     SPEC_FIELDS,
@@ -193,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve_p = sub.add_parser(
         "serve", help="drive concurrent requests through the serving "
-                      "subsystem (warm pool + coalescer + cache tier)")
+                      "subsystem (dedup + cache tier + warm pool)")
     add_spec_source(serve_p)
     serve_p.add_argument("--requests", type=int, default=8, metavar="N",
                          help="concurrent submissions: seed variants "
@@ -206,21 +207,13 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--workers", type=int, default=2,
                          help="warm worker processes (default 2)")
     serve_p.add_argument("--pool-mode", default="auto",
-                         choices=("auto", "fork", "forkserver", "spawn",
-                                  "inline"),
+                         choices=POOL_MODES,
                          help="worker start method; 'inline' serves "
                               "synchronously in-process (default auto)")
     serve_p.add_argument("--cache", type=Path, default=None,
                          metavar="DIR",
                          help="result-cache directory for the cache "
                               "tier (hits answered without a worker)")
-    serve_p.add_argument("--max-batch", type=int, default=8,
-                         help="coalesce lane capacity (default 8)")
-    serve_p.add_argument("--max-wait", type=float, default=0.01,
-                         metavar="SECONDS",
-                         help="max seconds a request waits for lane "
-                              "companions before dispatch "
-                              "(default 0.01)")
     serve_p.add_argument("--max-queue", type=int, default=64,
                          help="admitted-request bound; beyond it "
                               "submissions are rejected with a "
@@ -706,8 +699,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             workers=args.workers,
             pool_mode=args.pool_mode,
             cache=args.cache,
-            max_batch=args.max_batch,
-            max_wait=args.max_wait,
             max_queue=args.max_queue,
         ) as service:
             # SIGINT/SIGTERM interrupt the burst but never skip the

@@ -13,7 +13,7 @@ only accepted after its source data verifies equal, and twins were
 pinned identical to fresh construction in the PR-8 equivalence suite.
 
 The cache is deliberately *opt-in and process-local*: nothing is warm
-unless a host (a :class:`~repro.serving.pool.WorkerPool` worker, a
+unless a host (a :class:`~repro.parallel.pool.WorkerPool` worker, a
 long-lived service process) activates a cache via
 :func:`activate_fabric_cache`.  Plain ``Engine.from_spec(spec).run()``
 calls keep their stateless cold-construction semantics.  Nonideal

@@ -152,16 +152,6 @@ class DischargeMeasurement:
     tripped: bool
     result: TransientResult
 
-    @property
-    def discharge_time(self) -> float | None:
-        """Deprecated alias of :attr:`discharge_time_seconds`."""
-        return self.discharge_time_seconds
-
-    @property
-    def energy(self) -> float:
-        """Deprecated alias of :attr:`energy_joules`."""
-        return self.energy_joules
-
 
 def measure_discharge(
     column: BitlineColumn,

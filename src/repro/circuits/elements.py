@@ -66,11 +66,6 @@ class Capacitor:
         if self.capacitance <= 0:
             raise ValueError(f"capacitor {self.name} must have C > 0")
 
-    @property
-    def initial_voltage(self) -> float:
-        """Deprecated alias of :attr:`initial_voltage_volts`."""
-        return self.initial_voltage_volts
-
 
 @dataclasses.dataclass(frozen=True)
 class VoltageSource:

@@ -230,16 +230,6 @@ class ScoutingEnergyModel:
     energy_per_column_joules: float = 0.1e-12
     latency_seconds: float = 10e-9
 
-    @property
-    def energy_per_column(self) -> float:
-        """Deprecated alias of :attr:`energy_per_column_joules`."""
-        return self.energy_per_column_joules
-
-    @property
-    def latency(self) -> float:
-        """Deprecated alias of :attr:`latency_seconds`."""
-        return self.latency_seconds
-
     def operation_energy(self, columns: int) -> float:
         """Energy of one k-row activation across ``columns`` bit lines."""
         if columns < 1:

@@ -44,26 +44,6 @@ class HostReport:
     mvp_time_seconds: float
 
     @property
-    def cpu_energy(self) -> float:
-        """Deprecated alias of :attr:`cpu_energy_joules`."""
-        return self.cpu_energy_joules
-
-    @property
-    def mvp_energy(self) -> float:
-        """Deprecated alias of :attr:`mvp_energy_joules`."""
-        return self.mvp_energy_joules
-
-    @property
-    def cpu_time(self) -> float:
-        """Deprecated alias of :attr:`cpu_time_seconds`."""
-        return self.cpu_time_seconds
-
-    @property
-    def mvp_time(self) -> float:
-        """Deprecated alias of :attr:`mvp_time_seconds`."""
-        return self.mvp_time_seconds
-
-    @property
     def total_energy(self) -> float:
         return self.cpu_energy_joules + self.mvp_energy_joules
 

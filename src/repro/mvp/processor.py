@@ -53,16 +53,6 @@ class MVPStats:
         """Canonical unit accessor: accumulated latency, seconds."""
         return self.time_seconds
 
-    @property
-    def energy(self) -> float:
-        """Deprecated alias of :attr:`energy_joules`."""
-        return self.energy_joules
-
-    @property
-    def time(self) -> float:
-        """Deprecated alias of :attr:`time_seconds`."""
-        return self.time_seconds
-
     def merged_with(self, other: "MVPStats") -> "MVPStats":
         """Element-wise sum of two counter sets."""
         return MVPStats(

@@ -1,33 +1,31 @@
-"""The warm persistent worker pool: fork once, serve runs forever.
+"""The worker pool: the one process executor.
 
-``ParallelRunner`` pays a full pool spawn -- process forks, interpreter
-warm-up, cold caches -- on *every* ``run()`` call, which is why
-``BENCH_parallel.json`` recorded 4-worker sharding as a net loss.  A
-:class:`WorkerPool` forks its workers **once**: long-lived processes
-that receive pickled :class:`~repro.api.spec.ScenarioSpec` tasks over
-queues, keep their per-process caches warm across runs (the
+:class:`WorkerPool` runs every multi-process execution in the repo.
+:class:`~repro.parallel.runner.ParallelRunner` (sharded runs and
+sweeps) enters one for a call, or uses one it was given; the serving
+:class:`~repro.serving.service.Service` keeps one for its lifetime.
+Workers are long-lived processes that receive pickled
+:class:`~repro.api.spec.ScenarioSpec` tasks over private queues, keep
+their per-process caches warm across tasks (the
 :mod:`~repro.api.fabric_cache` mapped-fabric store, the workload
-adapters' model caches), and stream results back over one shared
-outbox.
+adapters' model caches), and send results back over private outboxes.
 
-Determinism is inherited, not re-proven: workers execute the exact
-:func:`~repro.parallel.runner.run_shard` /
-``Engine.from_spec(spec).run()`` bodies the per-run executor uses, and
-sharded merges go through the same
-:func:`~repro.parallel.runner.merge_shard_results` fold -- so
-``workers=N`` through the warm pool stays bit-identical to
-``workers=1``, fidelity and accuracy summaries included.
+Determinism is inherited, not re-proven: a ``"window"`` task runs
+:func:`~repro.parallel.sharding.run_shard`, a ``"spec"`` task runs
+``Engine.from_spec(spec).run()``, and sharded runs fold through
+:func:`~repro.parallel.sharding.merge_shard_results` -- so
+``workers=N`` stays bit-identical to ``workers=1``, fidelity and
+accuracy summaries included.
 
 Robustness contract:
 
-* **health**: a collector thread watches the outbox and reaps dead
-  workers within its poll interval; :meth:`WorkerPool.ping` round-trips
-  a token through every worker.
+* **health**: a collector thread blocks on every worker's outbox and
+  process sentinel, so a result or a worker's death wakes it at once;
+  :meth:`WorkerPool.ping` round-trips a token through every worker.
 * **crash recovery**: a worker that dies mid-task is restarted and the
   task retried on the fresh worker (bit-identical, because tasks are
   pure functions of their specs); a task that keeps killing workers
-  surfaces a typed :class:`~repro.serving.errors.WorkerCrashed` after
-  ``max_attempts``.
+  surfaces a typed :class:`WorkerCrashed` after ``max_attempts``.
 * **graceful shutdown**: :meth:`WorkerPool.shutdown` drains in-flight
   work, sends each worker a shutdown sentinel, joins with a timeout and
   only then escalates to termination.
@@ -40,14 +38,15 @@ deterministic single-CPU and unit-test configuration.
 from __future__ import annotations
 
 import collections
+import dataclasses
 import multiprocessing
-import os
 import pickle
 import queue as queue_mod
 import threading
 import time
 import uuid
 from concurrent.futures import Future
+from multiprocessing import connection
 from typing import Any, Mapping, Sequence
 
 from repro.api.engines import Engine
@@ -63,18 +62,81 @@ from repro.api.spec import ScenarioSpec
 from repro.api.workloads import adapter_for
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer, active_tracer, span, traced
-from repro.parallel.runner import merge_shard_results, run_shard
-from repro.parallel.sharding import plan_shards
-from repro.serving.errors import ServingError, WorkerCrashed
-from repro.serving.stats import PoolStats
+from repro.parallel.sharding import merge_shard_results, plan_shards, \
+    run_shard
 
-__all__ = ["PoolTask", "WorkerPool"]
+__all__ = [
+    "POOL_MODES",
+    "PoolStats",
+    "PoolTask",
+    "ServingError",
+    "WorkerCrashed",
+    "WorkerPool",
+]
 
-_POOL_MODES = ("auto", "fork", "forkserver", "spawn", "inline")
+#: Start methods, best first: ``fork`` shares the parent's loaded
+#: modules (cheap startup); ``spawn`` is the portable fallback;
+#: ``inline`` executes tasks serially in-process -- same plan, same
+#: merge, no processes (useful for tests and debugging).
+POOL_MODES = ("auto", "fork", "forkserver", "spawn", "inline")
 
-#: How long the collector blocks on the outbox before running a health
-#: scan; bounds crash-detection latency without busy-waiting.
-_POLL_SECONDS = 0.05
+
+class ServingError(RuntimeError):
+    """Base class of the pool's and the serving layer's own failures."""
+
+
+class WorkerCrashed(ServingError):
+    """A task's worker process died and retries were exhausted.
+
+    The pool restarts crashed workers and transparently retries their
+    in-flight tasks on fresh ones (results are pure functions of the
+    spec, so a retry is bit-identical); this surfaces only when a task
+    keeps killing its workers -- which means the task itself, not the
+    infrastructure, is fatal.
+
+    Attributes:
+        attempts: how many workers the task consumed.
+    """
+
+    def __init__(self, message: str, attempts: int) -> None:
+        self.attempts = attempts
+        super().__init__(message)
+
+
+@dataclasses.dataclass(frozen=True)
+class PoolStats:
+    """One snapshot of a worker pool's lifetime accounting.
+
+    Attributes:
+        workers: configured worker slots.
+        alive: worker processes currently alive (equals ``workers``
+            for the inline pool).
+        restarts: workers restarted after a crash.
+        tasks_done: tasks completed successfully.
+        tasks_failed: tasks that raised (the error went to the caller).
+        tasks_retried: dispatch attempts repeated after a worker died.
+        pending: tasks queued but not yet dispatched.
+        running: tasks currently executing on a worker.
+        busy_seconds: total worker-occupied execution time.
+        fabric_cache: warm-fabric counters aggregated across workers.
+    """
+
+    workers: int = 0
+    alive: int = 0
+    restarts: int = 0
+    tasks_done: int = 0
+    tasks_failed: int = 0
+    tasks_retried: int = 0
+    pending: int = 0
+    running: int = 0
+    busy_seconds: float = 0.0
+    fabric_cache: FabricCacheStats = dataclasses.field(
+        default_factory=FabricCacheStats)
+
+    def to_dict(self) -> dict[str, Any]:
+        data = dataclasses.asdict(self)
+        data["fabric_cache"] = self.fabric_cache.as_dict()
+        return data
 
 
 def _execute_task(kind: str, payload: Any) -> Any:
@@ -83,21 +145,13 @@ def _execute_task(kind: str, payload: Any) -> Any:
     Task kinds:
 
     * ``"window"`` -- one batch window ``(spec, offset, count)``; the
-      sharded-run unit (see :func:`~repro.parallel.runner.run_shard`).
+      sharded-run unit (see :func:`~repro.parallel.sharding.run_shard`).
     * ``"spec"`` -- one whole spec; the spec-fan-out unit.
-    * ``"group"`` -- a coalesced batch: a list of specs executed
-      back-to-back on one warm worker, returning one RunResult each.
-      Members run through the plain engine facade, so a group's results
-      are bit-identical to serial ``Engine.from_spec(spec).run()``
-      calls by construction; the win is shipping one message and
-      sharing the worker's warm fabrics across members.
     """
     if kind == "window":
         return run_shard(payload)
     if kind == "spec":
         return Engine.from_spec(payload).run()
-    if kind == "group":
-        return [Engine.from_spec(spec).run() for spec in payload]
     raise ValueError(f"unknown task kind {kind!r}")
 
 
@@ -213,7 +267,7 @@ class _WorkerSlot:
 
 
 class WorkerPool:
-    """Long-lived warm workers serving spec tasks over queues.
+    """Long-lived warm workers serving spec and window tasks.
 
     Args:
         workers: worker process count (>= 1).
@@ -223,7 +277,7 @@ class WorkerPool:
             plumbing; no processes, nothing to crash).
         warm_entries: per-worker warm-fabric LRU capacity.
         max_attempts: workers a task may consume before its future
-            fails with :class:`~repro.serving.errors.WorkerCrashed`.
+            fails with :class:`WorkerCrashed`.
     """
 
     def __init__(
@@ -236,9 +290,9 @@ class WorkerPool:
         if not isinstance(workers, int) or isinstance(workers, bool) \
                 or workers < 1:
             raise ValueError("workers must be a positive integer")
-        if mode not in _POOL_MODES:
+        if mode not in POOL_MODES:
             raise ValueError(
-                f"mode must be one of {_POOL_MODES}, got {mode!r}")
+                f"mode must be one of {POOL_MODES}, got {mode!r}")
         if not isinstance(max_attempts, int) \
                 or isinstance(max_attempts, bool) or max_attempts < 1:
             raise ValueError("max_attempts must be a positive integer")
@@ -247,6 +301,7 @@ class WorkerPool:
         self.warm_entries = warm_entries
         self.max_attempts = max_attempts
         self._lock = threading.RLock()
+        self._answered = threading.Condition(self._lock)
         self._slots: list[_WorkerSlot] = []
         self._pending: collections.deque[PoolTask] = collections.deque()
         self._dispatches: dict[str, PoolTask] = {}
@@ -373,7 +428,7 @@ class WorkerPool:
 
     def submit(self, kind: str, payload: Any) -> PoolTask:
         """Queue one task; returns its :class:`PoolTask` handle."""
-        if kind not in ("window", "spec", "group"):
+        if kind not in ("window", "spec"):
             raise ValueError(f"unknown task kind {kind!r}")
         task = PoolTask(kind, payload)
         tracer = active_tracer()
@@ -412,10 +467,10 @@ class WorkerPool:
     # -- high-level blocking API ----------------------------------------------
 
     def run(self, spec: ScenarioSpec | Mapping[str, Any]) -> RunResult:
-        """Execute one scenario, sharded across the warm workers.
+        """Execute one scenario, sharded across the workers.
 
-        The warm counterpart of :meth:`ParallelRunner.run`'s miss path:
-        same shard plan, same merge, no per-run process spawn.
+        Same shard plan and merge as in-process sharding; an engine
+        that cannot shard (or a one-item batch) runs as one task.
         """
         if not isinstance(spec, ScenarioSpec):
             spec = ScenarioSpec.from_dict(spec)
@@ -450,19 +505,13 @@ class WorkerPool:
     def run_many(
         self, specs: Sequence[ScenarioSpec | Mapping[str, Any]]
     ) -> list[RunResult]:
-        """Fan whole specs across the warm workers (input order kept)."""
+        """Fan whole specs across the workers (input order kept)."""
         resolved = [
             s if isinstance(s, ScenarioSpec) else ScenarioSpec.from_dict(s)
             for s in specs
         ]
         tasks = [self.submit("spec", spec) for spec in resolved]
         return [task.result() for task in tasks]
-
-    def run_group(
-        self, specs: Sequence[ScenarioSpec]
-    ) -> list[RunResult]:
-        """One coalesced dispatch: all of ``specs`` on one warm worker."""
-        return self.submit("group", list(specs)).result()
 
     # -- health ----------------------------------------------------------------
 
@@ -488,13 +537,8 @@ class WorkerPool:
             slots = list(self._slots)
             for slot in slots:
                 slot.inbox.put(("ping", token))
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            with self._lock:
-                if len(self._pongs[token]) == len(slots):
-                    break
-            time.sleep(0.01)
-        with self._lock:
+            self._answered.wait_for(
+                lambda: len(self._pongs[token]) == len(slots), timeout)
             responded = self._pongs.pop(token)
         return {slot.worker_id: slot.worker_id in responded
                 for slot in slots}
@@ -545,7 +589,7 @@ class WorkerPool:
     # -- internals -------------------------------------------------------------
 
     def _method(self) -> str:
-        if self.mode not in ("auto",):
+        if self.mode != "auto":
             return self.mode
         available = multiprocessing.get_all_start_methods()
         return "fork" if "fork" in available else "spawn"
@@ -567,7 +611,7 @@ class WorkerPool:
             args=(slot.worker_id, slot.inbox, slot.outbox,
                   self.warm_entries),
             daemon=True,
-            name=f"repro-serve-worker-{slot.worker_id}",
+            name=f"repro-pool-worker-{slot.worker_id}",
         )
         slot.process.start()
         for token, responded in self._pongs.items():
@@ -595,30 +639,41 @@ class WorkerPool:
     def _collect_loop(self) -> None:
         """Collector thread: results, health, restarts, scheduling.
 
-        Drains every live worker's private outbox without blocking;
-        when a full sweep finds nothing it sleeps one poll interval and
-        runs the health scan -- so crash detection latency is bounded
-        by ``_POLL_SECONDS`` without busy-waiting under idle load.
+        Blocks in :func:`multiprocessing.connection.wait` on every
+        worker's outbox reader and process sentinel.  A message wakes
+        it to drain that outbox; a worker's death wakes it to reap the
+        worker, restart it and retry its task.  After shutdown it
+        watches only the live workers and returns once no task is left
+        or no worker is left to finish one.
         """
         while True:
             with self._lock:
-                if not self._running and not self._dispatches \
-                        and not self._pending:
-                    return
-                outboxes = [s.outbox for s in self._slots
-                            if s.outbox is not None]
-            drained = False
-            for outbox in outboxes:
-                while True:
-                    try:
-                        message = outbox.get_nowait()
-                    except (queue_mod.Empty, OSError, ValueError):
-                        break
-                    drained = True
-                    self._handle_message(message)
-            if not drained:
-                time.sleep(_POLL_SECONDS)
+                watched = self._slots
+                if not self._running:
+                    watched = [s for s in self._slots if s.alive()]
+                    if not (watched and (self._dispatches
+                                         or self._pending)):
+                        return
+                # The queue's reader end is what a worker's put makes
+                # readable (the same wait concurrent.futures uses).
+                outboxes = {s.outbox._reader: s.outbox
+                            for s in self._slots}
+                sentinels = {s.process.sentinel for s in watched}
+            ready = connection.wait([*outboxes, *sentinels])
+            for handle in ready:
+                if handle in outboxes:
+                    self._drain(outboxes[handle])
+            if not sentinels.isdisjoint(ready):
                 self._reap_dead()
+
+    def _drain(self, outbox) -> None:
+        """Handle every message already waiting in ``outbox``."""
+        while True:
+            try:
+                message = outbox.get_nowait()
+            except (queue_mod.Empty, OSError, ValueError):
+                return
+            self._handle_message(message)
 
     def _handle_message(self, message) -> None:
         kind = message[0]
@@ -633,6 +688,7 @@ class WorkerPool:
             with self._lock:
                 if token in self._pongs:
                     self._pongs[token].add(worker_id)
+                    self._answered.notify_all()
         elif kind in ("done", "failed"):
             self._on_completion(message)
 
@@ -681,12 +737,7 @@ class WorkerPool:
                 # before dying: a task whose "done" landed just before
                 # the crash completes normally instead of re-running.
                 if slot.outbox is not None:
-                    while True:
-                        try:
-                            message = slot.outbox.get_nowait()
-                        except (queue_mod.Empty, OSError, ValueError):
-                            break
-                        self._handle_message(message)
+                    self._drain(slot.outbox)
                 task = self._dispatches.pop(slot.dispatch_id, None) \
                     if slot.dispatch_id else None
                 slot.dispatch_id = None

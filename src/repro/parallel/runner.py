@@ -1,220 +1,36 @@
-"""The sharded multi-process executor over the unified API.
+"""The sharded multi-process runner over the unified API.
 
-:class:`ParallelRunner` horizontally scales one batched scenario: the
-spec's batch is split into per-worker windows
-(:func:`~repro.parallel.sharding.plan_shards`), each window executes in
-its own process via the engine's ``execute_window`` shard hook, and the
-shard results merge deterministically --
+:class:`ParallelRunner` horizontally scales scenarios on a
+:class:`~repro.parallel.pool.WorkerPool`.  :meth:`~ParallelRunner.run`
+splits one batched spec into per-worker windows
+(:func:`~repro.parallel.sharding.plan_shards`) and merges the window
+results bit-identically to the single-process run
+(:func:`~repro.parallel.sharding.merge_shard_results`);
+:meth:`~ParallelRunner.run_many` fans whole specs across the workers.
 
-* per-item costs concatenate in original batch order;
-* the whole-run :class:`~repro.api.result.CostSummary` is re-aggregated
-  by the engine's own ``aggregate_cost`` fold over that concatenation
-  (same float-addition order as ``workers=1``, so totals are
-  bit-identical, not merely close);
-* outputs merge through the workload adapter's ``merge_shard_outputs``;
-* provenance records the shard plan and per-shard wall times.
-
-Determinism holds because every adapter derives item ``i``'s data from
-``(spec.seed, i)`` alone (see :mod:`repro.api.workloads`): a window
-generates exactly the slice of the batch it covers.  The suite in
-``tests/parallel/test_determinism.py`` pins ``workers=1 == workers=N``
-exactly, for every shardable engine.
+A call that has work to fan out runs on the pool passed as
+``executor=``, or on a pool of ``min(workers, tasks)`` workers entered
+for that call only.  Every other call runs in-process, so
+``workers=1`` never forks.
 
 A :class:`~repro.parallel.cache.ResultCache` can be attached; cache
-lookups happen before any process is forked, so a warm cache serves
+lookups happen before any task is submitted, so a warm cache serves
 repeated runs (figure regenerations, sweep re-runs) without compute.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import multiprocessing
-import time
+import contextlib
 from typing import Any, Mapping, Sequence
 
-import repro
 from repro.api.engines import Engine
-from repro.api.result import (
-    AccuracySummary,
-    CostSummary,
-    FidelitySummary,
-    RunResult,
-)
+from repro.api.result import RunResult
 from repro.api.spec import ScenarioSpec
-from repro.api.workloads import adapter_for
-from repro.obs.trace import Tracer, active_tracer, span, traced
 from repro.parallel.cache import ResultCache
+from repro.parallel.pool import POOL_MODES, WorkerPool
 from repro.parallel.sharding import plan_shards
 
-__all__ = [
-    "ParallelRunner",
-    "ShardResult",
-    "merge_shard_results",
-    "run_shard",
-    "run_shard_traced",
-]
-
-#: Pool start methods, best first: ``fork`` shares the parent's loaded
-#: modules (cheap startup); ``spawn`` is the portable fallback;
-#: ``inline`` executes shards serially in-process -- same shard plan,
-#: same merge, no processes (useful for tests and debugging).
-_POOL_MODES = ("auto", "fork", "forkserver", "spawn", "inline")
-
-
-@dataclasses.dataclass(frozen=True)
-class ShardResult:
-    """What one worker returns for one batch window.
-
-    Attributes:
-        offset: first absolute batch index of the window.
-        count: window length.
-        outputs: the windowed adapter's outputs dict.
-        base_cost: window-independent base cost (identical across
-            shards of one spec; the merge uses shard 0's).
-        item_costs: one cost record per window item, in window order.
-        fidelity: the window's fabric-fidelity summary (None for ideal
-            specs); folded across shards by the engine's declared
-            ``merge_window_fidelity`` policy.
-        accuracy: the window's application-accuracy summary (None for
-            engines without an accuracy axis); folded across shards by
-            ``merge_window_accuracy``.
-        wall_seconds: the worker's execution wall time.
-    """
-
-    offset: int
-    count: int
-    outputs: dict[str, Any]
-    base_cost: CostSummary
-    item_costs: tuple[CostSummary, ...]
-    wall_seconds: float
-    fidelity: FidelitySummary | None = None
-    accuracy: AccuracySummary | None = None
-
-
-def run_shard(task: tuple[ScenarioSpec, int, int]) -> ShardResult:
-    """Worker body: execute one batch window of ``spec``.
-
-    Shared by the per-run multiprocessing pool here and the long-lived
-    :class:`~repro.serving.pool.WorkerPool` workers -- a shard computes
-    the same thing regardless of which executor hosts it.
-    """
-    spec, offset, count = task
-    started = time.perf_counter()
-    with span("shard.window", offset=offset, count=count):
-        engine = Engine.from_spec(spec)
-        adapter = adapter_for(spec, engine.name, window=(offset, count))
-        engine.check_params(adapter)
-        outputs, base, item_costs = engine.execute_window(adapter)
-    return ShardResult(
-        offset=offset,
-        count=count,
-        outputs=outputs,
-        base_cost=base,
-        item_costs=tuple(item_costs),
-        wall_seconds=time.perf_counter() - started,
-        fidelity=engine.window_fidelity(),
-        accuracy=engine.window_accuracy(),
-    )
-
-
-# Historical private name; the sharded map tasks pickle by qualname.
-_run_shard = run_shard
-
-
-def run_shard_traced(
-    task: tuple[ScenarioSpec, int, int],
-) -> tuple[ShardResult, list[dict[str, Any]]]:
-    """Worker body for traced sharded runs.
-
-    Executes the shard under a fresh worker-local tracer and ships the
-    span records home as dicts alongside the result, so the parent can
-    graft them under its dispatch span (:meth:`Tracer.adopt`).
-    """
-    tracer = Tracer()
-    with traced(tracer):
-        result = run_shard(task)
-    return result, [rec.to_dict() for rec in tracer.records()]
-
-
-def _run_spec(spec: ScenarioSpec) -> RunResult:
-    """Pool worker: execute one whole spec (spec-level fan-out)."""
-    return Engine.from_spec(spec).run()
-
-
-def merge_shard_results(
-    spec: ScenarioSpec,
-    engine: Engine,
-    shard_results: Sequence[ShardResult],
-    parallel_provenance: Mapping[str, Any],
-    wall_seconds: float,
-) -> RunResult:
-    """Fold per-window shard results into the whole-run RunResult.
-
-    The single merge every sharded executor uses (the per-run pool here
-    and the serving layer's warm :class:`~repro.serving.pool.WorkerPool`
-    alike): per-item costs concatenate in plan order, the run cost is
-    re-aggregated by the engine's own fold over that concatenation
-    (same float-addition order as ``workers=1``), outputs merge through
-    the workload adapter, and fidelity/accuracy fold by the engine's
-    declared policies -- which is what keeps ``workers=N``
-    bit-identical to ``workers=1`` no matter which executor ran the
-    windows.
-
-    Args:
-        spec: the scenario the shards belong to.
-        engine: a bound engine for ``spec`` (merge policies live on the
-            class; the instance is not re-executed).
-        shard_results: one :class:`ShardResult` per window, in plan
-            (ascending offset) order.
-        parallel_provenance: the executor's scheduling record (worker
-            counts, pool flavour, per-shard wall times); stored under
-            ``provenance["parallel"]``.
-        wall_seconds: the whole sharded run's wall time.
-    """
-    shard_results = list(shard_results)
-    with span("shards.merge", shards=len(shard_results)):
-        merge_adapter = adapter_for(spec, engine.name)
-        outputs = merge_adapter.merge_shard_outputs(
-            [s.outputs for s in shard_results])
-        item_costs = tuple(
-            c for s in shard_results for c in s.item_costs)
-        cost = type(engine).aggregate_cost(
-            shard_results[0].base_cost, list(item_costs))
-        fidelity = type(engine).merge_window_fidelity(
-            [s.fidelity for s in shard_results])
-        accuracy = type(engine).merge_window_accuracy(
-            [s.accuracy for s in shard_results])
-    provenance = {
-        "engine": engine.name,
-        "workload": spec.workload,
-        "device": spec.device.name,
-        "seed": spec.seed,
-        "repro_version": repro.__version__,
-        "wall_seconds": wall_seconds,
-        "parallel": dict(parallel_provenance),
-    }
-    if not spec.device.is_plain:
-        provenance["device_overrides"] = dict(spec.device.overrides)
-    tracer = active_tracer()
-    if tracer is not None:
-        # Same linkage Engine.run stamps: scheduling provenance, never
-        # part of determinism comparisons.  started_at is anchored by
-        # subtracting the run duration (the executor measured it; the
-        # merge runs immediately after).
-        provenance["trace"] = {
-            "trace_id": tracer.trace_id,
-            "started_at": tracer.wall_now() - wall_seconds,
-            "duration_seconds": wall_seconds,
-        }
-    return RunResult(
-        spec=spec,
-        outputs=outputs,
-        cost=cost,
-        item_costs=item_costs,
-        provenance=provenance,
-        fidelity=fidelity,
-        accuracy=accuracy,
-    )
+__all__ = ["ParallelRunner"]
 
 
 class ParallelRunner:
@@ -223,16 +39,16 @@ class ParallelRunner:
     Args:
         workers: worker process count (1 = plain in-process execution).
         cache: a :class:`ResultCache`, a cache directory path, or None.
-        pool: start method -- "auto" (fork where available, else
-            spawn), "fork", "forkserver", "spawn", or "inline" (serial
-            in-process execution of the identical shard plan).
-        executor: an optional long-lived executor (a started
-            :class:`~repro.serving.pool.WorkerPool`) that replaces the
-            per-run multiprocessing pool: cache handling stays here,
-            execution and shard merging delegate to the warm workers
-            (same shard plan, same merge, identical results -- without
-            paying a process spawn per run).  ``workers``/``pool`` are
-            ignored while an executor is attached.
+        pool: start method of the per-call pool -- "auto" (fork where
+            available, else spawn), "fork", "forkserver", "spawn", or
+            "inline" (serial in-process execution of the identical
+            shard plan).
+        executor: an optional started
+            :class:`~repro.parallel.pool.WorkerPool` to run on instead
+            of a per-call pool: cache handling stays here, execution
+            goes to its warm workers (same shard plan, same merge,
+            identical results).  ``workers``/``pool`` are ignored while
+            an executor is attached.
     """
 
     def __init__(
@@ -240,20 +56,17 @@ class ParallelRunner:
         workers: int = 1,
         cache: ResultCache | str | None = None,
         pool: str = "auto",
-        executor=None,
+        executor: WorkerPool | None = None,
     ) -> None:
         if not isinstance(workers, int) or isinstance(workers, bool) \
                 or workers < 1:
             raise ValueError("workers must be a positive integer")
-        if pool not in _POOL_MODES:
+        if pool not in POOL_MODES:
             raise ValueError(
-                f"pool must be one of {_POOL_MODES}, got {pool!r}")
-        if executor is not None and not (
-                callable(getattr(executor, "run", None))
-                and callable(getattr(executor, "run_many", None))):
+                f"pool must be one of {POOL_MODES}, got {pool!r}")
+        if executor is not None and not isinstance(executor, WorkerPool):
             raise ValueError(
-                "executor must provide run(spec) and run_many(specs) "
-                f"(e.g. a started WorkerPool), got {executor!r}")
+                f"executor must be a started WorkerPool, got {executor!r}")
         if cache is not None and not isinstance(cache, ResultCache):
             cache = ResultCache(cache)
         self.workers = workers
@@ -267,7 +80,8 @@ class ParallelRunner:
         """Execute one scenario, sharded across the workers.
 
         Cache hits return immediately; misses run (sharded when the
-        engine supports it and ``workers > 1``) and are stored.
+        engine supports it and the plan has several windows) and are
+        stored.
         """
         if not isinstance(spec, ScenarioSpec):
             spec = ScenarioSpec.from_dict(spec)
@@ -275,15 +89,15 @@ class ParallelRunner:
             cached = self.cache.load(spec)
             if cached is not None:
                 return cached
-        if self.executor is not None:
-            result = self.executor.run(spec)
+        engine = Engine.from_spec(spec)
+        workers = self.workers if self.executor is None \
+            else self.executor.workers
+        shards = plan_shards(spec.batch, workers)
+        if engine.shardable and len(shards) > 1:
+            with self._pool_for(len(shards)) as pool:
+                result = pool.run(spec)
         else:
-            engine = Engine.from_spec(spec)
-            shards = plan_shards(spec.batch, self.workers)
-            if engine.shardable and len(shards) > 1:
-                result = self._run_sharded(spec, engine, shards)
-            else:
-                result = engine.run()
+            result = engine.run()
         if self.cache is not None:
             self.cache.store(result)
         return result
@@ -312,74 +126,20 @@ class ParallelRunner:
             else:
                 misses.append(i)
         missing = [resolved[i] for i in misses]
-        if self.executor is not None:
-            fresh = self.executor.run_many(missing)
+        if len(missing) > 1 and (self.executor is not None
+                                 or self.workers > 1):
+            with self._pool_for(len(missing)) as pool:
+                fresh = pool.run_many(missing)
         else:
-            fresh = self._map(_run_spec, missing)
+            fresh = [Engine.from_spec(spec).run() for spec in missing]
         for i, result in zip(misses, fresh):
             if self.cache is not None:
                 self.cache.store(result)
             results[i] = result
         return results  # type: ignore[return-value]
 
-    # -- internals ------------------------------------------------------------
-
-    def _run_sharded(
-        self,
-        spec: ScenarioSpec,
-        engine: Engine,
-        shards: list[tuple[int, int]],
-    ) -> RunResult:
-        # Validate params before forking so a typoed knob fails in the
-        # parent with the usual error, not wrapped in a pool traceback.
-        engine.check_params(adapter_for(spec, engine.name))
-        tasks = [(spec, off, cnt) for off, cnt in shards]
-        tracer = active_tracer()
-        started = time.perf_counter()
-        if tracer is None:
-            shard_results = self._map(run_shard, tasks)
-        else:
-            # Workers trace into their own short-lived tracer; the
-            # records come home with each result and graft under the
-            # dispatch span, rebased to the dispatch instant (worker
-            # clock bases are unknowable across processes).
-            with span("shards.dispatch", shards=len(shards),
-                      workers=self.workers, pool=self._method()):
-                dispatch_id = tracer.current_span_id
-                dispatch_at = tracer.now()
-                pairs = self._map(run_shard_traced, tasks)
-            shard_results = [result for result, _ in pairs]
-            for _, records in pairs:
-                tracer.adopt(records, parent_id=dispatch_id,
-                             offset_seconds=dispatch_at)
-        elapsed = time.perf_counter() - started
-        return merge_shard_results(
-            spec, engine, shard_results,
-            parallel_provenance={
-                "workers": self.workers,
-                "pool": self._method(),
-                "shards": [
-                    {"offset": s.offset, "count": s.count,
-                     "wall_seconds": s.wall_seconds}
-                    for s in shard_results
-                ],
-            },
-            wall_seconds=elapsed,
-        )
-
-    def _method(self) -> str:
-        if self.pool == "inline":
-            return "inline"
-        if self.pool != "auto":
-            return self.pool
-        available = multiprocessing.get_all_start_methods()
-        return "fork" if "fork" in available else "spawn"
-
-    def _map(self, fn, tasks: list) -> list:
-        """Order-preserving map over the worker pool (or inline)."""
-        n = min(self.workers, len(tasks))
-        if n <= 1 or self._method() == "inline":
-            return [fn(task) for task in tasks]
-        ctx = multiprocessing.get_context(self._method())
-        with ctx.Pool(processes=n) as pool:
-            return pool.map(fn, tasks)
+    def _pool_for(self, tasks: int):
+        """The attached executor, or a pool entered for one call."""
+        if self.executor is not None:
+            return contextlib.nullcontext(self.executor)
+        return WorkerPool(min(self.workers, tasks), mode=self.pool)

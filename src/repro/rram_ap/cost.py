@@ -67,26 +67,6 @@ class DotProductKernelCost:
             if getattr(self, attr) <= 0:
                 raise ValueError(f"{attr} must be positive")
 
-    @property
-    def delay(self) -> float:
-        """Deprecated alias of :attr:`delay_seconds`."""
-        return self.delay_seconds
-
-    @property
-    def energy_per_column(self) -> float:
-        """Deprecated alias of :attr:`energy_per_column_joules`."""
-        return self.energy_per_column_joules
-
-    @property
-    def config_write_time(self) -> float:
-        """Deprecated alias of :attr:`config_write_time_seconds`."""
-        return self.config_write_time_seconds
-
-    @property
-    def config_write_energy(self) -> float:
-        """Deprecated alias of :attr:`config_write_energy_joules`."""
-        return self.config_write_energy_joules
-
 
 RRAM_KERNEL = DotProductKernelCost(
     name="RRAM-AP",

@@ -54,21 +54,6 @@ class RunCost:
     pipelined_time_seconds: float
     energy_joules: float
 
-    @property
-    def latency(self) -> float:
-        """Deprecated alias of :attr:`latency_seconds`."""
-        return self.latency_seconds
-
-    @property
-    def pipelined_time(self) -> float:
-        """Deprecated alias of :attr:`pipelined_time_seconds`."""
-        return self.pipelined_time_seconds
-
-    @property
-    def energy(self) -> float:
-        """Deprecated alias of :attr:`energy_joules`."""
-        return self.energy_joules
-
 
 class AutomataProcessor:
     """A configured hardware automata processor.

@@ -1,37 +1,32 @@
-"""Serving: warm worker pool, request coalescer, cache tier, metrics.
+"""Serving: async front-end, cache tier, backpressure, metrics.
 
-The production-traffic layer of the reproduction (ROADMAP item 2).
-Per-run multiprocessing makes sharding a net loss on short scenarios --
-every ``ParallelRunner.run`` pays process spawn, interpreter warm-up
-and cold fabric mapping before the first item computes.  This package
-keeps all of that warm:
+The production-traffic layer of the reproduction.  Requests are served
+by a long-lived :class:`~repro.parallel.pool.WorkerPool` -- worker
+processes forked once, mapped fabrics kept warm across runs keyed by
+:meth:`~repro.api.spec.ScenarioSpec.structure_hash`, health checks,
+crash restarts with bit-identical retries, graceful shutdown -- the
+same executor :class:`~repro.parallel.runner.ParallelRunner` runs on.
+This package adds the request path in front of it:
 
-* :class:`~repro.serving.pool.WorkerPool` -- worker processes forked
-  once, fed pickled :class:`~repro.api.spec.ScenarioSpec` tasks over
-  queues, mapped fabrics kept warm across runs keyed by
-  :meth:`~repro.api.spec.ScenarioSpec.structure_hash`; health checks,
-  crash restarts with bit-identical retries, graceful shutdown.
 * :class:`~repro.serving.service.Service` -- the asyncio front-end:
   in-flight dedup, :class:`~repro.parallel.cache.ResultCache` hits
-  answered before a worker is touched, structure-keyed coalescing into
-  group dispatches (``max_batch``/``max_wait``), bounded-queue
-  backpressure with typed
-  :class:`~repro.serving.errors.ServiceOverloaded` rejection.
+  answered before a worker is touched, bounded-queue backpressure with
+  typed :class:`~repro.serving.errors.ServiceOverloaded` rejection, and
+  one ``"spec"`` pool task per admitted request.
 * :class:`~repro.serving.stats.ServiceStats` -- per-stage counters and
-  latency histograms, snapshotted for ``repro serve --stats-json``.
+  a latency histogram, snapshotted for ``repro serve --stats-json``.
 
 The determinism contract is inherited, not renegotiated: workers run
-the same ``run_shard`` / ``Engine.from_spec(spec).run()`` bodies and
-merges go through :func:`~repro.parallel.runner.merge_shard_results`,
-so every result is bit-identical to its single-process counterpart.
+the plain ``Engine.from_spec(spec).run()`` body, so every served result
+is bit-identical to its single-process counterpart.
 """
 
+from repro.parallel.pool import PoolTask, WorkerPool
 from repro.serving.errors import (
     ServiceOverloaded,
     ServingError,
     WorkerCrashed,
 )
-from repro.serving.pool import PoolTask, WorkerPool
 from repro.serving.service import Service, serve_all
 from repro.serving.stats import (
     LatencyHistogram,

@@ -5,17 +5,18 @@ three failure families: their own bad input (the usual
 :class:`~repro.api.workloads.ScenarioError` /
 :class:`~repro.api.spec.SpecError` raised by the engine facade),
 overload (:class:`ServiceOverloaded` -- retryable, carries a suggested
-backoff), and infrastructure loss (:class:`WorkerCrashed` -- a shard's
+backoff), and infrastructure loss (:class:`WorkerCrashed` -- a task's
 worker died repeatedly even after restarts).  Everything else is a bug.
+
+:class:`ServingError` and :class:`WorkerCrashed` belong to the worker
+pool (:mod:`repro.parallel.pool`) and are re-exported here.
 """
 
 from __future__ import annotations
 
+from repro.parallel.pool import ServingError, WorkerCrashed
+
 __all__ = ["ServiceOverloaded", "ServingError", "WorkerCrashed"]
-
-
-class ServingError(RuntimeError):
-    """Base class of the serving subsystem's own failures."""
 
 
 class ServiceOverloaded(ServingError):
@@ -44,21 +45,3 @@ class ServiceOverloaded(ServingError):
             f"(limit {limit}); retry after "
             f"{retry_after_seconds:.3g} s"
         )
-
-
-class WorkerCrashed(ServingError):
-    """A task's worker process died and retries were exhausted.
-
-    The pool restarts crashed workers and transparently retries their
-    in-flight tasks on fresh ones (results are pure functions of the
-    spec, so a retry is bit-identical); this surfaces only when a task
-    keeps killing its workers -- which means the task itself, not the
-    infrastructure, is fatal.
-
-    Attributes:
-        attempts: how many workers the task consumed.
-    """
-
-    def __init__(self, message: str, attempts: int) -> None:
-        self.attempts = attempts
-        super().__init__(message)

@@ -1,4 +1,4 @@
-"""The asyncio front-end: cache tier, dedup, coalescer, backpressure.
+"""The asyncio front-end: dedup, cache tier, backpressure, dispatch.
 
 :class:`Service` is the request path concurrent callers talk to.  A
 submitted :class:`~repro.api.spec.ScenarioSpec` flows through four
@@ -13,23 +13,14 @@ stages, each of which may answer it without touching the next:
    exceed ``max_queue``, the submission is rejected *before any work is
    queued* with a typed :class:`~repro.serving.errors.ServiceOverloaded`
    carrying a suggested ``retry_after_seconds``;
-4. **coalescer** -- surviving requests land in a lane keyed by spec
-   structure *modulo seed and batch* and are flushed to the warm
-   :class:`~repro.serving.pool.WorkerPool` as one group dispatch when
-   the lane reaches ``max_batch`` members or the oldest member has
-   waited ``max_wait`` seconds.
+4. **dispatch** -- each surviving request becomes one ``"spec"`` task
+   on the :class:`~repro.parallel.pool.WorkerPool`, so concurrent
+   requests spread across every worker.  Tasks are submitted from the
+   event loop's default executor, so an inline pool never runs engine
+   work on the loop thread.
 
-Coalescing is *group dispatch*, not spec merging: the members of a
-flushed lane execute back-to-back on one warm worker, each through the
-plain ``Engine.from_spec(spec).run()`` body.  Results are therefore
-bit-identical to serial engine calls by construction -- the win is
-message amortization and shared warm state, never altered seeding.
-The lane key deliberately drops ``seed`` and ``batch``: concurrent
-same-scenario different-seed submissions (the Monte Carlo traffic
-pattern) group onto one worker, where they share the workload model
-cache outright and -- when seeds match the warm template -- mapped
-fabrics via :meth:`~repro.mvm.analog.AnalogAccelerator.ledger_twin`
-copies.
+Workers run the plain ``Engine.from_spec(spec).run()`` body, so served
+results are bit-identical to serial engine calls by construction.
 
 Every stage increments :class:`~repro.serving.stats.StatsRecorder`
 counters and emits one structured ``key=value`` log line on the
@@ -40,7 +31,6 @@ counters and emits one structured ``key=value`` log line on the
 from __future__ import annotations
 
 import asyncio
-import json
 import logging
 import time
 from typing import Any, Mapping, Sequence
@@ -50,8 +40,8 @@ from repro.api.spec import ScenarioSpec
 from repro.obs.metrics import merge_snapshots
 from repro.obs.trace import active_tracer, span
 from repro.parallel.cache import ResultCache
+from repro.parallel.pool import WorkerPool
 from repro.serving.errors import ServiceOverloaded, ServingError
-from repro.serving.pool import WorkerPool
 from repro.serving.stats import ServiceStats, StatsRecorder
 
 __all__ = ["Service"]
@@ -64,10 +54,9 @@ _COLD_SERVICE_ESTIMATE = 0.1
 
 
 class _Request:
-    """One admitted submission waiting in a coalesce lane."""
+    """One admitted submission on its way through the pool."""
 
-    __slots__ = ("spec", "key", "future", "admitted_at",
-                 "trace_t0", "trace_dispatch")
+    __slots__ = ("spec", "key", "future", "admitted_at", "trace_t0")
 
     def __init__(self, spec: ScenarioSpec, key: str,
                  future: asyncio.Future) -> None:
@@ -75,28 +64,17 @@ class _Request:
         self.key = key
         self.future = future
         self.admitted_at = time.perf_counter()
-        # Tracer-clock stamps (async stages cannot hold a span context
-        # manager across awaits, so the request span is recorded
-        # explicitly at settle time from these).
+        # Tracer-clock admission stamp (async stages cannot hold a
+        # span context manager across awaits, so the request span is
+        # recorded explicitly at settle time from it).
         self.trace_t0: float | None = None
-        self.trace_dispatch: float | None = None
-
-
-class _Lane:
-    """An open coalesce lane: same-structure requests awaiting flush."""
-
-    __slots__ = ("requests", "timer")
-
-    def __init__(self) -> None:
-        self.requests: list[_Request] = []
-        self.timer: asyncio.Task | None = None
 
 
 class Service:
     """Async request front-end over a warm worker pool.
 
     Args:
-        pool: a :class:`~repro.serving.pool.WorkerPool` to serve from.
+        pool: a :class:`~repro.parallel.pool.WorkerPool` to serve from.
             If None, the service creates (and owns) one from
             ``workers``/``pool_mode``.
         workers: worker count for an owned pool.
@@ -106,11 +84,6 @@ class Service:
         cache: result cache tier -- a
             :class:`~repro.parallel.cache.ResultCache`, a directory
             path, or None to disable the tier.
-        max_batch: coalesce lane capacity; a lane flushes immediately
-            when it holds this many requests.
-        max_wait: seconds the oldest lane member waits for companions
-            before the lane flushes anyway.  The knob trades per-request
-            latency for coalesce factor.
         max_queue: bound on admitted-but-incomplete requests; beyond it
             submissions fail fast with
             :class:`~repro.serving.errors.ServiceOverloaded`.
@@ -130,15 +103,8 @@ class Service:
         workers: int = 2,
         pool_mode: str = "auto",
         cache: ResultCache | str | None = None,
-        max_batch: int = 8,
-        max_wait: float = 0.01,
         max_queue: int = 64,
     ) -> None:
-        if not isinstance(max_batch, int) or isinstance(max_batch, bool) \
-                or max_batch < 1:
-            raise ValueError("max_batch must be a positive integer")
-        if max_wait < 0:
-            raise ValueError("max_wait must be >= 0")
         if not isinstance(max_queue, int) or isinstance(max_queue, bool) \
                 or max_queue < 1:
             raise ValueError("max_queue must be a positive integer")
@@ -148,12 +114,9 @@ class Service:
         self._pool = pool if pool is not None else WorkerPool(
             workers=workers, mode=pool_mode)
         self.cache = cache
-        self.max_batch = max_batch
-        self.max_wait = max_wait
         self.max_queue = max_queue
         self._stats = StatsRecorder()
         self._inflight: dict[str, asyncio.Future] = {}
-        self._lanes: dict[str, _Lane] = {}
         self._dispatch_tasks: set[asyncio.Task] = set()
         self._started = False
         self._closed = False
@@ -172,10 +135,8 @@ class Service:
             self._pool.start()
             self._started = True
             _LOG.info(
-                "event=start workers=%d mode=%s max_batch=%d "
-                "max_wait=%g max_queue=%d cache=%s",
-                self._pool.workers, self._pool.mode, self.max_batch,
-                self.max_wait, self.max_queue,
+                "event=start workers=%d mode=%s max_queue=%d cache=%s",
+                self._pool.workers, self._pool.mode, self.max_queue,
                 "on" if self.cache is not None else "off")
         return self
 
@@ -186,12 +147,10 @@ class Service:
         await self.close()
 
     async def close(self) -> None:
-        """Flush open lanes, drain dispatches, stop an owned pool."""
+        """Drain in-flight dispatches, stop an owned pool."""
         if self._closed:
             return
         self._closed = True
-        for structure_key in list(self._lanes):
-            self._flush_lane(structure_key)
         while self._dispatch_tasks:
             await asyncio.gather(*list(self._dispatch_tasks),
                                  return_exceptions=True)
@@ -268,19 +227,20 @@ class Service:
         self._stats.admitted()
         if self.cache is not None:
             self._stats.cache_miss()
-        future: asyncio.Future = \
-            asyncio.get_running_loop().create_future()
+        loop = asyncio.get_running_loop()
+        future: asyncio.Future = loop.create_future()
         request = _Request(spec, key, future)
         if tracer is not None:
             request.trace_t0 = t0
         self._inflight[key] = future
-        self._enqueue(request)
-        try:
-            return await asyncio.shield(future)
-        except asyncio.CancelledError:
-            # The submitter was cancelled; the dispatch (and any
-            # deduped twins awaiting the same future) carry on.
-            raise
+        self._stats.dispatched()
+        _LOG.debug("event=dispatch key=%.12s", key)
+        # The dispatch is a task of its own: a cancelled submitter (or
+        # its deduped twins awaiting the same future) never stops it.
+        task = loop.create_task(self._serve(request))
+        self._dispatch_tasks.add(task)
+        task.add_done_callback(self._dispatch_tasks.discard)
+        return await asyncio.shield(future)
 
     def stats(self) -> ServiceStats:
         """Snapshot the full request path, pool and cache included."""
@@ -306,90 +266,29 @@ class Service:
             snapshots.append(self.cache.metrics.snapshot())
         return merge_snapshots(*snapshots)
 
-    # -- coalescer ------------------------------------------------------------
+    # -- dispatch -------------------------------------------------------------
 
-    @staticmethod
-    def _lane_key(spec: ScenarioSpec) -> str:
-        """Coalesce-lane key: spec structure modulo seed and batch.
-
-        Seed variants of one scenario are exactly the requests worth
-        grouping on one warm worker; batch is already excluded from
-        structure identity (see ``ScenarioSpec.structure_hash``).
-        """
-        data = spec.to_dict()
-        del data["batch"]
-        del data["seed"]
-        return json.dumps(data, sort_keys=True, separators=(",", ":"))
-
-    def _enqueue(self, request: _Request) -> None:
-        structure_key = self._lane_key(request.spec)
-        lane = self._lanes.get(structure_key)
-        if lane is None:
-            lane = self._lanes[structure_key] = _Lane()
-        lane.requests.append(request)
-        if len(lane.requests) >= self.max_batch:
-            self._flush_lane(structure_key)
-        elif lane.timer is None:
-            lane.timer = asyncio.get_running_loop().create_task(
-                self._flush_later(structure_key))
-
-    async def _flush_later(self, structure_key: str) -> None:
-        try:
-            await asyncio.sleep(self.max_wait)
-        except asyncio.CancelledError:
-            return
-        lane = self._lanes.get(structure_key)
-        if lane is not None:
-            lane.timer = None
-            self._flush_lane(structure_key)
-
-    def _flush_lane(self, structure_key: str) -> None:
-        lane = self._lanes.pop(structure_key, None)
-        if lane is None or not lane.requests:
-            return
-        if lane.timer is not None:
-            lane.timer.cancel()
-            lane.timer = None
-        requests = lane.requests
-        now = time.perf_counter()
-        tracer = active_tracer()
-        if tracer is not None:
-            dispatch_now = tracer.now()
-            for request in requests:
-                request.trace_dispatch = dispatch_now
-        self._stats.dispatched(
-            len(requests), now - requests[0].admitted_at)
-        _LOG.info("event=dispatch lane=%.12s requests=%d",
-                  structure_key, len(requests))
-        task = asyncio.get_running_loop().create_task(
-            self._dispatch(requests))
-        self._dispatch_tasks.add(task)
-        task.add_done_callback(self._dispatch_tasks.discard)
-
-    def _run_group(self, specs: list[ScenarioSpec]) -> list[RunResult]:
-        """Executor-thread body of one coalesced dispatch.
+    def _run_on_pool(self, spec: ScenarioSpec) -> RunResult:
+        """Executor-thread body of one dispatch.
 
         The ``serve.dispatch`` span is opened on the dispatching thread
-        so the workers' shipped spans adopt under it (the pool reads
+        so the worker's shipped spans adopt under it (the pool reads
         the submitter's open span as the adoption parent).
         """
-        with span("serve.dispatch", requests=len(specs)):
-            return self._pool.run_group(specs)
+        with span("serve.dispatch"):
+            return self._pool.submit("spec", spec).result()
 
-    async def _dispatch(self, requests: list[_Request]) -> None:
-        specs = [r.spec for r in requests]
+    async def _serve(self, request: _Request) -> None:
         loop = asyncio.get_running_loop()
         try:
-            results = await loop.run_in_executor(
-                None, self._run_group, specs)
-        except Exception as exc:  # noqa: BLE001 -- routed to futures
-            for request in requests:
-                self._settle(request, error=exc)
+            result = await loop.run_in_executor(
+                None, self._run_on_pool, request.spec)
+        except Exception as exc:  # noqa: BLE001 -- routed to the future
+            self._settle(request, error=exc)
             return
-        for request, result in zip(requests, results):
-            if self.cache is not None:
-                self.cache.store(result)
-            self._settle(request, result=result)
+        if self.cache is not None:
+            self.cache.store(result)
+        self._settle(request, result=result)
 
     def _settle(
         self,
@@ -403,21 +302,11 @@ class Service:
         self._stats.finished(error is None, elapsed)
         tracer = active_tracer()
         if tracer is not None and request.trace_t0 is not None:
-            now = tracer.now()
-            request_id = tracer.record_span(
+            tracer.record_span(
                 "serve.request", request.trace_t0,
-                now - request.trace_t0,
+                tracer.now() - request.trace_t0,
                 outcome="completed" if error is None else "error",
                 key=request.key[:12])
-            if request.trace_dispatch is not None:
-                tracer.record_span(
-                    "serve.coalesce", request.trace_t0,
-                    request.trace_dispatch - request.trace_t0,
-                    parent_id=request_id)
-                tracer.record_span(
-                    "serve.service", request.trace_dispatch,
-                    now - request.trace_dispatch,
-                    parent_id=request_id)
         if request.future.done():
             return
         if error is not None:
@@ -436,8 +325,7 @@ class Service:
         """
         mean = self._stats.mean_service_seconds() \
             or _COLD_SERVICE_ESTIMATE
-        per_dispatch = max(1, self._pool.workers * self.max_batch)
-        return max(0.05, mean * depth / per_dispatch)
+        return max(0.05, mean * depth / self._pool.workers)
 
 
 async def serve_all(

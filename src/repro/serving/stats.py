@@ -1,12 +1,12 @@
 """Observability surface of the serving subsystem.
 
 Every stage of the request path counts what it did -- admission,
-cache tier, deduplication, coalescing, dispatch, completion -- and two
-log-bucketed latency histograms track how long requests queued and how
-long they took end to end.  :meth:`StatsRecorder.snapshot` freezes the
-whole picture into a :class:`ServiceStats` value: JSON-serializable
-(``repro serve --stats-json``), renderable as text (the CLI summary),
-and cheap enough to take per request.
+cache tier, deduplication, dispatch, completion -- and a log-bucketed
+latency histogram tracks how long requests took end to end.
+:meth:`StatsRecorder.snapshot` freezes the whole picture into a
+:class:`ServiceStats` value: JSON-serializable (``repro serve
+--stats-json``), renderable as text (the CLI summary), and cheap enough
+to take per request.
 
 The recorder is deliberately lock-guarded and allocation-light: it is
 touched on every request by the asyncio front-end and from executor
@@ -27,9 +27,9 @@ import dataclasses
 import threading
 from typing import Any, Mapping
 
-from repro.api.fabric_cache import FabricCacheStats
 from repro.obs.metrics import DEFAULT_LATENCY_BOUNDS, Histogram, MetricsRegistry
 from repro.parallel.cache import CacheStats
+from repro.parallel.pool import PoolStats
 
 __all__ = ["LatencyHistogram", "PoolStats", "ServiceStats",
            "StatsRecorder"]
@@ -53,42 +53,6 @@ class LatencyHistogram(Histogram):
 
 
 @dataclasses.dataclass(frozen=True)
-class PoolStats:
-    """One snapshot of a worker pool's lifetime accounting.
-
-    Attributes:
-        workers: configured worker slots.
-        alive: worker processes currently alive (equals ``workers``
-            for the inline pool).
-        restarts: workers restarted after a crash.
-        tasks_done: tasks completed successfully.
-        tasks_failed: tasks that raised (the error went to the caller).
-        tasks_retried: dispatch attempts repeated after a worker died.
-        pending: tasks queued but not yet dispatched.
-        running: tasks currently executing on a worker.
-        busy_seconds: total worker-occupied execution time.
-        fabric_cache: warm-fabric counters aggregated across workers.
-    """
-
-    workers: int = 0
-    alive: int = 0
-    restarts: int = 0
-    tasks_done: int = 0
-    tasks_failed: int = 0
-    tasks_retried: int = 0
-    pending: int = 0
-    running: int = 0
-    busy_seconds: float = 0.0
-    fabric_cache: FabricCacheStats = dataclasses.field(
-        default_factory=FabricCacheStats)
-
-    def to_dict(self) -> dict[str, Any]:
-        data = dataclasses.asdict(self)
-        data["fabric_cache"] = self.fabric_cache.as_dict()
-        return data
-
-
-@dataclasses.dataclass(frozen=True)
 class ServiceStats:
     """A frozen end-to-end snapshot of the service's request path.
 
@@ -101,11 +65,11 @@ class ServiceStats:
         cache_hits: answered from the result cache, no worker touched.
         cache_misses: cache lookups that had to compute.
         deduped: requests folded onto an identical in-flight request.
-        dispatches: task groups shipped to the pool.
-        dispatched_requests: requests carried by those groups.
+        dispatches: tasks shipped to the pool.
+        dispatched_requests: requests carried by those tasks (one
+            each).
         queue_depth: admitted-but-incomplete requests right now.
         peak_queue_depth: high-water mark of ``queue_depth``.
-        queue_wait: histogram of admission-to-dispatch waits.
         service_time: histogram of admission-to-answer latencies.
         pool: the worker pool's own counters.
         result_cache: the cache tier's hit/miss/store/prune counters.
@@ -122,28 +86,13 @@ class ServiceStats:
     dispatched_requests: int = 0
     queue_depth: int = 0
     peak_queue_depth: int = 0
-    queue_wait: Mapping[str, Any] = dataclasses.field(
-        default_factory=dict)
     service_time: Mapping[str, Any] = dataclasses.field(
         default_factory=dict)
     pool: PoolStats = dataclasses.field(default_factory=PoolStats)
     result_cache: CacheStats | None = None
 
-    @property
-    def coalesce_factor(self) -> float:
-        """Mean requests per pool dispatch (1.0 = no folding yet).
-
-        The coalescer's effectiveness in one number: cache hits and
-        deduped requests never reach a dispatch, so this measures only
-        how densely the residual compute traffic was batched.
-        """
-        if self.dispatches == 0:
-            return 1.0
-        return self.dispatched_requests / self.dispatches
-
     def to_dict(self) -> dict[str, Any]:
         data = dataclasses.asdict(self)
-        data["coalesce_factor"] = self.coalesce_factor
         data["pool"] = self.pool.to_dict()
         data["result_cache"] = (
             None if self.result_cache is None
@@ -152,7 +101,6 @@ class ServiceStats:
 
     def render(self) -> str:
         """A compact human-readable snapshot (the CLI summary block)."""
-        wait = self.queue_wait or {}
         service = self.service_time or {}
         lines = [
             f"requests: {self.requests} admitted, "
@@ -161,12 +109,9 @@ class ServiceStats:
             f"cache tier: {self.cache_hits} hits / "
             f"{self.cache_misses} misses; {self.deduped} deduped "
             "onto in-flight twins",
-            f"coalescer: {self.dispatched_requests} requests over "
-            f"{self.dispatches} dispatches "
-            f"(factor {self.coalesce_factor:.2f})",
+            f"dispatches: {self.dispatches} spec tasks to the pool",
             f"queue: depth {self.queue_depth}, "
-            f"peak {self.peak_queue_depth}, "
-            f"wait p95 {wait.get('p95_seconds', 0.0):.4g} s",
+            f"peak {self.peak_queue_depth}",
             f"latency: mean {service.get('mean_seconds', 0.0):.4g} s, "
             f"p95 {service.get('p95_seconds', 0.0):.4g} s",
             f"pool: {self.pool.alive}/{self.pool.workers} workers "
@@ -212,8 +157,6 @@ class StatsRecorder:
         self._queue_depth = self.metrics.gauge("service_queue_depth")
         self._peak_queue_depth = self.metrics.gauge(
             "service_peak_queue_depth")
-        self._queue_wait = self.metrics.histogram(
-            "service_queue_wait_seconds")
         self._service_time = self.metrics.histogram("service_time_seconds")
 
     # -- stage events ---------------------------------------------------------
@@ -241,12 +184,10 @@ class StatsRecorder:
         with self._lock:
             self._deduped.inc()
 
-    def dispatched(self, requests: int, queue_wait_seconds: float) -> None:
+    def dispatched(self) -> None:
         with self._lock:
             self._dispatches.inc()
-            self._dispatched_requests.inc(requests)
-            for _ in range(requests):
-                self._queue_wait.observe(queue_wait_seconds)
+            self._dispatched_requests.inc()
 
     def finished(self, ok: bool, service_seconds: float) -> None:
         with self._lock:
@@ -293,7 +234,6 @@ class StatsRecorder:
                 dispatched_requests=self._dispatched_requests.value,
                 queue_depth=self._queue_depth.value,
                 peak_queue_depth=self._peak_queue_depth.value,
-                queue_wait=self._queue_wait.to_dict(),
                 service_time=self._service_time.to_dict(),
                 pool=pool or PoolStats(),
                 result_cache=result_cache,

@@ -21,12 +21,12 @@ class TestFunctionalBehaviour:
     def test_hot_cell_trips(self):
         m = measure_discharge(rram([1, 0, 0, 0]), t_stop=2e-9, dt=2e-12)
         assert m.tripped
-        assert m.discharge_time is not None
+        assert m.discharge_time_seconds is not None
 
     def test_all_zero_column_stays_high(self):
         m = measure_discharge(rram([0, 0, 0, 0]), t_stop=2e-9, dt=2e-12)
         assert not m.tripped
-        assert m.discharge_time is None
+        assert m.discharge_time_seconds is None
 
     def test_unselected_hot_cell_does_not_trip(self):
         """The dot product i . V must be 0 when the hot cell is not selected."""
@@ -45,13 +45,13 @@ class TestDischargePhysics:
         one = measure_discharge(rram([1] + [0] * 31), t_stop=2e-9, dt=1e-12)
         four = measure_discharge(rram([1] * 4 + [0] * 28), t_stop=2e-9,
                                  dt=1e-12)
-        assert four.discharge_time < one.discharge_time
+        assert four.discharge_time_seconds < one.discharge_time_seconds
 
     def test_longer_column_is_slower(self):
         """More cells -> more bit-line capacitance -> slower discharge."""
         short = measure_discharge(rram([1] + [0] * 15), t_stop=2e-9, dt=1e-12)
         long = measure_discharge(rram([1] + [0] * 127), t_stop=4e-9, dt=1e-12)
-        assert long.discharge_time > short.discharge_time
+        assert long.discharge_time_seconds > short.discharge_time_seconds
 
     def test_rram_beats_sram_at_256(self):
         """The core Fig. 9 claim, at reduced precision for test speed."""
@@ -60,8 +60,8 @@ class TestDischargePhysics:
                                 t_stop=1.2e-9, dt=4e-12)
         m_s = measure_discharge(build_sram_column(PTM32, bits, selected=[0]),
                                 t_stop=1.2e-9, dt=4e-12)
-        assert m_r.discharge_time < m_s.discharge_time
-        assert m_r.energy < m_s.energy
+        assert m_r.discharge_time_seconds < m_s.discharge_time_seconds
+        assert m_r.energy_joules < m_s.energy_joules
 
 
 class TestEnergyModel:
@@ -72,12 +72,12 @@ class TestEnergyModel:
         expected = c_bl * PTM32.v_precharge * (
             PTM32.v_precharge - PTM32.v_sa_trip
         )
-        assert m.energy == pytest.approx(expected, rel=1e-6)
+        assert m.energy_joules == pytest.approx(expected, rel=1e-6)
 
     def test_silent_column_uses_far_less_energy(self):
         hot = measure_discharge(rram([1, 0, 0, 0]), t_stop=2e-9, dt=2e-12)
         silent = measure_discharge(rram([0, 0, 0, 0]), t_stop=2e-9, dt=2e-12)
-        assert silent.energy < 0.2 * hot.energy
+        assert silent.energy_joules < 0.2 * hot.energy_joules
 
 
 class TestColumnMetadata:

@@ -84,7 +84,7 @@ class TestIDSScenario:
                     homogenize(rule.compile())
                 )[name]
                 _, cost = proc.run(workload.payload, unanchored=True)
-                energy += cost.energy
+                energy += cost.energy_joules
             total_energy[name] = energy
         assert total_energy["RRAM-AP"] < total_energy["SRAM-AP"]
         ratio = 1 - total_energy["RRAM-AP"] / total_energy["SRAM-AP"]
@@ -114,8 +114,8 @@ class TestDatabaseScenario:
         assert report.mvp_bit_operations > 0
         assert report.total_energy > 0
         # In-memory ops must be far cheaper than CPU ops per operation.
-        cpu_per_op = report.cpu_energy / report.cpu_ops
-        mvp_per_op = report.mvp_energy / report.mvp_bit_operations
+        cpu_per_op = report.cpu_energy_joules / report.cpu_ops
+        mvp_per_op = report.mvp_energy_joules / report.mvp_bit_operations
         assert mvp_per_op < cpu_per_op
 
 
@@ -154,10 +154,10 @@ class TestFunctionalVsAnalyticEnergy:
         mvp = MVPProcessor(Crossbar(8, 512))
         mvp.execute([Instruction.vload(0, [1] * 512),
                      Instruction.vload(1, [0, 1] * 256)])
-        start_energy = mvp.stats.energy
+        start_energy = mvp.stats.energy_joules
         start_bits = mvp.stats.bit_operations
         mvp.execute([Instruction.vor(0, 1), Instruction.vand(0, 1)])
-        per_bit = (mvp.stats.energy - start_energy) / (
+        per_bit = (mvp.stats.energy_joules - start_energy) / (
             mvp.stats.bit_operations - start_bits
         )
         model = MVPSystemModel()

@@ -146,7 +146,7 @@ class TestAnalogMVM:
         assert mvm.energy_joules == pytest.approx(
             2 * mvm.energy_model.operation_energy(12))
         assert mvm.latency_seconds == pytest.approx(
-            2 * mvm.energy_model.latency)
+            2 * mvm.energy_model.latency_seconds)
 
     def test_window_debias_keeps_small_window_devices_accurate(self):
         """A 17x resistance window (Stanford-like) still recovers the

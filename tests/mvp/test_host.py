@@ -47,13 +47,13 @@ class TestReport:
         report = host.report()
         assert report.cpu_ops == 1001
         assert report.mvp_instructions == 2
-        assert report.cpu_energy > 0
-        assert report.mvp_energy > 0
+        assert report.cpu_energy_joules > 0
+        assert report.mvp_energy_joules > 0
         assert report.total_energy == pytest.approx(
-            report.cpu_energy + report.mvp_energy
+            report.cpu_energy_joules + report.mvp_energy_joules
         )
         assert report.total_time == pytest.approx(
-            report.cpu_time + report.mvp_time
+            report.cpu_time_seconds + report.mvp_time_seconds
         )
 
     def test_offloaded_fraction(self):
@@ -77,4 +77,4 @@ class TestReport:
         host = HostSystem(mvp)
         report = host.report()
         assert report.mvp_instructions == 0
-        assert report.mvp_energy == 0.0
+        assert report.mvp_energy_joules == 0.0

@@ -111,11 +111,11 @@ class TestCostAccounting:
     def test_energy_and_time_accumulate(self):
         p = make_processor()
         p.execute([Instruction.vload(0, [1] * 8)])
-        after_load = p.stats.energy
+        after_load = p.stats.energy_joules
         assert after_load > 0
         p.execute([Instruction.vor(0)])
-        assert p.stats.energy > after_load
-        assert p.stats.time > 0
+        assert p.stats.energy_joules > after_load
+        assert p.stats.time_seconds > 0
 
     def test_bit_operations_scale_with_columns(self):
         p = make_processor(cols=8)
@@ -127,4 +127,4 @@ class TestCostAccounting:
         p.execute([Instruction.vload(0, [1] * 8)])
         merged = p.stats.merged_with(p.stats)
         assert merged.instructions == 2 * p.stats.instructions
-        assert merged.energy == pytest.approx(2 * p.stats.energy)
+        assert merged.energy_joules == pytest.approx(2 * p.stats.energy_joules)

@@ -10,7 +10,7 @@ import pytest
 
 from repro.api import Engine, ScenarioSpec
 from repro.obs.trace import deactivate_tracer, traced
-from repro.parallel import ParallelRunner
+from repro.parallel import ParallelRunner, SweepRunner
 
 SPEC = ScenarioSpec(engine="analog_mvm", workload="mlp_inference",
                     size=12, items=6, batch=5, seed=3)
@@ -59,6 +59,17 @@ class TestTracedDeterminism:
         # Worker spans were shipped back and stitched in.
         assert "shards.dispatch" in names
         assert "shard.window" in names
+
+    def test_fanned_sweep_traced_matches_serial_untraced(self):
+        specs = [SPEC.replaced(seed=seed) for seed in range(3)]
+        serial = SweepRunner(workers=1).run(specs)
+        with traced() as tracer:
+            fanned = SweepRunner(workers=2).run(specs)
+        for got, want in zip(fanned, serial):
+            assert _comparable(got) == _comparable(want)
+        # Each cell's worker spans were shipped back and stitched in.
+        runs = [rec for rec in tracer.records() if rec.name == "engine.run"]
+        assert len(runs) == len(specs)
 
     def test_repeated_traced_runs_identical(self):
         with traced():

@@ -79,10 +79,10 @@ class TestAPChip:
         chip = APChip(machines)
         combined_cost = chip.scan(text).cost
         sequential = sum(
-            rram_ap(m).run(text, unanchored=True)[1].pipelined_time
+            rram_ap(m).run(text, unanchored=True)[1].pipelined_time_seconds
             for m in machines
         )
-        assert combined_cost.pipelined_time < sequential
+        assert combined_cost.pipelined_time_seconds < sequential
 
     def test_kernel_selection(self):
         machines = rules("ab")

@@ -25,15 +25,15 @@ def automaton(pattern="(a|b)*abb"):
 
 class TestKernelRecords:
     def test_paper_fig9_numbers(self):
-        assert RRAM_KERNEL.delay == pytest.approx(104e-12)
-        assert SRAM_KERNEL.delay == pytest.approx(161e-12)
-        assert RRAM_KERNEL.energy_per_column == pytest.approx(2.09e-15)
-        assert SRAM_KERNEL.energy_per_column == pytest.approx(5.16e-15)
+        assert RRAM_KERNEL.delay_seconds == pytest.approx(104e-12)
+        assert SRAM_KERNEL.delay_seconds == pytest.approx(161e-12)
+        assert RRAM_KERNEL.energy_per_column_joules == pytest.approx(2.09e-15)
+        assert SRAM_KERNEL.energy_per_column_joules == pytest.approx(5.16e-15)
 
     def test_paper_reductions(self):
-        delay_cut = 1 - RRAM_KERNEL.delay / SRAM_KERNEL.delay
-        energy_cut = 1 - (RRAM_KERNEL.energy_per_column
-                          / SRAM_KERNEL.energy_per_column)
+        delay_cut = 1 - RRAM_KERNEL.delay_seconds / SRAM_KERNEL.delay_seconds
+        energy_cut = 1 - (RRAM_KERNEL.energy_per_column_joules
+                          / SRAM_KERNEL.energy_per_column_joules)
         assert delay_cut == pytest.approx(0.35, abs=0.02)
         assert energy_cut == pytest.approx(0.59, abs=0.02)
 
@@ -45,14 +45,14 @@ class TestKernelRecords:
 
     def test_rram_config_slower(self):
         """The paper's stated drawback: long, power-hungry programming."""
-        assert RRAM_KERNEL.config_write_time > SRAM_KERNEL.config_write_time
-        assert (RRAM_KERNEL.config_write_energy
-                > SRAM_KERNEL.config_write_energy)
+        assert RRAM_KERNEL.config_write_time_seconds > SRAM_KERNEL.config_write_time_seconds
+        assert (RRAM_KERNEL.config_write_energy_joules
+                > SRAM_KERNEL.config_write_energy_joules)
 
     def test_kernel_cost_from_circuit_tracks_paper(self):
         rram = kernel_cost_from_circuit("rram", n_cells=256, dt=2e-12)
-        assert rram.delay == pytest.approx(104e-12, rel=0.1)
-        assert rram.energy_per_column == pytest.approx(2.09e-15, rel=0.1)
+        assert rram.delay_seconds == pytest.approx(104e-12, rel=0.1)
+        assert rram.energy_per_column_joules == pytest.approx(2.09e-15, rel=0.1)
 
     def test_kernel_kind_validated(self):
         with pytest.raises(ValueError):
@@ -68,16 +68,16 @@ class TestChipCost:
 
     def test_symbol_latency_counts_stages(self):
         assert self.cost.symbol_latency() == pytest.approx(
-            3 * RRAM_KERNEL.delay
+            3 * RRAM_KERNEL.delay_seconds
         )
 
     def test_symbol_energy_sums_arrays(self):
-        expected = (100 + 120) * RRAM_KERNEL.energy_per_column
+        expected = (100 + 120) * RRAM_KERNEL.energy_per_column_joules
         assert self.cost.symbol_energy() == pytest.approx(expected)
 
     def test_throughput_is_pipelined(self):
         assert self.cost.throughput_symbols_per_second() == pytest.approx(
-            1 / RRAM_KERNEL.delay
+            1 / RRAM_KERNEL.delay_seconds
         )
 
     def test_area_scales_with_cell(self):
@@ -142,14 +142,14 @@ class TestProcessorCosts:
         ha = automaton()
         _, cost_r = rram_ap(ha).run("abab" * 16)
         _, cost_s = sram_ap(ha).run("abab" * 16)
-        assert cost_r.energy < cost_s.energy
-        assert cost_r.latency < cost_s.latency
+        assert cost_r.energy_joules < cost_s.energy_joules
+        assert cost_r.latency_seconds < cost_s.latency_seconds
 
     def test_cost_scales_with_input_length(self):
         proc = rram_ap(automaton())
         _, short = proc.run("ab" * 8)
         _, long = proc.run("ab" * 32)
-        assert long.energy == pytest.approx(4 * short.energy)
+        assert long.energy_joules == pytest.approx(4 * short.energy_joules)
         assert long.symbols == 4 * short.symbols
 
     def test_config_cost_tradeoff(self):

@@ -11,12 +11,12 @@ class TestServe:
     def test_seed_variant_burst(self, capsys):
         assert main(["serve", "database", "--requests", "4",
                      "--engine", "mvp_batched", "--workers", "2",
-                     "--pool-mode", "inline", "--max-batch", "4",
+                     "--pool-mode", "inline",
                      "--size", "96", "--batch", "4"]) == 0
         out = capsys.readouterr().out
         assert "served 4 requests" in out
         assert "requests: 4 admitted, 4 completed" in out
-        assert "coalescer:" in out
+        assert "dispatches:" in out
 
     def test_stats_json_snapshot(self, tmp_path, capsys):
         stats_path = tmp_path / "stats.json"
@@ -29,7 +29,7 @@ class TestServe:
         assert payload["requests"] == 4
         assert payload["completed"] == 4
         assert payload["pool"]["workers"] == 1
-        assert payload["coalesce_factor"] >= 1.0
+        assert payload["dispatched_requests"] == payload["dispatches"]
         assert "p95_seconds" in payload["service_time"]
 
     def test_cache_tier_round_trip(self, tmp_path, capsys):

@@ -1,11 +1,15 @@
 """WorkerPool basics: execution modes, equivalence, health, stats.
 
 The robustness suite (crashes, retries, overload) lives in
-``test_pool_robustness.py``; the coalescer determinism suite in
+``test_pool_robustness.py``; the served-request determinism suite in
 ``test_coalesce_determinism.py``.  This file pins the everyday
 contract: every pool mode computes exactly what the plain engine
-facade computes, lifecycle is safe, and the counters add up.
+facade computes, lifecycle is safe, a round trip waits on no sleep,
+and the counters add up.
 """
+
+import statistics
+import time
 
 import pytest
 
@@ -58,23 +62,48 @@ def test_run_many_preserves_order(serial):
     assert comparable(results[2]) == comparable(serial)
 
 
-def test_run_group_matches_serial_runs(serial):
+def spec_tasks_in_a_row(pool, specs):
+    return [pool.submit("spec", spec).result(timeout=60.0)
+            for spec in specs]
+
+
+def test_spec_tasks_in_a_row_match_serial_runs(serial):
     with WorkerPool(workers=1, mode="fork") as pool:
-        results = pool.run_group([SPEC, SPEC.replaced(seed=4)])
+        results = spec_tasks_in_a_row(pool, [SPEC, SPEC.replaced(seed=4)])
     assert comparable(results[0]) == comparable(serial)
     assert comparable(results[1]) == comparable(
         Engine.from_spec(SPEC.replaced(seed=4)).run())
 
 
-def test_warm_fabric_reused_across_group_members():
+def test_warm_fabric_reused_across_spec_tasks():
     with WorkerPool(workers=1, mode="fork") as pool:
-        results = pool.run_group([ANALOG, ANALOG.replaced(batch=3)])
+        results = spec_tasks_in_a_row(
+            pool, [ANALOG, ANALOG.replaced(batch=3)])
         stats = pool.stats()
     assert all(r.ok for r in results)
-    # Same structure hash (batch excluded): the second member reuses
-    # the first member's mapped fabric template.
+    # Same structure hash (batch excluded): the second task reuses
+    # the first task's mapped fabric template on the same worker.
     assert stats.fabric_cache.hits >= 1
     assert stats.fabric_cache.stores >= 1
+
+
+def test_round_trip_waits_on_no_sleep():
+    """A result wakes the collector at once; no poll interval is paid.
+
+    A tiny spec runs in about a millisecond, so a round trip through
+    one warm worker takes a few; a fixed sleep anywhere on the result
+    path shows up in every one.
+    """
+    tiny = SPEC.replaced(size=32, batch=1)
+    with WorkerPool(workers=1, mode="fork") as pool:
+        pool.submit("spec", tiny).result(timeout=60.0)  # warm-up
+        round_trips = []
+        for seed in range(20):
+            started = time.perf_counter()
+            pool.submit("spec", tiny.replaced(seed=seed)).result(
+                timeout=60.0)
+            round_trips.append(time.perf_counter() - started)
+    assert statistics.median(round_trips) < 0.025
 
 
 def test_ping_reaches_every_worker():

@@ -13,26 +13,27 @@ hint -- before any work is queued.
 import asyncio
 import concurrent.futures
 import os
+import threading
 import time
 
 import pytest
 
 from repro.api import Engine, ScenarioSpec
-from repro.parallel.runner import run_shard
+from repro.parallel import pool as pool_module
+from repro.parallel import run_shard
 from repro.serving import (
     Service,
     ServiceOverloaded,
     WorkerCrashed,
     WorkerPool,
 )
-from repro.serving import pool as pool_module
 
 #: Big enough that a worker is reliably still computing when the test
 #: kills it right after the started notification (~300 ms of work on a
-#: 2-vCPU x86 host vs a 50 ms collector poll).
+#: 2-vCPU x86 host).
 SLOW = ScenarioSpec(engine="mvp_batched", workload="database",
                     size=8192, items=4, batch=64, seed=3)
-#: A shard window of SLOW that still runs well past one collector poll.
+#: A shard window of SLOW that still runs well past the kill.
 SLOW_WINDOW = (SLOW, 16, 48)
 QUICK = ScenarioSpec(engine="mvp_batched", workload="database", size=96,
                      items=2, batch=4, seed=3)
@@ -145,14 +146,25 @@ def test_ping_token_queued_before_worker_dies_is_answered():
         assert task.attempts == 2
 
 
-def test_bounded_queue_rejects_with_typed_overload():
+def test_bounded_queue_rejects_with_typed_overload(monkeypatch):
+    real = pool_module._execute_task
+    release = threading.Event()
+
+    def held(kind, payload):
+        # Task bodies block until the rejection has been checked, so
+        # both admitted requests stay in flight meanwhile.
+        assert release.wait(timeout=60.0)
+        return real(kind, payload)
+
+    monkeypatch.setattr(pool_module, "_execute_task", held)
+
     async def main():
-        async with Service(workers=1, pool_mode="inline", max_batch=8,
-                           max_wait=5.0, max_queue=2) as service:
+        async with Service(workers=1, pool_mode="inline",
+                           max_queue=2) as service:
             first = asyncio.ensure_future(service.submit(QUICK))
             second = asyncio.ensure_future(
                 service.submit(QUICK.replaced(seed=4)))
-            await asyncio.sleep(0.05)  # both admitted, lane unflushed
+            await asyncio.sleep(0.05)  # both admitted, both held
             with pytest.raises(ServiceOverloaded) as excinfo:
                 await service.submit(QUICK.replaced(seed=5))
             err = excinfo.value
@@ -160,10 +172,12 @@ def test_bounded_queue_rejects_with_typed_overload():
             assert err.limit == 2
             assert err.retry_after_seconds > 0
             assert "retry after" in str(err)
+            # Released, the admitted requests complete normally (an
+            # inline pool holds its lock while a task runs, so the
+            # stats snapshot waits for the release).
+            release.set()
             stats = service.stats()
             assert stats.rejected == 1
-            # close() flushes the held lane; the admitted requests
-            # complete normally.
         results = await asyncio.gather(first, second)
         return results, service.stats()
 
@@ -178,17 +192,15 @@ def test_worker_crashed_propagates_through_service(monkeypatch):
     real = pool_module._execute_task
 
     def bomb(kind, payload):
-        if any(isinstance(s, ScenarioSpec) and s.seed == BOMB_SEED
-               for s in (payload if isinstance(payload, list)
-                         else [payload])):
+        if isinstance(payload, ScenarioSpec) \
+                and payload.seed == BOMB_SEED:
             os._exit(13)
         return real(kind, payload)
 
     monkeypatch.setattr(pool_module, "_execute_task", bomb)
 
     async def main():
-        async with Service(workers=1, pool_mode="fork", max_batch=2,
-                           max_wait=0.01) as service:
+        async with Service(workers=1, pool_mode="fork") as service:
             with pytest.raises(WorkerCrashed):
                 await service.submit(QUICK.replaced(seed=BOMB_SEED))
             result = await service.submit(QUICK)

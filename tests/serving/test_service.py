@@ -1,10 +1,12 @@
 """Service front-end behavior: lifecycle, knobs, stats, serve_all."""
 
 import asyncio
+import threading
 
 import pytest
 
 from repro.api import ScenarioSpec
+from repro.parallel import pool as pool_module
 from repro.serving import (
     Service,
     ServiceOverloaded,
@@ -22,10 +24,6 @@ def run(coro):
 
 
 def test_constructor_validation():
-    with pytest.raises(ValueError, match="max_batch"):
-        Service(max_batch=0)
-    with pytest.raises(ValueError, match="max_wait"):
-        Service(max_wait=-1)
     with pytest.raises(ValueError, match="max_queue"):
         Service(max_queue=0)
 
@@ -42,8 +40,7 @@ def test_submit_before_start_raises():
 
 def test_submit_accepts_plain_dicts():
     async def main():
-        async with Service(workers=1, pool_mode="inline",
-                           max_wait=0.0) as service:
+        async with Service(workers=1, pool_mode="inline") as service:
             return await service.submit({
                 "engine": "mvp_batched", "workload": "database",
                 "size": 96, "items": 2, "batch": 4, "seed": 3,
@@ -56,8 +53,7 @@ def test_submit_accepts_plain_dicts():
 
 def test_bad_spec_error_reaches_the_submitter():
     async def main():
-        async with Service(workers=1, pool_mode="inline",
-                           max_wait=0.0) as service:
+        async with Service(workers=1, pool_mode="inline") as service:
             with pytest.raises(ValueError, match="no_such_knob"):
                 await service.submit(
                     SPEC.replaced(params={"no_such_knob": 1}))
@@ -73,7 +69,7 @@ def test_external_pool_is_not_shut_down():
     pool = WorkerPool(workers=1, mode="inline").start()
 
     async def main():
-        async with Service(pool=pool, max_wait=0.0) as service:
+        async with Service(pool=pool) as service:
             await service.submit(SPEC)
 
     run(main())
@@ -82,14 +78,29 @@ def test_external_pool_is_not_shut_down():
     pool.shutdown()
 
 
-def test_close_flushes_open_lanes():
+def test_close_drains_a_request_still_executing(monkeypatch):
+    real = pool_module._execute_task
+    started, release = threading.Event(), threading.Event()
+
+    def held(kind, payload):
+        started.set()
+        assert release.wait(timeout=60.0)
+        return real(kind, payload)
+
+    monkeypatch.setattr(pool_module, "_execute_task", held)
+
     async def main():
-        async with Service(workers=1, pool_mode="inline", max_batch=8,
-                           max_wait=60.0) as service:
-            # max_wait is an hour away: only close() can flush this.
-            pending = asyncio.ensure_future(service.submit(SPEC))
-            await asyncio.sleep(0.05)
-            assert not pending.done()
+        loop = asyncio.get_running_loop()
+        service = Service(workers=1, pool_mode="inline").start()
+        pending = asyncio.ensure_future(service.submit(SPEC))
+        assert await loop.run_in_executor(None, started.wait, 60.0)
+        closing = asyncio.ensure_future(service.close())
+        await asyncio.sleep(0.05)
+        # close() waits for the request it admitted.
+        assert not closing.done()
+        assert not pending.done()
+        release.set()
+        await closing
         return await pending
 
     assert run(main()).ok
@@ -97,8 +108,7 @@ def test_close_flushes_open_lanes():
 
 def test_stats_snapshot_shape():
     async def main():
-        async with Service(workers=1, pool_mode="inline",
-                           max_wait=0.0) as service:
+        async with Service(workers=1, pool_mode="inline") as service:
             await service.submit(SPEC)
             return service.stats()
 
@@ -107,13 +117,12 @@ def test_stats_snapshot_shape():
     assert data["requests"] == 1
     assert data["completed"] == 1
     assert data["pool"]["workers"] == 1
-    assert data["coalesce_factor"] == 1.0
+    assert data["dispatches"] == data["dispatched_requests"] == 1
     assert data["service_time"]["count"] == 1
-    assert data["queue_wait"]["count"] == 1
     assert data["result_cache"] is None
     rendered = stats.render()
     assert "requests: 1 admitted" in rendered
-    assert "coalescer:" in rendered
+    assert "dispatches:" in rendered
 
 
 def test_serve_all_retries_after_overload():
@@ -132,8 +141,7 @@ def test_serve_all_retries_after_overload():
             return await self.service.submit(spec)
 
     async def main():
-        async with Service(workers=1, pool_mode="inline",
-                           max_wait=0.0) as service:
+        async with Service(workers=1, pool_mode="inline") as service:
             results = await serve_all(Flaky(service), [SPEC])
             return results
 

@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.serving import LatencyHistogram, PoolStats, StatsRecorder
-from repro.serving.stats import ServiceStats
 
 
 class TestLatencyHistogram:
@@ -75,7 +74,7 @@ class TestStatsRecorder:
         rec.cache_miss()
         rec.deduped()
         rec.rejected()
-        rec.dispatched(requests=3, queue_wait_seconds=0.01)
+        rec.dispatched()
         rec.finished(ok=True, service_seconds=0.2)
         rec.finished(ok=False, service_seconds=0.3)
         snap = rec.snapshot()
@@ -85,19 +84,13 @@ class TestStatsRecorder:
         assert snap.deduped == 1
         assert snap.rejected == 1
         assert snap.dispatches == 1
-        assert snap.dispatched_requests == 3
+        assert snap.dispatched_requests == 1
         assert snap.errors == 1
-        assert snap.queue_wait["count"] == 3
         assert snap.service_time["count"] == 2
         assert rec.mean_service_seconds() == pytest.approx(0.25)
 
 
 class TestServiceStats:
-    def test_coalesce_factor(self):
-        assert ServiceStats().coalesce_factor == 1.0
-        assert ServiceStats(dispatches=2, dispatched_requests=8
-                            ).coalesce_factor == 4.0
-
     def test_to_dict_is_json_serializable(self):
         snap = StatsRecorder().snapshot(pool=PoolStats(workers=2))
         text = json.dumps(snap.to_dict(), sort_keys=True)
@@ -105,7 +98,7 @@ class TestServiceStats:
 
     def test_render_mentions_every_stage(self):
         rendered = StatsRecorder().snapshot().render()
-        for fragment in ("requests:", "cache tier:", "coalescer:",
+        for fragment in ("requests:", "cache tier:", "dispatches:",
                          "queue:", "latency:", "pool:", "warm fabric:"):
             assert fragment in rendered
         # No result cache attached: the optional line is absent.
