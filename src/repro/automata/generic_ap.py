@@ -55,8 +55,7 @@ def encode_streams(
     t_max = int(lengths.max()) if len(seqs) else 0
     indices = np.zeros((len(seqs), t_max), dtype=np.int64)
     for k, seq in enumerate(seqs):
-        for t, symbol in enumerate(seq):
-            indices[k, t] = alphabet.index_of(symbol)
+        indices[k, : len(seq)] = [alphabet.index_of(s) for s in seq]
     return indices, lengths
 
 
@@ -75,14 +74,21 @@ def batched_matrix_steps(
     The shared batch kernel behind both
     :meth:`GenericAPModel.run_batch` and the hardware model's
     ``AutomataProcessor.run_batch``: each step is one (M, N) x (N, N)
-    product plus (M, N) bitwise ops, servicing every live stream at once.
-    Streams shorter than T_max stop updating after their last symbol, so
-    per-stream results are identical to M independent single runs --
-    equivalently, a stream's trace is invariant to which other streams
-    share the batch.  That co-scheduling invariance is what lets the
-    sharded executor (:mod:`repro.parallel`) split a multi-stream run
-    across worker processes and still merge traces bit-identically to
-    the single-process run.
+    product plus (M, N) bitwise ops, servicing every stream at once.
+    The product accumulates in float64 so that it runs as one BLAS call
+    per symbol (numpy never hands integer matmul to BLAS).  It is exact:
+    a Follow entry counts active predecessors, an integer <= N, and
+    float64 holds every integer up to 2**53, so its ``> 0`` test is the
+    OR of Eq. 2.  Eq. 4 is scored once, after the loop, over the accept
+    columns only.
+    Each row of the product and of the STE gather depends only on its
+    own stream, so per-stream results are identical to M independent
+    single runs -- equivalently, a stream's trace is invariant to which
+    other streams share the batch.  That co-scheduling invariance is
+    what lets the sharded executor (:mod:`repro.parallel`) split a
+    multi-stream run across worker processes and still merge traces
+    bit-identically to the single-process run.  Rows past a stream's
+    length are padding that callers cut off (:func:`assemble_traces`).
 
     Args:
         start: (N,) initial Active Vector.
@@ -92,8 +98,8 @@ def batched_matrix_steps(
         indices: (M, T_max) padded symbol-index matrix.
         lengths: (M,) true stream lengths.
         unanchored: re-arm start states before every symbol.
-        counts: optional kernel counters; incremented by the number of
-            *live* streams per step, matching M single runs in total.
+        counts: optional kernel counters; each grows by the total number
+            of symbols, ``lengths.sum()``, matching M single runs.
 
     Returns:
         ``(actives, accepts)``: (M, T_max + 1, N) Active Vector history
@@ -105,25 +111,22 @@ def batched_matrix_steps(
     active = np.tile(start, (m, 1))
     actives = np.zeros((m, t_max + 1, n), dtype=bool)
     actives[:, 0] = active
-    accepts = np.zeros((m, t_max), dtype=bool)
     # A wide accumulator: uint8 would wrap to 0 when a state has a
     # multiple of 256 active predecessors, silently dropping the edge.
-    routing_wide = routing.astype(np.int64)
+    # float64 counts them exactly (up to 2**53) and multiplies on BLAS.
+    routing_wide = routing.astype(np.float64)
     for t in range(t_max):
-        live = t < lengths
         source = active | start if unanchored else active
-        follow = (source.astype(np.int64) @ routing_wide) > 0
-        s = ste[indices[:, t]]
-        stepped = follow & s
-        active = np.where(live[:, None], stepped, active)
+        active = (source @ routing_wide > 0) & ste[indices[:, t]]
         actives[:, t + 1] = active
-        accepts[:, t] = (active & accept).any(axis=1)
-        if counts is not None:
-            m_live = int(live.sum())
-            counts.routing_reads += m_live
-            counts.ste_reads += m_live
-            counts.and_ops += m_live
-            counts.accept_reads += m_live
+    accepts = actives[:, 1:, np.flatnonzero(accept)].any(axis=2)
+    if counts is not None:
+        # One read of each kind per symbol of each stream.
+        n_symbols = int(lengths.sum())
+        counts.routing_reads += n_symbols
+        counts.ste_reads += n_symbols
+        counts.and_ops += n_symbols
+        counts.accept_reads += n_symbols
     return actives, accepts
 
 

@@ -52,7 +52,7 @@ class NumpyDotProduct:
             raise ValueError(
                 f"expected {self.config.shape[0]} inputs, got {inputs.shape}"
             )
-        return (inputs[:, None] & self.config).any(axis=0)
+        return self.config[inputs].any(axis=0)
 
 
 class CrossbarDotProduct:

@@ -7,11 +7,17 @@ Covers both batch engines behind the unified ``run_batch`` API:
   and zero-length streams;
 * :meth:`AutomataProcessor.run_batch` -- traces and per-stream costs on
   the matrix backend, plus an electrical-backend spot check.
+
+The property suites use a 2-symbol alphabet and automata of a few
+states; :class:`TestWorkloadScale` runs both engines at a benchmark
+workload's size, where BLAS blocks the batched follow-vector product.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.api import ScenarioSpec, adapter_for
 from repro.automata import Alphabet, compile_regex, homogenize
 from repro.automata.generic_ap import GenericAPModel
 from repro.automata.paper_example import build_example_ap
@@ -119,3 +125,67 @@ class TestHardwareProcessorEquivalence:
         for seq, batch_trace in zip(seqs, traces):
             single_trace, _ = proc.run(seq, unanchored=True)
             _assert_traces_equal(batch_trace, single_trace)
+
+
+#: The ``networking`` workload at the perfbench ``ap_scan`` shape: 8
+#: merged IDS rules (about 200 states, |Sigma| = 42) scanning 16
+#: payloads of 256 symbols.
+NETWORKING = ScenarioSpec(engine="rram_ap", workload="networking",
+                          size=256, items=8, batch=16, seed=7)
+
+
+@pytest.fixture(scope="module")
+def networking():
+    """The merged automaton and its 16 streams cut to ragged lengths:
+    the first to 0 symbols, the second kept whole, the rest at random."""
+    adapter = adapter_for(NETWORKING, "rram_ap")
+    streams = adapter.streams()
+    rng = np.random.default_rng(11)
+    cuts = [0, len(streams[1])] + [
+        int(rng.integers(0, len(s) + 1)) for s in streams[2:]
+    ]
+    return adapter.build_automaton(), [s[:c] for s, c in zip(streams, cuts)]
+
+
+class TestWorkloadScale:
+    @pytest.mark.parametrize("unanchored", [False, True])
+    def test_hardware_processor(self, networking, unanchored):
+        automaton, seqs = networking
+        proc = AutomataProcessor(automaton)
+        traces, costs = proc.run_batch(seqs, unanchored=unanchored)
+        assert len(traces) == len(costs) == len(seqs)
+        for seq, batch_trace, cost in zip(seqs, traces, costs):
+            single_trace, single_cost = proc.run(seq, unanchored=unanchored)
+            _assert_traces_equal(batch_trace, single_trace)
+            assert cost == single_cost
+        if unanchored:
+            assert any(t.match_ends for t in traces)
+
+    @pytest.mark.parametrize("unanchored", [False, True])
+    def test_generic_model(self, networking, unanchored):
+        automaton, seqs = networking
+        batched = GenericAPModel.from_homogeneous(automaton)
+        looped = GenericAPModel.from_homogeneous(automaton)
+        traces = batched.run_batch(seqs, unanchored=unanchored)
+        assert len(traces) == len(seqs)
+        for seq, batch_trace in zip(seqs, traces):
+            single_trace = looped.run(seq, unanchored=unanchored)
+            _assert_traces_equal(batch_trace, single_trace)
+        assert batched.counts == looped.counts
+
+    def test_no_accepting_state(self, networking):
+        """An all-False Accept Vector never fires Eq. 4, on any stream."""
+        automaton, seqs = networking
+        model = GenericAPModel(
+            automaton.alphabet,
+            ste=automaton.ste_matrix(),
+            routing=automaton.routing_matrix(),
+            start=automaton.start_vector(),
+            accept=np.zeros(automaton.n_states, dtype=bool),
+        )
+        traces = model.run_batch(seqs, unanchored=True)
+        assert len(traces) == len(seqs)
+        for seq, trace in zip(seqs, traces):
+            assert trace.accept_per_step.shape == (len(seq),)
+            assert not trace.accept_per_step.any()
+            assert not trace.accepted

@@ -15,6 +15,7 @@ import concurrent.futures
 import os
 import threading
 import time
+from multiprocessing import connection
 
 import pytest
 
@@ -121,8 +122,11 @@ def test_ping_right_after_idle_worker_dies():
     with WorkerPool(workers=1, mode="fork") as pool:
         dead = pool._slots[0].process
         dead.kill()
-        dead.join(timeout=10.0)
-        assert not dead.is_alive()
+        # The sentinel turns ready only once the process has exited.
+        # join()/is_alive() would race the pool's collector, which reaps
+        # the same process under its lock: the loser of that waitpid
+        # gets ECHILD, which multiprocessing reports as alive.
+        assert connection.wait([dead.sentinel], timeout=10.0)
         assert pool.ping(timeout=10.0) == {0: True}
         assert pool.stats().restarts == 1
         assert pool.run(QUICK).ok
