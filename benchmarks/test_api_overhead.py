@@ -8,20 +8,17 @@ database workload both ways -- through the facade and by driving
 -- and asserts the facade's throughput is within 5% of the direct
 path's.  The estimate is the median of paired back-to-back timings
 (:func:`repro.bench.paired_comparison`); the recorded rates are each
-path's median.  The measurements land in ``BENCH_api.json`` at the repo
-root, the perf trajectory CI reads.
+path's median.  The measurements land in ``BENCH_api.json`` (see
+``benchmarks/conftest.py`` for where), the perf trajectory CI reads.
 """
 
 from __future__ import annotations
-
-from pathlib import Path
 
 from repro.api import Engine, ScenarioSpec, adapter_for
 from repro.bench import paired_comparison, smoke_mode, write_bench_json
 from repro.crossbar import CrossbarStack
 from repro.mvp.batch import BatchedMVPProcessor
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 BATCH = 16 if smoke_mode() else 64
 SIZE = 512 if smoke_mode() else 4096   # table rows (= crossbar columns)
@@ -64,7 +61,7 @@ def _ops_per_run() -> int:
 
 class TestFacadeOverhead:
     def test_facade_overhead_under_five_percent(self, save_report,
-                                                benchmark):
+                                                bench_dir, benchmark):
         ops = _ops_per_run()       # also warms both code paths
         _direct_run()
         direct, facade, ratio = paired_comparison(
@@ -77,7 +74,7 @@ class TestFacadeOverhead:
         benchmark(_facade_run)
 
         write_bench_json(
-            REPO_ROOT / "BENCH_api.json",
+            bench_dir / "BENCH_api.json",
             [direct, facade],
             speedups={"facade_vs_direct": ratio},
         )

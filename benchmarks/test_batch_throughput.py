@@ -10,15 +10,14 @@ runs of the *same* workload:
   (:meth:`GenericAPModel.run_batch` vs M single ``run`` calls).
 
 Asserts the >= 5x batched-throughput acceptance bar and persists the
-perf trajectory to ``BENCH_batch.json`` at the repo root plus a rendered
-report under ``results/``.  Set ``REPRO_BENCH_SMOKE=1`` to shrink the
-workloads (CI smoke mode); the speedup bar holds in both modes because
-batching removes Python-level dispatch, not numpy work.
+perf trajectory to ``BENCH_batch.json`` plus a rendered report under
+``results/`` (see ``benchmarks/conftest.py`` for where).  Set
+``REPRO_BENCH_SMOKE=1`` to shrink the workloads (CI smoke mode); the
+speedup bar holds in both modes because batching removes Python-level
+dispatch, not numpy work.
 """
 
 from __future__ import annotations
-
-from pathlib import Path
 
 import numpy as np
 
@@ -37,7 +36,6 @@ from repro.mvp import (
     load_unsigned,
 )
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 BATCH = 64                       # the acceptance-criteria batch size
 COLS = 16 if smoke_mode() else 32
@@ -96,7 +94,7 @@ def _ap_batched() -> None:
     ap.run_batch(_streams(11), unanchored=True)
 
 
-def test_batch_throughput(save_report):
+def test_batch_throughput(save_report, bench_dir):
     """Batched engines must deliver >= 5x ops/sec over looped execution."""
     adds = BATCH * COLS  # element additions serviced per pass
     cycles = BATCH * STREAM_LEN  # stream-symbol cycles per pass
@@ -113,7 +111,7 @@ def test_batch_throughput(save_report):
         "ap_multistream_batch64": speedup(by_name["ap_multistream_batched"],
                                           by_name["ap_multistream_looped"]),
     }
-    write_bench_json(REPO_ROOT / "BENCH_batch.json", results, speedups)
+    write_bench_json(bench_dir / "BENCH_batch.json", results, speedups)
 
     headers = ["workload", "ops", "seconds", "ops_per_second"]
     rows = [(r.name, r.ops, r.seconds, r.ops_per_second) for r in results]

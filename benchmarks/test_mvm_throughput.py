@@ -15,14 +15,13 @@ The ideal run must pass its quantized-reference golden check and the
 sweep's accuracy must be non-increasing in fault rate -- the paper's
 qualitative claim, pinned.
 
-Measurements land in ``BENCH_mvm.json`` at the repo root and
-``results/mvm_throughput.txt``.
+Measurements land in ``BENCH_mvm.json`` and
+``results/mvm_throughput.txt`` (see ``benchmarks/conftest.py`` for where).
 """
 
 from __future__ import annotations
 
 import time
-from pathlib import Path
 
 from repro.api import Engine, ScenarioSpec
 from repro.bench import (
@@ -33,7 +32,6 @@ from repro.bench import (
 )
 from repro.parallel import SweepRunner, expand_grid
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 SAMPLES = 8 if smoke_mode() else 32
 BATCH = 2 if smoke_mode() else 8
@@ -51,7 +49,8 @@ def _run() -> None:
 
 
 class TestMVMThroughput:
-    def test_throughput_and_fault_sweep(self, save_report, benchmark):
+    def test_throughput_and_fault_sweep(self, save_report, bench_dir,
+                                        benchmark):
         probe = Engine.from_spec(SPEC).run()
         assert probe.ok
         # Two layers per sample; every item contributes size samples.
@@ -88,7 +87,7 @@ class TestMVMThroughput:
         )
 
         write_bench_json(
-            REPO_ROOT / "BENCH_mvm.json",
+            bench_dir / "BENCH_mvm.json",
             [measured, adc_rate, sweep_result],
             extra={
                 "samples_per_item": SAMPLES,

@@ -11,14 +11,14 @@ The fault-injection sweep throughput (nonideal fabrics, per-item
 campaigns, fidelity probes) is *recorded* for the perf trajectory but
 not gated: robustness studies pay for the physics they ask for.
 
-Measurements land in ``BENCH_nonideal.json`` at the repo root and
-``results/nonideal_overhead.txt``.
+Measurements land in ``BENCH_nonideal.json`` and
+``results/nonideal_overhead.txt`` (see ``benchmarks/conftest.py`` for
+where).
 """
 
 from __future__ import annotations
 
 import time
-from pathlib import Path
 
 from repro.api import Engine, ScenarioSpec, adapter_for
 from repro.bench import (
@@ -31,7 +31,6 @@ from repro.crossbar import CrossbarStack
 from repro.mvp.batch import BatchedMVPProcessor
 from repro.parallel import SweepRunner, expand_grid
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 BATCH = 16 if smoke_mode() else 64
 SIZE = 512 if smoke_mode() else 4096
@@ -82,7 +81,7 @@ def _fault_sweep() -> int:
 
 class TestNonidealOverhead:
     def test_ideal_path_overhead_under_bar(self, save_report,
-                                           benchmark):
+                                           bench_dir, benchmark):
         ops = int(Engine.from_spec(SPEC).run()
                   .cost.counters["bit_operations"])
         _direct_seed_run()  # warm both paths
@@ -106,7 +105,7 @@ class TestNonidealOverhead:
         )
 
         write_bench_json(
-            REPO_ROOT / "BENCH_nonideal.json",
+            bench_dir / "BENCH_nonideal.json",
             [direct, v2, sweep_result],
             speedups={"specv2_ideal_vs_direct_seed": ratio},
         )

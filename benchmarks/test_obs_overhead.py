@@ -13,20 +13,18 @@ keep it honest:
   construction -- per-site cost x sites hit per run must stay <= 1% of
   the run -- because the true disabled delta is far below timer noise.
 
-Measurements land in ``BENCH_obs.json`` at the repo root and
-``results/obs_overhead.txt``.
+Measurements land in ``BENCH_obs.json`` and
+``results/obs_overhead.txt`` (see ``benchmarks/conftest.py`` for where).
 """
 
 from __future__ import annotations
 
 import time
-from pathlib import Path
 
 from repro.api import Engine, ScenarioSpec
 from repro.bench import paired_comparison, smoke_mode, write_bench_json
 from repro.obs import span, traced
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 # Span count scales with ITEMS (per-window spans); kernel work scales
 # with SIZE^2 x BATCH.  Keep ITEMS small and the windows heavy so the
@@ -69,7 +67,8 @@ def _noop_span_seconds() -> float:
 
 
 class TestObsOverhead:
-    def test_tracing_overhead_under_bars(self, save_report, benchmark):
+    def test_tracing_overhead_under_bars(self, save_report, bench_dir,
+                                         benchmark):
         ops = int(Engine.from_spec(SPEC).run()
                   .cost.counters["adc_conversions"])
         span_count = _traced_run()  # warm both paths
@@ -91,7 +90,7 @@ class TestObsOverhead:
         disabled_overhead = span_count * noop_seconds / off.seconds
 
         write_bench_json(
-            REPO_ROOT / "BENCH_obs.json",
+            bench_dir / "BENCH_obs.json",
             [off, on],
             speedups={"traced_vs_untraced": ratio},
             extra={

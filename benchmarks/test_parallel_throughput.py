@@ -4,8 +4,9 @@ Measures whole facade runs of the batched MVP database scenario --
 workload generation, execution, golden verification, merge -- at
 ``workers=1`` (plain in-process) versus ``workers=4`` (sharded across
 a worker pool entered for each run), plus a warm-cache replay.  The perf trajectory
-lands in ``BENCH_parallel.json`` at the repo root and a rendered table
-under ``results/parallel_throughput.txt``.
+lands in ``BENCH_parallel.json`` and a rendered table under
+``results/parallel_throughput.txt`` (see ``benchmarks/conftest.py`` for
+where).
 
 Parallel speedup is a property of the *machine*, not the code: a
 4-worker pool cannot beat one worker on a 1-CPU container.  The bench
@@ -27,8 +28,6 @@ full-size workload.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from repro.api import ScenarioSpec
 from repro.bench import (
     available_cpus,
@@ -39,7 +38,6 @@ from repro.bench import (
 )
 from repro.parallel import ParallelRunner
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 WORKERS = 4
 BATCH = 8 if smoke_mode() else 32
@@ -61,7 +59,7 @@ def _comparable(result) -> dict:
     return data
 
 
-def test_parallel_throughput(save_report, tmp_path):
+def test_parallel_throughput(save_report, bench_dir, tmp_path):
     cpus = available_cpus()
 
     # Determinism bar first: the speedup below is only meaningful if
@@ -111,7 +109,7 @@ def test_parallel_throughput(save_report, tmp_path):
         scaling_gate = (f"skipped: {cpus} CPU cannot scale; overhead "
                         f"floor {MIN_RATIO_1CPU}x only")
     write_bench_json(
-        REPO_ROOT / "BENCH_parallel.json",
+        bench_dir / "BENCH_parallel.json",
         results,
         speedups={
             f"parallel_{WORKERS}workers_vs_1": ratio,

@@ -1,12 +1,13 @@
 """Serving bench: warm pool vs per-run spawn, served vs serial.
 
-Two throughput stories land in ``BENCH_serving.json``:
+Two throughput stories land in ``BENCH_serving.json`` (see
+``benchmarks/conftest.py`` for where):
 
 * **pool_vs_spawn** -- the same sharded run executed through a
-  long-lived warm :class:`~repro.parallel.pool.WorkerPool` versus
-  :class:`~repro.parallel.runner.ParallelRunner`, which enters a fresh
-  pool for each run.  The warm pool amortizes process forks,
-  interpreter warm-up and cold caches across runs.
+  long-lived warm :class:`~repro.parallel.pool.WorkerPool` versus a
+  fresh :class:`~repro.parallel.runner.ParallelRunner` per run, which
+  starts a new pool for that run.  The warm pool amortizes process
+  forks, interpreter warm-up and cold caches across runs.
 * **coalesced_vs_serial** -- a burst of seed-variant requests driven
   concurrently through :class:`~repro.serving.service.Service`
   (deduped, one pool task per request, answered by warm workers)
@@ -24,7 +25,6 @@ must be bit-identical to its serial engine run.
 from __future__ import annotations
 
 import asyncio
-from pathlib import Path
 
 from repro.api import Engine, ScenarioSpec
 from repro.bench import (
@@ -37,7 +37,6 @@ from repro.bench import (
 from repro.parallel import ParallelRunner
 from repro.serving import Service, WorkerPool, serve_all
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 WORKERS = 4
 BATCH = 8 if smoke_mode() else 32
@@ -70,17 +69,18 @@ def _serve_burst(pool: WorkerPool) -> list:
     return asyncio.run(main())
 
 
-def test_serving_throughput(save_report):
+def test_serving_throughput(save_report, bench_dir):
     cpus = available_cpus()
     serial_results = [Engine.from_spec(spec).run() for spec in BURST]
     ops = int(sum(r.cost.counters["bit_operations"]
                   for r in serial_results))
     run_ops = int(serial_results[0].cost.counters["bit_operations"])
 
-    spawn_runner = ParallelRunner(workers=WORKERS)
+    # A fresh runner per run: a runner keeps its pool warm across
+    # calls, so only a new one starts (and, dropped, stops) a pool.
     spawn = measure_throughput(
         f"spawn_pool_workers{WORKERS}",
-        lambda: spawn_runner.run(SPEC),
+        lambda: ParallelRunner(workers=WORKERS).run(SPEC),
         ops=run_ops, repeats=REPEATS,
     )
     with WorkerPool(workers=WORKERS, mode="fork") as pool:
@@ -126,7 +126,7 @@ def test_serving_throughput(save_report):
                 f"{MIN_RATIO_1CPU}x/{MIN_COALESCED_1CPU}x only")
     results = [spawn, warm, serial, coalesced]
     write_bench_json(
-        REPO_ROOT / "BENCH_serving.json",
+        bench_dir / "BENCH_serving.json",
         results,
         speedups={
             "pool_vs_spawn": pool_ratio,

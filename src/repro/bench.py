@@ -14,7 +14,9 @@ the small, dependency-free pieces the throughput benches share:
 * :func:`write_bench_json` -- persist a machine-readable ``BENCH_*.json``
   record (the perf trajectory consumed by CI and future sessions);
 * :func:`smoke_mode` -- honour the ``REPRO_BENCH_SMOKE`` environment
-  variable so CI can run the benches on shrunken workloads.
+  variable so CI can run the benches on shrunken workloads;
+* :func:`write_mode` -- honour ``REPRO_BENCH_WRITE``: only then do the
+  benches rewrite the tracked ``BENCH_*.json`` and ``results/*`` files.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import numpy as np
 __all__ = [
     "SMOKE_ENV",
     "ThroughputResult",
+    "WRITE_ENV",
     "available_cpus",
     "measure_throughput",
     "paired_comparison",
@@ -40,14 +43,30 @@ __all__ = [
     "smoke_mode",
     "speedup",
     "write_bench_json",
+    "write_mode",
 ]
 
 SMOKE_ENV = "REPRO_BENCH_SMOKE"
+WRITE_ENV = "REPRO_BENCH_WRITE"
+
+
+def _env_flag(name: str) -> bool:
+    return os.environ.get(name, "").strip() not in ("", "0", "false")
 
 
 def smoke_mode() -> bool:
     """True when benches should run shrunken workloads (CI smoke runs)."""
-    return os.environ.get(SMOKE_ENV, "").strip() not in ("", "0", "false")
+    return _env_flag(SMOKE_ENV)
+
+
+def write_mode() -> bool:
+    """True when benches should rewrite the repo's tracked records.
+
+    Off by default, so a test run leaves ``BENCH_*.json`` and
+    ``results/*`` as they are; set ``REPRO_BENCH_WRITE=1`` for a
+    deliberate re-baseline.
+    """
+    return _env_flag(WRITE_ENV)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -18,7 +18,11 @@ from typing import Sequence
 import numpy as np
 
 from repro.devices.base import DeviceParameters
-from repro.devices.variability import VariabilityModel, sample_resistances
+from repro.devices.variability import (
+    VariabilityModel,
+    sample_resistance_rows,
+    sample_resistances,
+)
 
 __all__ = ["Crossbar", "CrossbarStack", "as_bits", "sense_reference_current"]
 
@@ -197,56 +201,61 @@ class Crossbar:
     ) -> None:
         """Program several word lines in one vectorized call.
 
-        Semantically equivalent to calling :meth:`write_row` once per row
-        (cycle counting, stuck-cell masking and resistance sampling all
-        included), but executed as whole-array numpy operations.  With a
-        ``variability`` model the *values* drawn differ from the looped
-        path because the generator is consumed in one (k, cols) draw.
+        Equal, bit for bit, to calling :meth:`write_row` once per row in
+        the order given: stored bits, cycle counts, stuck-cell masking
+        and resistances, and with a ``variability`` model the generator
+        ends in the same state (:func:`sample_resistance_rows` draws
+        the whole block in the looped order).
 
         Args:
             rows: distinct word-line indices, one per row of ``bits``.
             bits: (k, cols) 0/1 matrix; row ``i`` programs ``rows[i]``.
         """
+        idx, new_bits = self._checked_rows(rows, bits)
+        current = self.bits[idx]
+        writable = ~self._stuck_mask[idx]
+        changed = (current != new_bits) & writable
+        stored = np.where(writable, new_bits, current)
+        self.bits[idx] = stored
+        self.program_cycles[idx] += changed
+        sampled = sample_resistance_rows(
+            stored, self.params, self.variability, self.rng
+        )
+        self.resistances[idx] = np.where(
+            writable, sampled, self.resistances[idx]
+        )
+
+    def _checked_rows(
+        self, rows: Sequence[int], bits: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The row indices and int8 bits of a :meth:`write_rows` call."""
         idx = np.asarray(rows, dtype=int)
         if idx.ndim != 1:
             raise ValueError("rows must be a 1-D index sequence")
         if len(np.unique(idx)) != idx.size:
             raise ValueError("duplicate rows in batched write")
-        for row in idx:
-            self._check_row(int(row))
+        outside = idx[(idx < 0) | (idx >= self.rows)]
+        if outside.size:
+            self._check_row(int(outside[0]))
         new_bits = np.asarray(bits)
         if new_bits.shape != (idx.size, self.cols):
             raise ValueError(
                 f"expected shape {(idx.size, self.cols)}, "
                 f"got {new_bits.shape}"
             )
-        new_bits = as_bits(new_bits)
-        writable = ~self._stuck_mask[idx]
-        changed = (self.bits[idx] != new_bits) & writable
-        stored = np.where(writable, new_bits, self.bits[idx])
-        self.bits[idx] = stored
-        self.program_cycles[idx] += changed
-        sampled = sample_resistances(
-            stored.astype(bool), self.params, self.variability, self.rng
-        )
-        self.resistances[idx] = np.where(
-            writable, sampled, self.resistances[idx]
-        )
+        return idx, as_bits(new_bits)
 
     def load_matrix(self, bits: np.ndarray) -> None:
-        """Program the whole array from a (rows, cols) 0/1 matrix."""
+        """Program the whole array from a (rows, cols) 0/1 matrix.
+
+        One :meth:`write_rows` over every word line, top to bottom.
+        """
         bits = np.asarray(bits)
         if bits.shape != (self.rows, self.cols):
             raise ValueError(
                 f"expected shape {(self.rows, self.cols)}, got {bits.shape}"
             )
-        if self.variability is None:
-            self.write_rows(range(self.rows), bits)
-        else:
-            # Preserve the historical per-row generator consumption so
-            # seeded variability experiments stay reproducible.
-            for row in range(self.rows):
-                self.write_row(row, bits[row])
+        self.write_rows(range(self.rows), bits)
 
     # -- fault injection ---------------------------------------------------
 

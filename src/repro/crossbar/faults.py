@@ -110,10 +110,8 @@ def inject_stuck_faults(
     return FaultCampaign(
         stuck_at_zero=n_faults - n_one,
         stuck_at_one=n_one,
-        locations=tuple(
-            (int(r), int(c), int(b))
-            for r, c, b in zip(rows_idx, cols_idx, stuck_bits)
-        ),
+        locations=tuple(zip(rows_idx.tolist(), cols_idx.tolist(),
+                            stuck_bits.tolist())),
     )
 
 

@@ -328,6 +328,21 @@ class NonidealCrossbar(Crossbar):
         if self.nonideality.write_scheme == "verify":
             self.verify_retries += self._verify_row(row)
 
+    def write_rows(self, rows, bits) -> None:
+        """Program several word lines; under ``"verify"`` one at a time.
+
+        A verify rewrite draws from the generator before the next row is
+        programmed, so only the per-row loop equals looped
+        :meth:`write_row` there; every other scheme takes the one-draw
+        batched path.
+        """
+        if self.nonideality.write_scheme != "verify":
+            super().write_rows(rows, bits)
+            return
+        idx, words = self._checked_rows(rows, bits)
+        for row, word in zip(idx.tolist(), words):
+            self.write_row(row, word)
+
     def _verify_row(self, row: int) -> int:
         """Rewrite out-of-band cells of ``row``; returns retries used."""
         p = self.params

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.devices.base import DeviceParameters
 
-__all__ = ["VariabilityModel", "sample_resistances"]
+__all__ = ["VariabilityModel", "sample_resistance_rows", "sample_resistances"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -47,37 +47,6 @@ class VariabilityModel:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
 
-    def device_medians(
-        self,
-        params: DeviceParameters,
-        shape: tuple[int, ...],
-        rng: np.random.Generator,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Draw per-device median (R_on, R_off) arrays of ``shape``."""
-        r_on = params.r_on * rng.lognormal(0.0, self.sigma_on_d2d, shape)
-        r_off = params.r_off * rng.lognormal(0.0, self.sigma_off_d2d, shape)
-        return r_on, r_off
-
-    def programmed_value(
-        self,
-        median: np.ndarray,
-        bit: np.ndarray,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Apply C2C noise to a programming event.
-
-        Args:
-            median: per-device median resistance for the level being written.
-            bit: boolean array, True where the ON level is being written
-                (selects the C2C sigma).
-            rng: random generator.
-
-        Returns:
-            Sampled post-programming resistances, same shape as ``median``.
-        """
-        sigma = np.where(bit, self.sigma_on_c2c, self.sigma_off_c2c)
-        return median * rng.lognormal(0.0, sigma)
-
 
 def sample_resistances(
     bits: np.ndarray,
@@ -86,6 +55,10 @@ def sample_resistances(
     rng: np.random.Generator | None,
 ) -> np.ndarray:
     """Turn a bit matrix into a resistance matrix, with optional spread.
+
+    One programming event over the whole of ``bits``: every cell draws an
+    ON and an OFF device-to-device median, keeps the one of its level,
+    and draws that level's cycle-to-cycle noise.
 
     Args:
         bits: boolean/0-1 array; 1 maps to R_on (low), 0 to R_off (high).
@@ -97,10 +70,41 @@ def sample_resistances(
         Float array of resistances with the same shape as ``bits``.
     """
     bits = np.asarray(bits, dtype=bool)
+    return sample_resistance_rows(
+        bits.reshape(1, -1), params, variability, rng).reshape(bits.shape)
+
+
+def sample_resistance_rows(
+    bits: np.ndarray,
+    params: DeviceParameters,
+    variability: VariabilityModel | None,
+    rng: np.random.Generator | None,
+) -> np.ndarray:
+    """:func:`sample_resistances` of each row of ``bits`` in turn, in one draw.
+
+    Equal, bit for bit, to stacking one :func:`sample_resistances` call
+    per row, and ``rng`` ends in the same state: one lognormal draw over
+    a (rows, 3, cols) sigma tensor consumes the generator in the per-row
+    order -- the device-to-device ON medians, the OFF medians, then the
+    cycle-to-cycle noise of the level each cell is written to.
+
+    Args:
+        bits: (rows, cols) boolean/0-1 matrix; 1 maps to R_on.
+        params: nominal resistance window.
+        variability: spread model, or None for ideal two-point resistances.
+        rng: random generator; required when ``variability`` is given.
+    """
+    bits = np.asarray(bits, dtype=bool)
     if variability is None:
         return np.where(bits, params.r_on, params.r_off).astype(float)
     if rng is None:
         raise ValueError("a numpy Generator is required with variability")
-    median_on, median_off = variability.device_medians(params, bits.shape, rng)
-    median = np.where(bits, median_on, median_off)
-    return variability.programmed_value(median, bits, rng)
+    sigma = np.empty((bits.shape[0], 3, bits.shape[1]))
+    sigma[:, 0] = variability.sigma_on_d2d
+    sigma[:, 1] = variability.sigma_off_d2d
+    sigma[:, 2] = np.where(bits, variability.sigma_on_c2c,
+                           variability.sigma_off_c2c)
+    draw = rng.lognormal(0.0, sigma)
+    median = np.where(bits, params.r_on * draw[:, 0],
+                      params.r_off * draw[:, 1])
+    return median * draw[:, 2]

@@ -2,8 +2,9 @@
 
 :class:`WorkerPool` runs every multi-process execution in the repo.
 :class:`~repro.parallel.runner.ParallelRunner` (sharded runs and
-sweeps) enters one for a call, or uses one it was given; the serving
-:class:`~repro.serving.service.Service` keeps one for its lifetime.
+sweeps) keeps one warm for its lifetime, or uses one it was given; the
+serving :class:`~repro.serving.service.Service` keeps one for its
+lifetime.
 Workers are long-lived processes that receive pickled
 :class:`~repro.api.spec.ScenarioSpec` tasks over private queues, keep
 their per-process caches warm across tasks (the
@@ -187,8 +188,9 @@ def _worker_main(worker_id: int, inbox, outbox, warm_entries: int) -> None:
         outbox.put(("started", worker_id, dispatch_id))
         started = time.perf_counter()
         # Traced dispatches execute under a fresh worker-local tracer;
-        # the span records ride the "done" message home so the parent
-        # can graft them under the dispatching span (Tracer.adopt).
+        # its SpanRecords ride the "done" message home as they are (no
+        # to_dict/from_dict round on either side) so the parent can
+        # graft them under the dispatching span (Tracer.adopt).
         tracer = Tracer() if trace_on else None
         try:
             if tracer is not None:
@@ -204,8 +206,7 @@ def _worker_main(worker_id: int, inbox, outbox, warm_entries: int) -> None:
         stats = cache.stats()
         delta = stats.delta(reported)
         reported = stats
-        spans = [] if tracer is None \
-            else [rec.to_dict() for rec in tracer.records()]
+        spans = [] if tracer is None else tracer.records()
         outbox.put(("done", worker_id, dispatch_id, result,
                     time.perf_counter() - started, delta, spans))
 

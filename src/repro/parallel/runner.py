@@ -9,9 +9,10 @@ results bit-identically to the single-process run
 :meth:`~ParallelRunner.run_many` fans whole specs across the workers.
 
 A call that has work to fan out runs on the pool passed as
-``executor=``, or on a pool of ``min(workers, tasks)`` workers entered
-for that call only.  Every other call runs in-process, so
-``workers=1`` never forks.
+``executor=``, or on the runner's own pool, kept warm from its first
+fan-out until the runner is dropped.  An ``"inline"`` pool is entered
+per call instead, so it never leaves its fabric cache installed in the
+caller.  Every other call runs in-process, so ``workers=1`` never forks.
 
 A :class:`~repro.parallel.cache.ResultCache` can be attached; cache
 lookups happen before any task is submitted, so a warm cache serves
@@ -21,6 +22,9 @@ repeated runs (figure regenerations, sweep re-runs) without compute.
 from __future__ import annotations
 
 import contextlib
+import os
+import threading
+import weakref
 from typing import Any, Mapping, Sequence
 
 from repro.api.engines import Engine
@@ -39,16 +43,23 @@ class ParallelRunner:
     Args:
         workers: worker process count (1 = plain in-process execution).
         cache: a :class:`ResultCache`, a cache directory path, or None.
-        pool: start method of the per-call pool -- "auto" (fork where
+        pool: start method of the runner's pool -- "auto" (fork where
             available, else spawn), "fork", "forkserver", "spawn", or
             "inline" (serial in-process execution of the identical
-            shard plan).
+            shard plan, entered per call).
         executor: an optional started
             :class:`~repro.parallel.pool.WorkerPool` to run on instead
-            of a per-call pool: cache handling stays here, execution
-            goes to its warm workers (same shard plan, same merge,
-            identical results).  ``workers``/``pool`` are ignored while
-            an executor is attached.
+            of the runner's own pool: cache handling stays here,
+            execution goes to its warm workers (same shard plan, same
+            merge, identical results).  ``workers``/``pool`` are ignored
+            while an executor is attached.
+
+    The runner's own pool starts on the first call that fans out and
+    serves every later call, so a sweep loop pays for one pool start,
+    not one per call.  It stops when the runner is dropped or at
+    interpreter exit, and only in the process that started it: a call
+    made in an ``os.fork`` child starts the child's own pool instead of
+    writing into the parent's worker queues.
     """
 
     def __init__(
@@ -73,6 +84,9 @@ class ParallelRunner:
         self.cache = cache
         self.pool = pool
         self.executor = executor
+        self._pool: WorkerPool | None = None
+        self._pool_pid: int | None = None
+        self._pool_lock = threading.Lock()
 
     # -- execution ------------------------------------------------------------
 
@@ -139,7 +153,21 @@ class ParallelRunner:
         return results  # type: ignore[return-value]
 
     def _pool_for(self, tasks: int):
-        """The attached executor, or a pool entered for one call."""
+        """The attached executor, the kept pool, or an inline pool
+        entered for one call."""
         if self.executor is not None:
             return contextlib.nullcontext(self.executor)
-        return WorkerPool(min(self.workers, tasks), mode=self.pool)
+        if self.pool == "inline":
+            return WorkerPool(min(self.workers, tasks), mode="inline")
+        with self._pool_lock:
+            if self._pool is None or self._pool_pid != os.getpid():
+                pool = WorkerPool(self.workers, mode=self.pool).start()
+                self._pool, self._pool_pid = pool, os.getpid()
+                weakref.finalize(self, _stop_pool, pool, os.getpid())
+            return contextlib.nullcontext(self._pool)
+
+
+def _stop_pool(pool: WorkerPool, pid: int) -> None:
+    """Shut ``pool`` down, but only in the process that started it."""
+    if os.getpid() == pid:
+        pool.shutdown()

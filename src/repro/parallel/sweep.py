@@ -137,6 +137,10 @@ def expand_grid(
 class SweepRunner:
     """Run a grid of specs across workers, cache-aware, order-stable.
 
+    Every call runs on one :class:`ParallelRunner`, so the worker pool
+    the first grid starts stays warm for every later grid and stops
+    when the sweep runner is dropped.
+
     Args:
         workers: worker process count for the spec-level fan-out.
         cache: a :class:`ResultCache`, a cache directory path, or None.

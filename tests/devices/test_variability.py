@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.devices import DeviceParameters, VariabilityModel, sample_resistances
 
@@ -57,6 +59,32 @@ class TestVariabilitySampling:
         on = sample_resistances(np.ones(10000), PARAMS, VariabilityModel(), rng)
         off = sample_resistances(np.zeros(10000), PARAMS, VariabilityModel(), rng)
         assert float(np.max(on)) < float(np.min(off))
+
+
+def three_draw_reference(bits, params, model, rng):
+    """The sampling as separate draws: ON medians, OFF medians, then
+    cycle-to-cycle noise by bit -- the oracle for the one-draw form."""
+    bits = np.asarray(bits, dtype=bool)
+    r_on = params.r_on * rng.lognormal(0.0, model.sigma_on_d2d, bits.shape)
+    r_off = params.r_off * rng.lognormal(0.0, model.sigma_off_d2d, bits.shape)
+    sigma = np.where(bits, model.sigma_on_c2c, model.sigma_off_c2c)
+    return np.where(bits, r_on, r_off) * rng.lognormal(0.0, sigma)
+
+
+sigmas = st.one_of(st.just(0.0), st.floats(0.0, 0.6, allow_nan=False))
+
+
+@settings(max_examples=60)
+@given(shape=st.sampled_from([(1,), (7,), (3, 5), (2, 3, 4)]),
+       model=st.builds(VariabilityModel, sigmas, sigmas, sigmas, sigmas),
+       seed=st.integers(0, 2**32 - 1))
+def test_one_draw_equals_three_draw_reference(shape, model, seed):
+    bits = np.random.default_rng(seed).integers(0, 2, shape)
+    got_rng, want_rng = (np.random.default_rng(seed) for _ in range(2))
+    got = sample_resistances(bits, PARAMS, model, got_rng)
+    want = three_draw_reference(bits, PARAMS, model, want_rng)
+    np.testing.assert_array_equal(got, want)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 class TestValidation:
