@@ -4,8 +4,8 @@ Starts a :class:`repro.serving.Service` over a warm worker pool, fires
 a burst of concurrent submissions at it -- seed variants that spread
 across the workers as one pool task each, exact duplicates that dedup
 onto in-flight twins, and a repeat wave answered entirely by the
-result-cache tier -- then prints the ServiceStats snapshot showing what
-each stage did.
+result-cache tier -- then prints the summary of the service's metrics
+snapshot showing what each stage did.
 Every served result is bit-identical to a plain
 ``Engine.from_spec(spec).run()`` call; the serving layer only changes
 *when and where* runs execute, never what they compute.
@@ -18,7 +18,7 @@ import asyncio
 import tempfile
 
 from repro.api import Engine, ScenarioSpec
-from repro.serving import Service, serve_all
+from repro.serving import Service, render_metrics, serve_all
 
 base = ScenarioSpec(engine="mvp_batched", workload="database",
                     size=1024, items=4, batch=16, seed=0)
@@ -48,7 +48,7 @@ async def main() -> None:
             # the cache tier answers everything.
             await serve_all(service, burst)
 
-            print(service.stats().render())
+            print(render_metrics(service.metrics()))
 
 
 if __name__ == "__main__":

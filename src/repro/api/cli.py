@@ -25,11 +25,13 @@ Subcommands:
 * ``serve``             -- drive a burst of concurrent requests (seed
   variants of a base spec, or a JSON list of specs) through the
   serving subsystem: in-flight dedup, result-cache tier,
-  bounded-queue backpressure and the warm worker pool; prints the
-  ServiceStats snapshot and ``--stats-json PATH`` persists it.
+  bounded-queue backpressure and the warm worker pool; prints a
+  summary of the service's metrics snapshot and ``--metrics-json
+  PATH`` persists the snapshot.
 * ``cache prune``       -- evict least-recently-used result-cache
   entries down to ``--max-entries`` / ``--max-bytes`` caps;
-  ``--verbose`` additionally prints the cache's lifetime counters.
+  ``--verbose`` additionally prints the cache's lifetime
+  ``result_cache_*`` counters.
 * ``bench``             -- engine execution throughput, batched vs
   single-item MVP (generation excluded), optionally persisted as JSON;
   ``--workers N`` additionally measures sharded vs single-process
@@ -194,7 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve_p = sub.add_parser(
         "serve", help="drive concurrent requests through the serving "
-                      "subsystem (dedup + cache tier + warm pool)")
+                      "subsystem (dedup + cache tier + warm pool) and "
+                      "print its metrics summary")
     add_spec_source(serve_p)
     serve_p.add_argument("--requests", type=int, default=8, metavar="N",
                          help="concurrent submissions: seed variants "
@@ -218,10 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="admitted-request bound; beyond it "
                               "submissions are rejected with a "
                               "retry-after (default 64)")
-    serve_p.add_argument("--stats-json", type=Path, default=None,
-                         metavar="PATH",
-                         help="persist the final ServiceStats snapshot "
-                              "as JSON (also flushed on SIGINT/SIGTERM)")
     serve_p.add_argument("--metrics-json", type=Path, default=None,
                          metavar="PATH",
                          help="persist the unified metrics-registry "
@@ -660,10 +659,9 @@ def _cmd_cache(args: argparse.Namespace) -> int:
           f"({stats.removed_bytes} bytes freed); "
           f"{stats.kept} entries / {stats.kept_bytes} bytes kept")
     if args.verbose:
-        counters = cache.stats()
         print("counters: " + "  ".join(
-            f"{key}={value}"
-            for key, value in sorted(counters.as_dict().items())))
+            f"{name}={value}"
+            for name, value in cache.metrics()["counters"].items()))
     return 0
 
 
@@ -671,7 +669,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import signal
 
-    from repro.serving import Service, serve_all
+    from repro.serving import Service, render_metrics, serve_all
 
     if args.requests < 1:
         raise SpecError("--requests must be a positive integer")
@@ -702,8 +700,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_queue=args.max_queue,
         ) as service:
             # SIGINT/SIGTERM interrupt the burst but never skip the
-            # stats/metrics flush: the snapshot of whatever completed
-            # still lands in --stats-json / --metrics-json.
+            # metrics flush: the snapshot of whatever completed still
+            # lands in --metrics-json.
             loop = asyncio.get_running_loop()
             stop = asyncio.Event()
             installed = []
@@ -732,23 +730,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 results = []
             else:
                 results = serve_task.result()
-            metrics = service.metrics() \
-                if args.metrics_json is not None else None
-            return results, interrupted, service.stats(), metrics
+            return results, interrupted, service.metrics()
 
-    results, interrupted, stats, metrics = asyncio.run(drive())
+    results, interrupted, metrics = asyncio.run(drive())
     if interrupted:
         print("interrupted: flushing stats before exit",
               file=sys.stderr)
     else:
         print(f"served {len(results)} requests "
               f"({args.workers} workers, {args.pool_mode} pool)")
-    print(stats.render())
-    if args.stats_json is not None:
-        args.stats_json.parent.mkdir(parents=True, exist_ok=True)
-        args.stats_json.write_text(
-            json.dumps(stats.to_dict(), indent=2, sort_keys=True) + "\n")
-        print(f"[stats saved to {args.stats_json}]")
+    print(render_metrics(metrics))
     if args.metrics_json is not None:
         args.metrics_json.parent.mkdir(parents=True, exist_ok=True)
         args.metrics_json.write_text(

@@ -29,60 +29,16 @@ params or nonideality splits the entry.
 
 from __future__ import annotations
 
-import dataclasses
 import threading
 from collections import OrderedDict
 from typing import Any
 
 __all__ = [
     "FabricCache",
-    "FabricCacheStats",
     "activate_fabric_cache",
     "active_fabric_cache",
     "deactivate_fabric_cache",
 ]
-
-
-@dataclasses.dataclass(frozen=True)
-class FabricCacheStats:
-    """Counters of one :class:`FabricCache`'s lifetime.
-
-    Attributes:
-        hits: lookups answered from a warm entry.
-        misses: lookups finding no (or an unverifiable) entry.
-        stores: templates written.
-        evictions: entries displaced by the LRU cap.
-        entries: entries currently warm.
-    """
-
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-    evictions: int = 0
-    entries: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return dataclasses.asdict(self)
-
-    def delta(self, since: "FabricCacheStats") -> "FabricCacheStats":
-        """The counter increments between ``since`` and this snapshot."""
-        return FabricCacheStats(
-            hits=self.hits - since.hits,
-            misses=self.misses - since.misses,
-            stores=self.stores - since.stores,
-            evictions=self.evictions - since.evictions,
-            entries=self.entries,
-        )
-
-    def merged_with(self, other: "FabricCacheStats") -> "FabricCacheStats":
-        """Counter sums (entries: sum of the per-process populations)."""
-        return FabricCacheStats(
-            hits=self.hits + other.hits,
-            misses=self.misses + other.misses,
-            stores=self.stores + other.stores,
-            evictions=self.evictions + other.evictions,
-            entries=self.entries + other.entries,
-        )
 
 
 class FabricCache:
@@ -151,16 +107,24 @@ class FabricCache:
         with self._lock:
             return len(self._entries)
 
-    def stats(self) -> FabricCacheStats:
-        """A consistent snapshot of the lifetime counters."""
+    def counts(self) -> dict[str, int]:
+        """A consistent snapshot of the lifetime counters.
+
+        Keys: ``hits`` (lookups answered from a warm entry), ``misses``
+        (lookups finding no, or an unverifiable, entry), ``stores``
+        (templates written), ``evictions`` (entries displaced by the
+        LRU cap) and ``entries`` (entries warm right now).  Plain ints,
+        not registry counters: :meth:`miss` takes back a hit already
+        counted.
+        """
         with self._lock:
-            return FabricCacheStats(
-                hits=self._hits,
-                misses=self._misses,
-                stores=self._stores,
-                evictions=self._evictions,
-                entries=len(self._entries),
-            )
+            return {
+                "hits": self._hits,
+                "misses": self._misses,
+                "stores": self._stores,
+                "evictions": self._evictions,
+                "entries": len(self._entries),
+            }
 
 
 #: The process's active cache (None = cold construction everywhere).
@@ -173,7 +137,7 @@ def activate_fabric_cache(
     """Install ``cache`` (or a fresh default one) as process-active.
 
     Returns:
-        The installed cache, so hosts can read its stats later.
+        The installed cache, so hosts can read its counts later.
     """
     global _ACTIVE
     if cache is None:

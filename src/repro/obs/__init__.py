@@ -14,8 +14,8 @@ Three pillars:
   and cross-process stitching (:meth:`Tracer.adopt`) for worker-side
   spans shipped back over result queues.
 * :mod:`repro.obs.metrics` -- counters/gauges/histograms with labeled
-  series behind one :class:`MetricsRegistry`; the serving and cache
-  stats dataclasses are views over it.
+  series behind one :class:`MetricsRegistry`; the serving, pool and
+  cache counters live there and are read by series name.
 * :mod:`repro.obs.export` / :mod:`repro.obs.summary` -- JSON-lines span
   logs, Chrome ``trace_event`` files (loadable in Perfetto or
   about:tracing), Prometheus-style text exposition, and the per-stage

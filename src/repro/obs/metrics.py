@@ -2,18 +2,17 @@
 
 One :class:`MetricsRegistry` holds labeled series -- get-or-create by
 ``registry.counter("pool_tasks_done_total", kind="window")`` -- and
-freezes them into a plain JSON-able snapshot.  The serving and cache
-stats surfaces (``StatsRecorder``, ``WorkerPool``, ``ResultCache``)
-each own one registry with a distinct metric-name prefix and keep their
-frozen dataclass views (:class:`ServiceStats` et al.) as adapters over
-it; :func:`merge_snapshots` composes those per-component registries
+freezes them into a plain JSON-able snapshot.  The serving components
+(``Service``, ``WorkerPool``, ``ResultCache``) each own one registry
+with a distinct metric-name prefix, and each one's ``metrics()`` method
+returns its snapshot: the only way to read their counters, by series
+name.  :func:`merge_snapshots` composes those per-component snapshots
 into the one service-wide snapshot behind ``repro serve
 --metrics-json``, refusing duplicate series so two components can never
 silently shadow each other's numbers.
 
-:class:`Histogram` is the log-bucket latency histogram that serving's
-``LatencyHistogram`` has always exposed (same bounds, same
-``to_dict``/quantile semantics); serving now subclasses it.
+:class:`Histogram` is the log-bucket latency histogram behind
+``service_time_seconds``.
 
 :func:`render_prometheus` emits a Prometheus-style text exposition from
 a snapshot, and :func:`exposition_problems` lints one (duplicate
@@ -96,7 +95,7 @@ class Gauge:
 class Histogram:
     """A fixed-bucket log histogram of durations in seconds.
 
-    Not thread-safe by itself; the owning recorder serializes access
+    Not thread-safe by itself; the owning component serializes access
     (the registry hands out the same instance for the same series, so
     one owner's lock covers it).
     """

@@ -24,7 +24,7 @@ All of it is reachable from the CLI: ``python -m repro run --workers N
 --workers N``.
 """
 
-from repro.parallel.cache import CacheStats, PruneStats, ResultCache
+from repro.parallel.cache import PruneStats, ResultCache
 from repro.parallel.pool import PoolTask, WorkerPool
 from repro.parallel.runner import ParallelRunner
 from repro.parallel.sharding import (
@@ -36,7 +36,6 @@ from repro.parallel.sharding import (
 from repro.parallel.sweep import SweepRunner, expand_grid
 
 __all__ = [
-    "CacheStats",
     "ParallelRunner",
     "PoolTask",
     "PruneStats",

@@ -29,6 +29,10 @@ Cache hits are marked in ``provenance["cache"]``; everything else in
 the returned :class:`~repro.api.result.RunResult` round-trips through
 the ``to_dict``/``from_dict`` forms (costs and spec exactly; outputs in
 their JSON-normalized form).
+
+Each instance counts its traffic as ``result_cache_*`` series in its
+own metrics registry; :meth:`ResultCache.metrics` snapshots them, and
+callers read each counter by series name.
 """
 
 from __future__ import annotations
@@ -37,55 +41,17 @@ import dataclasses
 import json
 import os
 from pathlib import Path
+from typing import Any
 
 import repro
 from repro.api.result import RunResult
 from repro.api.spec import ScenarioSpec
 from repro.obs.metrics import MetricsRegistry
 
-__all__ = ["CacheStats", "PruneStats", "ResultCache"]
+__all__ = ["PruneStats", "ResultCache"]
 
 #: Entry schema identifier; bump to invalidate every older entry.
 CACHE_SCHEMA = "repro-result-cache-v1"
-
-
-@dataclasses.dataclass(frozen=True)
-class CacheStats:
-    """Lifetime counters of one :class:`ResultCache` instance.
-
-    In-memory accounting of this instance's traffic (a fresh instance
-    over an old directory starts at zero).  The serving cache tier
-    surfaces these in its :class:`~repro.serving.stats.ServiceStats`
-    snapshot, and ``repro cache prune --verbose`` prints them for the
-    maintenance pass.
-
-    Attributes:
-        hits: loads answered from a stored entry.
-        misses: loads that found nothing usable (absent, corrupt,
-            stale-version or hash-collision entries all count here).
-        stores: entries persisted.
-        evictions: entries removed by prune passes (including the
-            automatic post-store cap enforcement).
-        corrupt_dropped: unreadable/unparsable entries deleted on load.
-        stale_dropped: well-formed entries refused because another
-            ``repro`` version produced them.
-    """
-
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-    evictions: int = 0
-    corrupt_dropped: int = 0
-    stale_dropped: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return dataclasses.asdict(self)
-
-    @property
-    def hit_rate(self) -> float:
-        """Hits over lookups (0.0 when nothing was looked up)."""
-        lookups = self.hits + self.misses
-        return self.hits / lookups if lookups else 0.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -134,30 +100,33 @@ class ResultCache:
         # entries) can at worst mistime a prune, never corrupt one.
         self._bytes_estimate: int | None = None
         self._entries_estimate: int | None = None
-        # Lifetime traffic counters (see CacheStats / stats()), held as
-        # series in this instance's own metrics registry so the serving
-        # layer can fold them into its unified snapshot.
-        self.metrics = MetricsRegistry()
-        self._hits = self.metrics.counter("result_cache_hits_total")
-        self._misses = self.metrics.counter("result_cache_misses_total")
-        self._stores = self.metrics.counter("result_cache_stores_total")
-        self._evictions = self.metrics.counter(
+        # Lifetime traffic counters (see metrics()), held as series in
+        # this instance's own metrics registry so the serving layer can
+        # fold them into its unified snapshot.
+        self._metrics = MetricsRegistry()
+        self._hits = self._metrics.counter("result_cache_hits_total")
+        self._misses = self._metrics.counter("result_cache_misses_total")
+        self._stores = self._metrics.counter("result_cache_stores_total")
+        self._evictions = self._metrics.counter(
             "result_cache_evictions_total")
-        self._corrupt_dropped = self.metrics.counter(
+        self._corrupt_dropped = self._metrics.counter(
             "result_cache_corrupt_dropped_total")
-        self._stale_dropped = self.metrics.counter(
+        self._stale_dropped = self._metrics.counter(
             "result_cache_stale_dropped_total")
 
-    def stats(self) -> CacheStats:
-        """This instance's lifetime hit/miss/store/prune counters."""
-        return CacheStats(
-            hits=self._hits.value,
-            misses=self._misses.value,
-            stores=self._stores.value,
-            evictions=self._evictions.value,
-            corrupt_dropped=self._corrupt_dropped.value,
-            stale_dropped=self._stale_dropped.value,
-        )
+    def metrics(self) -> dict[str, Any]:
+        """This instance's lifetime ``result_cache_*`` counters.
+
+        In-memory accounting (a fresh instance over an old directory
+        starts at zero) of hits, misses (absent, corrupt, stale-version
+        and hash-collision entries all count), stores, evictions (prune
+        passes, automatic ones included), and the ``corrupt_dropped``
+        and ``stale_dropped`` subsets of the misses.  The serving cache
+        tier merges it into
+        :meth:`~repro.serving.service.Service.metrics`; ``repro cache
+        prune --verbose`` prints it.
+        """
+        return self._metrics.snapshot()
 
     def path_for(self, spec: ScenarioSpec) -> Path:
         """The entry path ``spec`` addresses (existing or not)."""

@@ -39,7 +39,6 @@ deterministic single-CPU and unit-test configuration.
 from __future__ import annotations
 
 import collections
-import dataclasses
 import multiprocessing
 import pickle
 import queue as queue_mod
@@ -53,7 +52,6 @@ from typing import Any, Mapping, Sequence
 from repro.api.engines import Engine
 from repro.api.fabric_cache import (
     FabricCache,
-    FabricCacheStats,
     activate_fabric_cache,
     active_fabric_cache,
     deactivate_fabric_cache,
@@ -68,7 +66,6 @@ from repro.parallel.sharding import merge_shard_results, plan_shards, \
 
 __all__ = [
     "POOL_MODES",
-    "PoolStats",
     "PoolTask",
     "ServingError",
     "WorkerCrashed",
@@ -80,6 +77,10 @@ __all__ = [
 #: ``inline`` executes tasks serially in-process -- same plan, same
 #: merge, no processes (useful for tests and debugging).
 POOL_MODES = ("auto", "fork", "forkserver", "spawn", "inline")
+
+#: Warm-fabric counters a task reports as increments; the pool sums them
+#: into ``pool_fabric_cache_<name>_total``.
+_FABRIC_COUNTERS = ("hits", "misses", "stores", "evictions")
 
 
 class ServingError(RuntimeError):
@@ -104,42 +105,6 @@ class WorkerCrashed(ServingError):
         super().__init__(message)
 
 
-@dataclasses.dataclass(frozen=True)
-class PoolStats:
-    """One snapshot of a worker pool's lifetime accounting.
-
-    Attributes:
-        workers: configured worker slots.
-        alive: worker processes currently alive (equals ``workers``
-            for the inline pool).
-        restarts: workers restarted after a crash.
-        tasks_done: tasks completed successfully.
-        tasks_failed: tasks that raised (the error went to the caller).
-        tasks_retried: dispatch attempts repeated after a worker died.
-        pending: tasks queued but not yet dispatched.
-        running: tasks currently executing on a worker.
-        busy_seconds: total worker-occupied execution time.
-        fabric_cache: warm-fabric counters aggregated across workers.
-    """
-
-    workers: int = 0
-    alive: int = 0
-    restarts: int = 0
-    tasks_done: int = 0
-    tasks_failed: int = 0
-    tasks_retried: int = 0
-    pending: int = 0
-    running: int = 0
-    busy_seconds: float = 0.0
-    fabric_cache: FabricCacheStats = dataclasses.field(
-        default_factory=FabricCacheStats)
-
-    def to_dict(self) -> dict[str, Any]:
-        data = dataclasses.asdict(self)
-        data["fabric_cache"] = self.fabric_cache.as_dict()
-        return data
-
-
 def _execute_task(kind: str, payload: Any) -> Any:
     """One task body -- identical in forked workers and inline mode.
 
@@ -154,6 +119,13 @@ def _execute_task(kind: str, payload: Any) -> Any:
     if kind == "spec":
         return Engine.from_spec(payload).run()
     raise ValueError(f"unknown task kind {kind!r}")
+
+
+def _fabric_increments(
+    before: Mapping[str, int], after: Mapping[str, int]
+) -> dict[str, int]:
+    """Counter increments between two :meth:`FabricCache.counts`."""
+    return {key: after[key] - before[key] for key in _FABRIC_COUNTERS}
 
 
 def _sendable_error(exc: BaseException) -> BaseException:
@@ -171,11 +143,11 @@ def _worker_main(worker_id: int, inbox, outbox, warm_entries: int) -> None:
     Each worker activates its own process-local
     :class:`~repro.api.fabric_cache.FabricCache` so mapped fabrics stay
     warm across the runs it serves, and piggybacks the cache-counter
-    deltas on every completion so the parent can aggregate pool-wide
-    warmth statistics.
+    increments and its warm entry count on every completion so the
+    parent can aggregate pool-wide warmth counters.
     """
     cache = activate_fabric_cache(FabricCache(max_entries=warm_entries))
-    reported = cache.stats()
+    reported = cache.counts()
     while True:
         message = inbox.get()
         if message[0] == "shutdown":
@@ -203,12 +175,13 @@ def _worker_main(worker_id: int, inbox, outbox, warm_entries: int) -> None:
                         _sendable_error(exc),
                         time.perf_counter() - started))
             continue
-        stats = cache.stats()
-        delta = stats.delta(reported)
-        reported = stats
+        counts = cache.counts()
+        increments = _fabric_increments(reported, counts)
+        reported = counts
         spans = [] if tracer is None else tracer.records()
         outbox.put(("done", worker_id, dispatch_id, result,
-                    time.perf_counter() - started, delta, spans))
+                    time.perf_counter() - started, increments,
+                    counts["entries"], spans))
 
 
 class PoolTask:
@@ -312,21 +285,26 @@ class WorkerPool:
         self._running = False
         self._closed = False
         # Lifetime counters: ``pool_*`` series in the unified metrics
-        # registry (:mod:`repro.obs.metrics`); compound updates still
-        # happen under _lock, :meth:`stats` is the dataclass adapter.
-        self.metrics = MetricsRegistry()
-        self._restarts = self.metrics.counter("pool_restarts_total")
-        self._tasks_done = self.metrics.counter("pool_tasks_done_total")
-        self._tasks_failed = self.metrics.counter(
+        # registry (:mod:`repro.obs.metrics`); compound updates happen
+        # under _lock, and :meth:`metrics` snapshots them.
+        self._metrics = MetricsRegistry()
+        self._metrics.gauge("pool_workers").set(workers)
+        self._restarts = self._metrics.counter("pool_restarts_total")
+        self._tasks_done = self._metrics.counter("pool_tasks_done_total")
+        self._tasks_failed = self._metrics.counter(
             "pool_tasks_failed_total")
-        self._tasks_retried = self.metrics.counter(
+        self._tasks_retried = self._metrics.counter(
             "pool_tasks_retried_total")
-        self._busy_seconds = self.metrics.counter(
+        self._busy_seconds = self._metrics.counter(
             "pool_busy_seconds_total")
-        self._pending_gauge = self.metrics.gauge("pool_pending_tasks")
-        self._running_gauge = self.metrics.gauge("pool_running_tasks")
-        self._alive_gauge = self.metrics.gauge("pool_workers_alive")
-        self._fabric_totals = FabricCacheStats()
+        self._pending_gauge = self._metrics.gauge("pool_pending_tasks")
+        self._running_gauge = self._metrics.gauge("pool_running_tasks")
+        self._alive_gauge = self._metrics.gauge("pool_workers_alive")
+        self._fabric_counters = {
+            key: self._metrics.counter(f"pool_fabric_cache_{key}_total")
+            for key in _FABRIC_COUNTERS}
+        self._fabric_entries = self._metrics.gauge(
+            "pool_fabric_cache_entries")
         # Inline mode: the cache shared by in-process execution, plus
         # whatever cache was active before start() so shutdown can
         # restore it.
@@ -450,7 +428,7 @@ class WorkerPool:
         task.started.set()
         task.attempts = 1
         cache = self._inline_cache
-        before = cache.stats()
+        before = cache.counts()
         started = time.perf_counter()
         try:
             result = _execute_task(task.kind, task.payload)
@@ -461,8 +439,7 @@ class WorkerPool:
             return
         self._busy_seconds.inc(time.perf_counter() - started)
         self._tasks_done.inc()
-        self._fabric_totals = self._fabric_totals.merged_with(
-            cache.stats().delta(before))
+        self._count_fabric(_fabric_increments(before, cache.counts()))
         task.future.set_result(result)
 
     # -- high-level blocking API ----------------------------------------------
@@ -544,48 +521,34 @@ class WorkerPool:
         return {slot.worker_id: slot.worker_id in responded
                 for slot in slots}
 
-    def stats(self) -> PoolStats:
-        """A consistent snapshot of pool lifetime counters."""
+    def metrics(self) -> dict[str, Any]:
+        """A snapshot of the pool's ``pool_*`` series.
+
+        Counters: ``pool_restarts_total``,
+        ``pool_tasks_{done,failed,retried}_total``,
+        ``pool_busy_seconds_total`` and the warm-fabric
+        ``pool_fabric_cache_{hits,misses,stores,evictions}_total``
+        summed over workers.  Gauges, refreshed here: ``pool_workers``,
+        ``pool_workers_alive``, ``pool_pending_tasks``,
+        ``pool_running_tasks`` and ``pool_fabric_cache_entries``.
+        """
         with self._lock:
             if self.mode == "inline":
                 alive = self.workers if self._running else 0
-                fabric = self._fabric_totals
-                if self._inline_cache is not None:
-                    fabric = FabricCacheStats(
-                        hits=fabric.hits, misses=fabric.misses,
-                        stores=fabric.stores,
-                        evictions=fabric.evictions,
-                        entries=self._inline_cache.stats().entries,
-                    )
                 running = 0
+                entries = 0 if self._inline_cache is None \
+                    else len(self._inline_cache)
             else:
                 alive = sum(1 for s in self._slots if s.alive())
-                warm_entries = sum(
-                    s.warm_entries_gauge for s in self._slots)
-                totals = self._fabric_totals
-                fabric = FabricCacheStats(
-                    hits=totals.hits, misses=totals.misses,
-                    stores=totals.stores, evictions=totals.evictions,
-                    entries=warm_entries,
-                )
                 running = sum(1 for s in self._slots if s.busy)
+                entries = sum(s.warm_entries_gauge for s in self._slots)
             # Instantaneous gauges refresh on snapshot (the registry's
-            # exposition reflects the latest stats() call).
+            # exposition reflects the latest metrics() call).
             self._pending_gauge.set(len(self._pending))
             self._running_gauge.set(running)
             self._alive_gauge.set(alive)
-            return PoolStats(
-                workers=self.workers,
-                alive=alive,
-                restarts=self._restarts.value,
-                tasks_done=self._tasks_done.value,
-                tasks_failed=self._tasks_failed.value,
-                tasks_retried=self._tasks_retried.value,
-                pending=len(self._pending),
-                running=running,
-                busy_seconds=self._busy_seconds.value,
-                fabric_cache=fabric,
-            )
+            self._fabric_entries.set(entries)
+            return self._metrics.snapshot()
 
     # -- internals -------------------------------------------------------------
 
@@ -594,6 +557,11 @@ class WorkerPool:
             return self.mode
         available = multiprocessing.get_all_start_methods()
         return "fork" if "fork" in available else "spawn"
+
+    def _count_fabric(self, increments: Mapping[str, int]) -> None:
+        """Add one task's warm-fabric increments (caller holds the lock)."""
+        for key, amount in increments.items():
+            self._fabric_counters[key].inc(amount)
 
     def _start_worker(self, slot: _WorkerSlot) -> None:
         """(Re)fork one worker into ``slot`` (caller holds the lock).
@@ -701,11 +669,10 @@ class WorkerPool:
             if slot.dispatch_id == dispatch_id:
                 slot.dispatch_id = None
             if kind == "done":
-                _, _, _, result, busy, delta, spans = message
+                _, _, _, result, busy, increments, entries, spans = message
                 self._busy_seconds.inc(busy)
-                self._fabric_totals = \
-                    self._fabric_totals.merged_with(delta)
-                slot.warm_entries_gauge = delta.entries
+                self._count_fabric(increments)
+                slot.warm_entries_gauge = entries
                 tracer = active_tracer()
                 if spans and tracer is not None:
                     tracer.adopt(

@@ -13,8 +13,13 @@ This package adds the request path in front of it:
   answered before a worker is touched, bounded-queue backpressure with
   typed :class:`~repro.serving.errors.ServiceOverloaded` rejection, and
   one ``"spec"`` pool task per admitted request.
-* :class:`~repro.serving.stats.ServiceStats` -- per-stage counters and
-  a latency histogram, snapshotted for ``repro serve --stats-json``.
+* :meth:`Service.metrics <repro.serving.service.Service.metrics>` --
+  per-stage ``service_*`` counters and a latency histogram, merged with
+  the pool's ``pool_*`` and the cache's ``result_cache_*`` series into
+  one registry snapshot that callers read by series name
+  (``repro serve --metrics-json``);
+  :func:`~repro.serving.service.render_metrics` prints its text
+  summary.
 
 The determinism contract is inherited, not renegotiated: workers run
 the plain ``Engine.from_spec(spec).run()`` body, so every served result
@@ -27,24 +32,15 @@ from repro.serving.errors import (
     ServingError,
     WorkerCrashed,
 )
-from repro.serving.service import Service, serve_all
-from repro.serving.stats import (
-    LatencyHistogram,
-    PoolStats,
-    ServiceStats,
-    StatsRecorder,
-)
+from repro.serving.service import Service, render_metrics, serve_all
 
 __all__ = [
-    "LatencyHistogram",
-    "PoolStats",
     "PoolTask",
     "Service",
     "ServiceOverloaded",
-    "ServiceStats",
     "ServingError",
-    "StatsRecorder",
     "WorkerCrashed",
     "WorkerPool",
+    "render_metrics",
     "serve_all",
 ]

@@ -22,29 +22,32 @@ stages, each of which may answer it without touching the next:
 Workers run the plain ``Engine.from_spec(spec).run()`` body, so served
 results are bit-identical to serial engine calls by construction.
 
-Every stage increments :class:`~repro.serving.stats.StatsRecorder`
-counters and emits one structured ``key=value`` log line on the
-``repro.serving`` logger, so queue health is observable live
-(``repro serve --stats-json`` snapshots the same numbers).
+Every stage increments a ``service_*`` counter in the service's
+metrics registry and emits one structured ``key=value`` log line on the
+``repro.serving`` logger, so queue health is observable live.
+:meth:`Service.metrics` snapshots those series together with the pool's
+and the cache's; callers read each number by series name, and
+:func:`render_metrics` prints the text summary ``repro serve`` shows
+(``repro serve --metrics-json`` persists the snapshot).
 """
 
 from __future__ import annotations
 
 import asyncio
 import logging
+import threading
 import time
 from typing import Any, Mapping, Sequence
 
 from repro.api.result import RunResult
 from repro.api.spec import ScenarioSpec
-from repro.obs.metrics import merge_snapshots
+from repro.obs.metrics import Counter, MetricsRegistry, merge_snapshots
 from repro.obs.trace import active_tracer, span
 from repro.parallel.cache import ResultCache
 from repro.parallel.pool import WorkerPool
 from repro.serving.errors import ServiceOverloaded, ServingError
-from repro.serving.stats import ServiceStats, StatsRecorder
 
-__all__ = ["Service"]
+__all__ = ["Service", "render_metrics"]
 
 _LOG = logging.getLogger("repro.serving")
 
@@ -115,7 +118,26 @@ class Service:
             workers=workers, mode=pool_mode)
         self.cache = cache
         self.max_queue = max_queue
-        self._stats = StatsRecorder()
+        # Lifetime ``service_*`` series.  _lock keeps each compound
+        # update (admission: requests, depth and peak; settlement:
+        # outcome, depth and latency) atomic against metrics().
+        self._lock = threading.Lock()
+        self._metrics = MetricsRegistry()
+        counter = self._metrics.counter
+        self._requests = counter("service_requests_total")
+        self._completed = counter("service_completed_total")
+        self._errors = counter("service_errors_total")
+        self._rejected = counter("service_rejected_total")
+        self._cache_hits = counter("service_cache_hits_total")
+        self._cache_misses = counter("service_cache_misses_total")
+        self._deduped = counter("service_deduped_total")
+        self._dispatches = counter("service_dispatches_total")
+        self._dispatched_requests = counter(
+            "service_dispatched_requests_total")
+        self._queue_depth = self._metrics.gauge("service_queue_depth")
+        self._peak_queue_depth = self._metrics.gauge(
+            "service_peak_queue_depth")
+        self._service_time = self._metrics.histogram("service_time_seconds")
         self._inflight: dict[str, asyncio.Future] = {}
         self._dispatch_tasks: set[asyncio.Task] = set()
         self._started = False
@@ -158,8 +180,7 @@ class Service:
             await asyncio.get_running_loop().run_in_executor(
                 None, self._pool.shutdown)
         _LOG.info("event=close requests=%d completed=%d",
-                  self._stats.snapshot().requests,
-                  self._stats.snapshot().completed)
+                  self._requests.value, self._completed.value)
 
     # -- request path ---------------------------------------------------------
 
@@ -184,13 +205,12 @@ class Service:
 
         twin = self._inflight.get(key)
         if twin is not None:
-            self._stats.admitted()
-            self._stats.deduped()
+            self._admit(self._deduped)
             _LOG.debug("event=dedup key=%.12s", key)
             try:
                 return await asyncio.shield(twin)
             finally:
-                self._stats.settled_without_service()
+                self._release()
                 if tracer is not None:
                     tracer.record_span(
                         "serve.request", t0, tracer.now() - t0,
@@ -199,9 +219,8 @@ class Service:
         if self.cache is not None:
             cached = self.cache.load(spec)
             if cached is not None:
-                self._stats.admitted()
-                self._stats.cache_hit()
-                self._stats.settled_without_service()
+                self._admit(self._cache_hits)
+                self._release()
                 _LOG.debug("event=cache_hit key=%.12s", key)
                 if tracer is not None:
                     tracer.record_span(
@@ -209,10 +228,11 @@ class Service:
                         outcome="cache_hit", key=key[:12])
                 return cached
 
-        depth = self._stats.queue_depth
+        with self._lock:
+            depth = self._queue_depth.value
         if depth >= self.max_queue:
             retry_after = self._retry_after(depth)
-            self._stats.rejected()
+            self._rejected.inc()
             _LOG.warning(
                 "event=reject depth=%d limit=%d retry_after=%g",
                 depth, self.max_queue, retry_after)
@@ -224,16 +244,16 @@ class Service:
                 queue_depth=depth, limit=self.max_queue,
                 retry_after_seconds=retry_after)
 
-        self._stats.admitted()
+        stages = [self._dispatches, self._dispatched_requests]
         if self.cache is not None:
-            self._stats.cache_miss()
+            stages.append(self._cache_misses)
+        self._admit(*stages)
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
         request = _Request(spec, key, future)
         if tracer is not None:
             request.trace_t0 = t0
         self._inflight[key] = future
-        self._stats.dispatched()
         _LOG.debug("event=dispatch key=%.12s", key)
         # The dispatch is a task of its own: a cancelled submitter (or
         # its deduped twins awaiting the same future) never stops it.
@@ -242,29 +262,40 @@ class Service:
         task.add_done_callback(self._dispatch_tasks.discard)
         return await asyncio.shield(future)
 
-    def stats(self) -> ServiceStats:
-        """Snapshot the full request path, pool and cache included."""
-        return self._stats.snapshot(
-            pool=self._pool.stats(),
-            result_cache=None if self.cache is None
-            else self.cache.stats(),
-        )
-
     def metrics(self) -> dict[str, Any]:
         """One unified registry snapshot of every serving component.
 
-        Merges the ``service_*`` recorder series, the pool's ``pool_*``
-        series and -- when the cache tier is on -- the cache's
-        ``result_cache_*`` series (prefixes keep the merge
-        collision-free).  This is what ``repro serve --metrics-json``
-        writes and what the Prometheus-style exposition renders.
+        Merges the service's ``service_*`` series (one counter per
+        stage outcome, ``service_queue_depth`` and its peak, and the
+        admission-to-answer ``service_time_seconds`` histogram), the
+        pool's ``pool_*`` series (:meth:`WorkerPool.metrics`) and --
+        when the cache tier is on -- the cache's ``result_cache_*``
+        series (prefixes keep the merge collision-free).  This is what
+        ``repro serve --metrics-json`` writes and what the
+        Prometheus-style exposition renders.
         """
-        self._pool.stats()  # refresh the pool's instantaneous gauges
-        snapshots = [self._stats.metrics.snapshot(),
-                     self._pool.metrics.snapshot()]
+        with self._lock:
+            own = self._metrics.snapshot()
+        snapshots = [own, self._pool.metrics()]
         if self.cache is not None:
-            snapshots.append(self.cache.metrics.snapshot())
+            snapshots.append(self.cache.metrics())
         return merge_snapshots(*snapshots)
+
+    def _admit(self, *stages: Counter) -> None:
+        """Count one admission, and the stages it passed, atomically."""
+        with self._lock:
+            self._requests.inc()
+            for stage in stages:
+                stage.inc()
+            self._queue_depth.inc()
+            self._peak_queue_depth.set(max(self._peak_queue_depth.value,
+                                           self._queue_depth.value))
+
+    def _release(self) -> None:
+        """Release the queue slot of a request that never dispatched
+        (deduped onto a twin, or answered by the cache tier)."""
+        with self._lock:
+            self._queue_depth.dec()
 
     # -- dispatch -------------------------------------------------------------
 
@@ -287,7 +318,13 @@ class Service:
             self._settle(request, error=exc)
             return
         if self.cache is not None:
-            self.cache.store(result)
+            try:
+                self.cache.store(result)
+            except Exception as exc:  # noqa: BLE001 -- the tier degrades
+                # The request still gets the result it computed; only
+                # the replay of later identical requests is lost.
+                _LOG.warning("event=cache_store_failed key=%.12s error=%r",
+                             request.key, exc, exc_info=True)
         self._settle(request, result=result)
 
     def _settle(
@@ -299,7 +336,10 @@ class Service:
         if self._inflight.get(request.key) is request.future:
             del self._inflight[request.key]
         elapsed = time.perf_counter() - request.admitted_at
-        self._stats.finished(error is None, elapsed)
+        with self._lock:
+            (self._completed if error is None else self._errors).inc()
+            self._queue_depth.dec()
+            self._service_time.observe(elapsed)
         tracer = active_tracer()
         if tracer is not None and request.trace_t0 is not None:
             tracer.record_span(
@@ -323,8 +363,9 @@ class Service:
         magnitude, and the 50 ms floor keeps naive retry loops from
         spinning before any request has calibrated the mean.
         """
-        mean = self._stats.mean_service_seconds() \
-            or _COLD_SERVICE_ESTIMATE
+        with self._lock:
+            mean = self._service_time.mean_seconds
+        mean = mean or _COLD_SERVICE_ESTIMATE
         return max(0.05, mean * depth / self._pool.workers)
 
 
@@ -351,3 +392,45 @@ async def serve_all(
         return await service.submit(spec)
 
     return list(await asyncio.gather(*(one(s) for s in specs)))
+
+
+def render_metrics(snapshot: Mapping[str, Any]) -> str:
+    """The text summary of a :meth:`Service.metrics` snapshot.
+
+    One line per stage, read by series name: admissions and outcomes,
+    cache tier and dedup, dispatches, queue depth, latency, the pool,
+    the warm fabric and -- only when the snapshot holds the cache
+    tier's ``result_cache_*`` series -- the result cache.
+    """
+    counters, gauges = snapshot["counters"], snapshot["gauges"]
+    latency = snapshot["histograms"]["service_time_seconds"]
+    lines = [
+        f"requests: {counters['service_requests_total']} admitted, "
+        f"{counters['service_completed_total']} completed, "
+        f"{counters['service_errors_total']} errors, "
+        f"{counters['service_rejected_total']} rejected",
+        f"cache tier: {counters['service_cache_hits_total']} hits / "
+        f"{counters['service_cache_misses_total']} misses; "
+        f"{counters['service_deduped_total']} deduped onto in-flight "
+        "twins",
+        f"dispatches: {counters['service_dispatches_total']} spec tasks "
+        "to the pool",
+        f"queue: depth {gauges['service_queue_depth']}, "
+        f"peak {gauges['service_peak_queue_depth']}",
+        f"latency: mean {latency['mean_seconds']:.4g} s, "
+        f"p95 {latency['p95_seconds']:.4g} s",
+        f"pool: {gauges['pool_workers_alive']}/{gauges['pool_workers']} "
+        f"workers alive, {counters['pool_restarts_total']} restarts, "
+        f"{counters['pool_tasks_done_total']} tasks, "
+        f"busy {counters['pool_busy_seconds_total']:.4g} s",
+        f"warm fabric: {counters['pool_fabric_cache_hits_total']} hits / "
+        f"{counters['pool_fabric_cache_misses_total']} misses "
+        f"({gauges['pool_fabric_cache_entries']} warm)",
+    ]
+    if "result_cache_hits_total" in counters:
+        lines.append(
+            f"result cache: {counters['result_cache_hits_total']} hits / "
+            f"{counters['result_cache_misses_total']} misses, "
+            f"{counters['result_cache_stores_total']} stores, "
+            f"{counters['result_cache_evictions_total']} evictions")
+    return "\n".join(lines)

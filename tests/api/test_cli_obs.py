@@ -100,7 +100,6 @@ class TestServeMetricsJson:
 class TestServeSignalFlush:
     @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT])
     def test_interrupt_still_flushes_stats(self, tmp_path, signum):
-        stats_path = tmp_path / "stats.json"
         metrics_path = tmp_path / "metrics.json"
         env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
         # A burst far larger than the interrupt window so the signal
@@ -109,7 +108,6 @@ class TestServeSignalFlush:
             [sys.executable, "-m", "repro", "serve", *RUN_FLAGS,
              "--size", "48", "--batch", "16", "--requests", "500",
              "--pool-mode", "inline", "--workers", "1",
-             "--stats-json", str(stats_path),
              "--metrics-json", str(metrics_path)],
             env=env, cwd=REPO_ROOT,
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
@@ -125,7 +123,6 @@ class TestServeSignalFlush:
             f"rc={proc.returncode}\nstdout:\n{stdout}\n"
             f"stderr:\n{stderr}")
         assert "interrupted: flushing stats" in stderr
-        stats = json.loads(stats_path.read_text())
-        assert "requests" in stats
         metrics = json.loads(metrics_path.read_text())
+        assert "service_requests_total" in metrics["counters"]
         assert set(metrics) == {"counters", "gauges", "histograms"}

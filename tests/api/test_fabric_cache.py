@@ -12,7 +12,6 @@ from repro.api import Engine, ScenarioSpec
 from repro.api.engines import AnalogMVMEngine
 from repro.api.fabric_cache import (
     FabricCache,
-    FabricCacheStats,
     activate_fabric_cache,
     active_fabric_cache,
     deactivate_fabric_cache,
@@ -34,9 +33,10 @@ class TestFabricCache:
         assert cache.lookup("k") is None
         cache.store("k", "template")
         assert cache.lookup("k") == "template"
-        stats = cache.stats()
-        assert (stats.hits, stats.misses, stats.stores) == (1, 1, 1)
-        assert stats.entries == 1
+        counts = cache.counts()
+        assert (counts["hits"], counts["misses"], counts["stores"]) == \
+            (1, 1, 1)
+        assert counts["entries"] == 1
 
     def test_lru_eviction_order(self):
         cache = FabricCache(max_entries=2)
@@ -47,15 +47,15 @@ class TestFabricCache:
         assert cache.lookup("b") is None
         assert cache.lookup("a") == 1
         assert cache.lookup("c") == 3
-        assert cache.stats().evictions == 1
+        assert cache.counts()["evictions"] == 1
 
     def test_miss_demotes_a_counted_hit(self):
         cache = FabricCache()
         cache.store("k", "stale")
         cache.lookup("k")
         cache.miss()  # verification failed: the hit was no hit
-        stats = cache.stats()
-        assert (stats.hits, stats.misses) == (0, 1)
+        counts = cache.counts()
+        assert (counts["hits"], counts["misses"]) == (0, 1)
 
     def test_validation_and_clear(self):
         with pytest.raises(ValueError, match="max_entries"):
@@ -64,17 +64,6 @@ class TestFabricCache:
         cache.store("k", 1)
         cache.clear()
         assert len(cache) == 0
-
-    def test_stats_delta_and_merge(self):
-        before = FabricCacheStats(hits=1, misses=2, stores=3,
-                                  evictions=0, entries=2)
-        after = FabricCacheStats(hits=4, misses=2, stores=5,
-                                 evictions=1, entries=3)
-        delta = after.delta(before)
-        assert delta == FabricCacheStats(hits=3, misses=0, stores=2,
-                                         evictions=1, entries=3)
-        merged = delta.merged_with(before)
-        assert merged.hits == 4 and merged.entries == 5
 
     def test_activation_roundtrip(self):
         assert active_fabric_cache() is None
@@ -125,9 +114,9 @@ class TestWarmExecution:
 
         assert comparable(first) == comparable(cold)
         assert comparable(second) == comparable(cold)
-        stats = cache.stats()
-        assert stats.stores == 1
-        assert stats.hits >= 1
+        counts = cache.counts()
+        assert counts["stores"] == 1
+        assert counts["hits"] >= 1
 
     def test_batch_variant_reuses_warm_template(self):
         cold = Engine.from_spec(ANALOG.replaced(batch=3)).run()
@@ -138,7 +127,7 @@ class TestWarmExecution:
         for data in (data_warm, data_cold):
             data["provenance"].pop("wall_seconds", None)
         assert data_warm == data_cold
-        assert cache.stats().hits >= 1
+        assert cache.counts()["hits"] >= 1
 
     def test_nonideal_run_ignores_the_active_cache(self):
         nonideal = ANALOG.replaced(
@@ -152,5 +141,5 @@ class TestWarmExecution:
         for data in (data_warm, data_cold):
             data["provenance"].pop("wall_seconds", None)
         assert data_warm == data_cold
-        assert cache.stats().stores == 0
-        assert cache.stats().hits == 0
+        assert cache.counts()["stores"] == 0
+        assert cache.counts()["hits"] == 0

@@ -63,6 +63,50 @@ class TestPrimitives:
             h.quantile(1.5)
         assert h.quantile(0.99) == 0.0  # empty
 
+    def test_histogram_empty(self):
+        h = Histogram()
+        assert h.count == 0
+        assert h.mean_seconds == 0.0
+        assert h.quantile(0.5) == 0.0
+        data = h.to_dict()
+        assert data["count"] == 0
+        assert data["buckets"] == {}
+        assert data["min_seconds"] == 0.0
+
+    def test_histogram_observations_land_in_log_buckets(self):
+        h = Histogram()
+        for seconds in (0.0002, 0.0002, 0.05, 2.0):
+            h.observe(seconds)
+        data = h.to_dict()
+        assert data["count"] == 4
+        assert data["buckets"]["le_0.000316"] == 2
+        assert data["buckets"]["le_0.1"] == 1
+        assert data["buckets"]["le_3.16"] == 1
+        assert data["max_seconds"] == 2.0
+        assert data["mean_seconds"] == pytest.approx(2.0504 / 4)
+
+    def test_histogram_quantiles_are_bucket_bounds_clamped_to_max(self):
+        h = Histogram()
+        for _ in range(99):
+            h.observe(0.002)
+        h.observe(0.5)
+        assert h.quantile(0.5) == pytest.approx(0.00316)
+        # The last bucket's bound (1.0) exceeds the observed max: the
+        # estimate clamps to the real maximum.
+        assert h.quantile(1.0) == 0.5
+
+    def test_histogram_quantile_validation_and_negative_clamp(self):
+        h = Histogram()
+        with pytest.raises(ValueError, match="quantile"):
+            h.quantile(1.5)
+        h.observe(-3.0)  # clock skew: clamped, never negative
+        assert h.min_seconds == 0.0
+
+    def test_histogram_overflow_bucket(self):
+        h = Histogram()
+        h.observe(5000.0)
+        assert h.to_dict()["buckets"]["le_inf"] == 1
+
     def test_default_bounds_shape(self):
         assert DEFAULT_LATENCY_BOUNDS[-1] == float("inf")
         assert list(DEFAULT_LATENCY_BOUNDS) == \

@@ -1,7 +1,7 @@
 """ResultCache traffic counters: every load/store/prune path accounted.
 
-The counters feed two consumers: the serving cache tier (surfaced in
-``ServiceStats.result_cache``) and ``repro cache prune --verbose``.
+The counters feed two consumers: the serving cache tier (merged into
+``Service.metrics()``) and ``repro cache prune --verbose``.
 This suite drives each counting path -- plain hits and misses, corrupt
 and version-stale entries, hash-collision mismatches, stores and prune
 evictions -- and pins the arithmetic.
@@ -13,7 +13,7 @@ import pytest
 
 import repro
 from repro.api import Engine, ScenarioSpec
-from repro.parallel import CacheStats, ResultCache
+from repro.parallel import ResultCache
 
 SPEC = ScenarioSpec(engine="mvp_batched", workload="database", size=96,
                     items=2, batch=4, seed=3)
@@ -29,30 +29,36 @@ def result():
     return Engine.from_spec(SPEC).run()
 
 
+def counters(cache) -> dict:
+    return cache.metrics()["counters"]
+
+
+NOTHING = {f"result_cache_{name}_total": 0
+           for name in ("hits", "misses", "stores", "evictions",
+                        "corrupt_dropped", "stale_dropped")}
+
+
 def test_fresh_cache_counts_nothing(cache):
-    stats = cache.stats()
-    assert stats == CacheStats()
-    assert stats.hit_rate == 0.0
+    assert counters(cache) == NOTHING
 
 
 def test_miss_store_hit_roundtrip(cache, result):
     assert cache.load(SPEC) is None
     cache.store(result)
     assert cache.load(SPEC) is not None
-    stats = cache.stats()
-    assert stats.misses == 1
-    assert stats.stores == 1
-    assert stats.hits == 1
-    assert stats.hit_rate == 0.5
+    stats = counters(cache)
+    assert stats["result_cache_misses_total"] == 1
+    assert stats["result_cache_stores_total"] == 1
+    assert stats["result_cache_hits_total"] == 1
 
 
 def test_corrupt_entry_counts_corrupt_dropped(cache, result):
     path = cache.store(result)
     path.write_text("{ not json")
     assert cache.load(SPEC) is None
-    stats = cache.stats()
-    assert stats.corrupt_dropped == 1
-    assert stats.misses == 1
+    stats = counters(cache)
+    assert stats["result_cache_corrupt_dropped_total"] == 1
+    assert stats["result_cache_misses_total"] == 1
     assert not path.exists()  # corruption is deleted, not kept
 
 
@@ -62,7 +68,7 @@ def test_schema_mismatch_counts_corrupt_dropped(cache, result):
     payload["schema"] = "someone-elses-schema"
     path.write_text(json.dumps(payload))
     assert cache.load(SPEC) is None
-    assert cache.stats().corrupt_dropped == 1
+    assert counters(cache)["result_cache_corrupt_dropped_total"] == 1
 
 
 def test_version_stale_entry_counts_stale_dropped(cache, result):
@@ -71,10 +77,10 @@ def test_version_stale_entry_counts_stale_dropped(cache, result):
     payload["result"]["provenance"]["repro_version"] = "0.0.0-before"
     path.write_text(json.dumps(payload))
     assert cache.load(SPEC) is None
-    stats = cache.stats()
-    assert stats.stale_dropped == 1
-    assert stats.corrupt_dropped == 0
-    assert stats.misses == 1
+    stats = counters(cache)
+    assert stats["result_cache_stale_dropped_total"] == 1
+    assert stats["result_cache_corrupt_dropped_total"] == 0
+    assert stats["result_cache_misses_total"] == 1
     assert path.exists()  # stale is not corruption: left for overwrite
 
 
@@ -84,10 +90,10 @@ def test_spec_mismatch_is_a_plain_miss(cache, result):
     payload["spec"]["seed"] = 999  # simulated hash collision
     path.write_text(json.dumps(payload))
     assert cache.load(SPEC) is None
-    stats = cache.stats()
-    assert stats.misses == 1
-    assert stats.corrupt_dropped == 0
-    assert stats.stale_dropped == 0
+    stats = counters(cache)
+    assert stats["result_cache_misses_total"] == 1
+    assert stats["result_cache_corrupt_dropped_total"] == 0
+    assert stats["result_cache_stale_dropped_total"] == 0
 
 
 def test_prune_counts_evictions(cache, result):
@@ -96,24 +102,24 @@ def test_prune_counts_evictions(cache, result):
     cache.store(other)
     prune = cache.prune(max_entries=1)
     assert prune.removed == 1
-    assert cache.stats().evictions == 1
-    assert cache.stats().stores == 2
+    assert counters(cache)["result_cache_evictions_total"] == 1
+    assert counters(cache)["result_cache_stores_total"] == 2
 
 
 def test_capped_store_counts_automatic_evictions(tmp_path, result):
     capped = ResultCache(tmp_path / "cache", max_entries=1)
     capped.store(result)
     capped.store(Engine.from_spec(SPEC.replaced(seed=4)).run())
-    assert capped.stats().evictions >= 1
+    assert counters(capped)["result_cache_evictions_total"] >= 1
 
 
 def test_counters_are_per_instance(tmp_path, result):
     first = ResultCache(tmp_path / "cache")
     first.store(result)
     second = ResultCache(tmp_path / "cache")
-    assert second.stats() == CacheStats()
+    assert counters(second) == NOTHING
     assert second.load(SPEC) is not None
-    assert second.stats().hits == 1
+    assert counters(second)["result_cache_hits_total"] == 1
 
 
 def test_cli_prune_verbose_prints_counters(tmp_path, result, capsys):
@@ -126,5 +132,5 @@ def test_cli_prune_verbose_prints_counters(tmp_path, result, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "counters:" in out
-    assert "evictions=0" in out
-    assert "hits=0" in out
+    assert "result_cache_evictions_total=0" in out
+    assert "result_cache_hits_total=0" in out

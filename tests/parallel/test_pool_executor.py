@@ -56,16 +56,20 @@ def test_cache_stays_with_the_runner(pool, tmp_path):
     assert "cache" not in first.provenance
     second = runner.run(SPEC)
     assert second.provenance["cache"]["hit"] is True
-    assert runner.cache.stats().hits == 1
+    assert runner.cache.metrics()["counters"]["result_cache_hits_total"] == 1
     assert comparable(second) == comparable(first)
+
+
+def tasks_done(pool) -> int:
+    return pool.metrics()["counters"]["pool_tasks_done_total"]
 
 
 def test_cached_specs_skip_the_pool(pool, tmp_path):
     runner = ParallelRunner(executor=pool, cache=tmp_path / "cache")
     runner.run(SPEC)
-    done_before = pool.stats().tasks_done
+    done_before = tasks_done(pool)
     runner.run(SPEC)  # pure cache hit
-    assert pool.stats().tasks_done == done_before
+    assert tasks_done(pool) == done_before
 
 
 def test_executor_validation():

@@ -1,4 +1,4 @@
-"""``repro serve`` CLI: request driving, stats output, error paths."""
+"""``repro serve`` CLI: request driving, metrics output, error paths."""
 
 import json
 
@@ -18,19 +18,22 @@ class TestServe:
         assert "requests: 4 admitted, 4 completed" in out
         assert "dispatches:" in out
 
-    def test_stats_json_snapshot(self, tmp_path, capsys):
-        stats_path = tmp_path / "stats.json"
+    def test_metrics_json_snapshot(self, tmp_path, capsys):
+        metrics_path = tmp_path / "metrics.json"
         assert main(["serve", "database", "--requests", "4",
                      "--engine", "mvp_batched", "--workers", "1",
                      "--pool-mode", "inline", "--size", "96",
                      "--batch", "4",
-                     "--stats-json", str(stats_path)]) == 0
-        payload = json.loads(stats_path.read_text())
-        assert payload["requests"] == 4
-        assert payload["completed"] == 4
-        assert payload["pool"]["workers"] == 1
-        assert payload["dispatched_requests"] == payload["dispatches"]
-        assert "p95_seconds" in payload["service_time"]
+                     "--metrics-json", str(metrics_path)]) == 0
+        payload = json.loads(metrics_path.read_text())
+        counters = payload["counters"]
+        assert counters["service_requests_total"] == 4
+        assert counters["service_completed_total"] == 4
+        assert payload["gauges"]["pool_workers"] == 1
+        assert counters["service_dispatched_requests_total"] == \
+            counters["service_dispatches_total"]
+        assert "p95_seconds" in \
+            payload["histograms"]["service_time_seconds"]
 
     def test_cache_tier_round_trip(self, tmp_path, capsys):
         cache_dir = str(tmp_path / "cache")

@@ -1,8 +1,8 @@
-"""WorkerPool basics: execution modes, equivalence, health, stats.
+"""WorkerPool basics: execution modes, equivalence, health, metrics.
 
 The robustness suite (crashes, retries, overload) lives in
 ``test_pool_robustness.py``; the served-request determinism suite in
-``test_coalesce_determinism.py``.  This file pins the everyday
+``test_served_determinism.py``.  This file pins the everyday
 contract: every pool mode computes exactly what the plain engine
 facade computes, lifecycle is safe, a round trip waits on no sleep,
 and the counters add up.
@@ -79,12 +79,12 @@ def test_warm_fabric_reused_across_spec_tasks():
     with WorkerPool(workers=1, mode="fork") as pool:
         results = spec_tasks_in_a_row(
             pool, [ANALOG, ANALOG.replaced(batch=3)])
-        stats = pool.stats()
+        counters = pool.metrics()["counters"]
     assert all(r.ok for r in results)
     # Same structure hash (batch excluded): the second task reuses
     # the first task's mapped fabric template on the same worker.
-    assert stats.fabric_cache.hits >= 1
-    assert stats.fabric_cache.stores >= 1
+    assert counters["pool_fabric_cache_hits_total"] >= 1
+    assert counters["pool_fabric_cache_stores_total"] >= 1
 
 
 def test_round_trip_waits_on_no_sleep():
@@ -114,11 +114,11 @@ def test_ping_reaches_every_worker():
 def test_stats_counts_tasks():
     with WorkerPool(workers=2, mode="inline") as pool:
         pool.run_many([SPEC, SPEC.replaced(seed=5)])
-        stats = pool.stats()
-    assert stats.tasks_done == 2
-    assert stats.tasks_failed == 0
-    assert stats.restarts == 0
-    assert stats.busy_seconds > 0
+        counters = pool.metrics()["counters"]
+    assert counters["pool_tasks_done_total"] == 2
+    assert counters["pool_tasks_failed_total"] == 0
+    assert counters["pool_restarts_total"] == 0
+    assert counters["pool_busy_seconds_total"] > 0
 
 
 def test_task_error_propagates_and_is_counted():
@@ -128,10 +128,10 @@ def test_task_error_propagates_and_is_counted():
             pool.run(bad)
         # The worker survives its task's exception.
         assert pool.run(SPEC).ok
-        stats = pool.stats()
-    assert stats.tasks_failed == 1
-    assert stats.tasks_done == 1
-    assert stats.restarts == 0
+        counters = pool.metrics()["counters"]
+    assert counters["pool_tasks_failed_total"] == 1
+    assert counters["pool_tasks_done_total"] == 1
+    assert counters["pool_restarts_total"] == 0
 
 
 def test_submit_after_shutdown_raises():
@@ -145,7 +145,7 @@ def test_shutdown_is_idempotent():
     pool = WorkerPool(workers=1, mode="inline").start()
     pool.shutdown()
     pool.shutdown()
-    assert pool.stats().alive == 0
+    assert pool.metrics()["gauges"]["pool_workers_alive"] == 0
 
 
 def test_constructor_validation():

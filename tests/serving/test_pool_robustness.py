@@ -50,6 +50,10 @@ def comparable(result) -> dict:
     return data
 
 
+def restarts(pool) -> int:
+    return pool.metrics()["counters"]["pool_restarts_total"]
+
+
 def test_worker_killed_mid_run_retries_with_identical_output():
     serial = Engine.from_spec(SLOW).run()
     with WorkerPool(workers=1, mode="fork") as pool:
@@ -57,14 +61,14 @@ def test_worker_killed_mid_run_retries_with_identical_output():
         assert task.started.wait(timeout=30.0)
         pool._slots[0].process.kill()
         result = task.result(timeout=60.0)
-        stats = pool.stats()
+        counters = pool.metrics()["counters"]
         # The restarted worker is a first-class pool member.
         assert pool.ping(timeout=10.0) == {0: True}
         assert pool.run(QUICK).ok
     assert comparable(result) == comparable(serial)
     assert result.cost == serial.cost
-    assert stats.restarts >= 1
-    assert stats.tasks_retried >= 1
+    assert counters["pool_restarts_total"] >= 1
+    assert counters["pool_tasks_retried_total"] >= 1
     assert task.attempts == 2
 
 
@@ -101,19 +105,19 @@ def test_crash_loop_surfaces_worker_crashed(monkeypatch):
         assert excinfo.value.attempts == 2
         # The pool survives the loss and keeps serving healthy specs.
         assert pool.run(QUICK).ok
-        stats = pool.stats()
-    assert stats.restarts >= 2
-    assert stats.tasks_failed >= 1
+        counters = pool.metrics()["counters"]
+    assert counters["pool_restarts_total"] >= 2
+    assert counters["pool_tasks_failed_total"] >= 1
 
 
 def test_idle_dead_worker_is_restarted():
     with WorkerPool(workers=2, mode="fork") as pool:
         pool._slots[1].process.kill()
         deadline = 10.0
-        while pool.stats().restarts < 1 and deadline > 0:
+        while restarts(pool) < 1 and deadline > 0:
             deadline -= 0.05
             time.sleep(0.05)
-        assert pool.stats().restarts >= 1
+        assert restarts(pool) >= 1
         assert pool.ping(timeout=10.0) == {0: True, 1: True}
 
 
@@ -128,7 +132,7 @@ def test_ping_right_after_idle_worker_dies():
         # gets ECHILD, which multiprocessing reports as alive.
         assert connection.wait([dead.sentinel], timeout=10.0)
         assert pool.ping(timeout=10.0) == {0: True}
-        assert pool.stats().restarts == 1
+        assert restarts(pool) == 1
         assert pool.run(QUICK).ok
 
 
@@ -178,18 +182,18 @@ def test_bounded_queue_rejects_with_typed_overload(monkeypatch):
             assert "retry after" in str(err)
             # Released, the admitted requests complete normally (an
             # inline pool holds its lock while a task runs, so the
-            # stats snapshot waits for the release).
+            # metrics snapshot waits for the release).
             release.set()
-            stats = service.stats()
-            assert stats.rejected == 1
+            counters = service.metrics()["counters"]
+            assert counters["service_rejected_total"] == 1
         results = await asyncio.gather(first, second)
-        return results, service.stats()
+        return results, service.metrics()
 
-    results, stats = asyncio.run(main())
+    results, metrics = asyncio.run(main())
     assert all(r.ok for r in results)
-    assert stats.completed == 2
-    assert stats.rejected == 1
-    assert stats.queue_depth == 0
+    assert metrics["counters"]["service_completed_total"] == 2
+    assert metrics["counters"]["service_rejected_total"] == 1
+    assert metrics["gauges"]["service_queue_depth"] == 0
 
 
 def test_worker_crashed_propagates_through_service(monkeypatch):
@@ -208,9 +212,9 @@ def test_worker_crashed_propagates_through_service(monkeypatch):
             with pytest.raises(WorkerCrashed):
                 await service.submit(QUICK.replaced(seed=BOMB_SEED))
             result = await service.submit(QUICK)
-            return result, service.stats()
+            return result, service.metrics()["counters"]
 
-    result, stats = asyncio.run(main())
+    result, counters = asyncio.run(main())
     assert result.ok
-    assert stats.errors == 1
-    assert stats.completed == 1
+    assert counters["service_errors_total"] == 1
+    assert counters["service_completed_total"] == 1

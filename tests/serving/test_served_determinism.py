@@ -39,33 +39,33 @@ def submit_all(specs, **service_kwargs):
     async def main():
         async with Service(**kwargs) as service:
             results = await serve_all(service, specs)
-            return results, service.stats()
+            return results, service.metrics()["counters"]
 
     return asyncio.run(main())
 
 
 @pytest.mark.parametrize("base", [MVP, ANALOG, NONIDEAL],
                          ids=["mvp", "analog", "nonideal"])
-def test_coalesced_batch_bit_identical_to_serial(base):
+def test_served_burst_bit_identical_to_serial(base):
     specs = [base.replaced(seed=base.seed + i) for i in range(6)]
     serial = [Engine.from_spec(spec).run() for spec in specs]
-    concurrent, stats = submit_all(specs)
+    concurrent, counters = submit_all(specs)
     for got, want in zip(concurrent, serial):
         assert comparable(got) == comparable(want)
         assert got.cost == want.cost
         assert got.item_costs == want.item_costs
         assert got.fidelity == want.fidelity
         assert got.accuracy == want.accuracy
-    assert stats.completed == len(specs)
+    assert counters["service_completed_total"] == len(specs)
 
 
 def test_forked_pool_is_equally_bit_identical():
     specs = [ANALOG.replaced(seed=i) for i in range(4)]
     serial = [Engine.from_spec(spec).run() for spec in specs]
-    concurrent, stats = submit_all(specs, pool_mode="fork")
+    concurrent, counters = submit_all(specs, pool_mode="fork")
     for got, want in zip(concurrent, serial):
         assert comparable(got) == comparable(want)
-    assert stats.errors == 0
+    assert counters["service_errors_total"] == 0
 
 
 def test_identical_inflight_specs_dedup_to_one_dispatch():
@@ -75,22 +75,22 @@ def test_identical_inflight_specs_dedup_to_one_dispatch():
         async with Service(workers=1, pool_mode="inline") as service:
             results = await asyncio.gather(
                 *(service.submit(spec) for spec in specs))
-            return results, service.stats()
+            return results, service.metrics()["counters"]
 
-    results, stats = asyncio.run(main())
+    results, counters = asyncio.run(main())
     want = comparable(Engine.from_spec(MVP).run())
     assert all(comparable(r) == want for r in results)
-    assert stats.deduped == 4
-    assert stats.dispatched_requests == 1
+    assert counters["service_deduped_total"] == 4
+    assert counters["service_dispatched_requests_total"] == 1
 
 
 def test_cache_tier_replays_previous_results(tmp_path):
     specs = [MVP.replaced(seed=i) for i in range(3)]
-    cold, cold_stats = submit_all(specs, cache=str(tmp_path / "cache"))
-    warm, warm_stats = submit_all(specs, cache=str(tmp_path / "cache"))
-    assert cold_stats.cache_hits == 0
-    assert warm_stats.cache_hits == 3
-    assert warm_stats.dispatches == 0  # no worker touched
+    cold, cold_counters = submit_all(specs, cache=str(tmp_path / "cache"))
+    warm, warm_counters = submit_all(specs, cache=str(tmp_path / "cache"))
+    assert cold_counters["service_cache_hits_total"] == 0
+    assert warm_counters["service_cache_hits_total"] == 3
+    assert warm_counters["service_dispatches_total"] == 0  # no worker touched
     for a, b in zip(cold, warm):
         da, db = a.to_dict(), b.to_dict()
         # The replay is the stored computation verbatim; only the cache

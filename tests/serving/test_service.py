@@ -1,22 +1,31 @@
-"""Service front-end behavior: lifecycle, knobs, stats, serve_all."""
+"""Service front-end behavior: lifecycle, knobs, metrics, serve_all."""
 
 import asyncio
+import json
+import logging
+import sys
 import threading
 
 import pytest
 
-from repro.api import ScenarioSpec
+from repro.api import Engine, ScenarioSpec
+from repro.parallel import ResultCache
 from repro.parallel import pool as pool_module
 from repro.serving import (
     Service,
     ServiceOverloaded,
     ServingError,
     WorkerPool,
+    render_metrics,
     serve_all,
 )
 
 SPEC = ScenarioSpec(engine="mvp_batched", workload="database", size=96,
                     items=2, batch=4, seed=3)
+ANALOG = ScenarioSpec(engine="analog_mvm", workload="mlp_inference",
+                      batch=2, seed=7)
+#: Seed of the requests the ``hold`` fixture keeps in flight.
+HELD_SEED = 40
 
 
 def run(coro):
@@ -57,12 +66,12 @@ def test_bad_spec_error_reaches_the_submitter():
             with pytest.raises(ValueError, match="no_such_knob"):
                 await service.submit(
                     SPEC.replaced(params={"no_such_knob": 1}))
-            return service.stats()
+            return service.metrics()
 
-    stats = run(main())
-    assert stats.errors == 1
-    assert stats.completed == 0
-    assert stats.queue_depth == 0
+    metrics = run(main())
+    assert metrics["counters"]["service_errors_total"] == 1
+    assert metrics["counters"]["service_completed_total"] == 0
+    assert metrics["gauges"]["service_queue_depth"] == 0
 
 
 def test_external_pool_is_not_shut_down():
@@ -110,19 +119,216 @@ def test_stats_snapshot_shape():
     async def main():
         async with Service(workers=1, pool_mode="inline") as service:
             await service.submit(SPEC)
-            return service.stats()
+            return service.metrics()
 
-    stats = run(main())
-    data = stats.to_dict()
-    assert data["requests"] == 1
-    assert data["completed"] == 1
-    assert data["pool"]["workers"] == 1
-    assert data["dispatches"] == data["dispatched_requests"] == 1
-    assert data["service_time"]["count"] == 1
-    assert data["result_cache"] is None
-    rendered = stats.render()
+    metrics = run(main())
+    counters = metrics["counters"]
+    assert counters["service_requests_total"] == 1
+    assert counters["service_completed_total"] == 1
+    assert metrics["gauges"]["pool_workers"] == 1
+    assert counters["service_dispatches_total"] == \
+        counters["service_dispatched_requests_total"] == 1
+    assert metrics["histograms"]["service_time_seconds"]["count"] == 1
+    assert not any(name.startswith("result_cache_") for name in counters)
+    rendered = render_metrics(metrics)
     assert "requests: 1 admitted" in rendered
     assert "dispatches:" in rendered
+
+
+def test_metrics_json_round_trips():
+    async def main():
+        async with Service(workers=2, pool_mode="inline") as service:
+            await service.submit(SPEC)
+            return service.metrics()
+
+    metrics = run(main())
+    assert json.loads(json.dumps(metrics)) == metrics
+    assert metrics["gauges"]["pool_workers"] == 2
+
+
+def test_render_metrics_on_an_idle_service():
+    async def main():
+        async with Service(workers=1, pool_mode="inline") as service:
+            return render_metrics(service.metrics())
+
+    rendered = run(main())
+    for fragment in ("requests:", "cache tier:", "dispatches:",
+                     "queue:", "latency:", "pool:", "warm fabric:"):
+        assert fragment in rendered
+    # No result cache attached: the optional line is absent.
+    assert "result cache:" not in rendered
+
+
+@pytest.mark.parametrize("mode", ["inline", "fork"])
+def test_metrics_count_warm_fabric_reuse(mode):
+    async def main():
+        async with Service(workers=2, pool_mode=mode) as service:
+            # Sequential, so the second spec lands on a worker the first
+            # one warmed (only one worker is ever busy, and the pool
+            # hands work to the first idle slot).
+            for spec in (ANALOG, ANALOG.replaced(batch=3)):
+                assert (await service.submit(spec)).ok
+            return service.metrics()
+
+    metrics = run(main())
+    assert metrics["counters"]["pool_fabric_cache_hits_total"] >= 1
+    assert metrics["gauges"]["pool_fabric_cache_entries"] >= 1
+    assert metrics["gauges"]["pool_workers"] == 2
+
+
+def test_metrics_snapshots_balance_under_concurrent_reads():
+    """Every snapshot balances: admitted == answered + still queued.
+
+    Admission and settlement each update several series under the
+    service's lock, and metrics() freezes them under the same lock, so
+    readers on other threads never see half an update.
+    """
+    specs = [SPEC.replaced(seed=seed) for seed in range(100, 140)]
+    snapshots = []
+    stop = threading.Event()
+
+    async def main():
+        async with Service(workers=2, pool_mode="inline",
+                           max_queue=len(specs)) as service:
+            def watch():
+                while not stop.is_set():
+                    snapshots.append(service.metrics())
+
+            watchers = [threading.Thread(target=watch) for _ in range(4)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for watcher in watchers:
+                    watcher.start()
+                await asyncio.wait_for(serve_all(service, specs), 60.0)
+            finally:
+                stop.set()
+                for watcher in watchers:
+                    watcher.join(timeout=30.0)
+                sys.setswitchinterval(interval)
+            assert not any(watcher.is_alive() for watcher in watchers)
+
+    run(main())
+    assert snapshots
+    for snapshot in snapshots:
+        counters, gauges = snapshot["counters"], snapshot["gauges"]
+        answered = counters["service_completed_total"] \
+            + counters["service_errors_total"]
+        assert counters["service_requests_total"] == \
+            answered + gauges["service_queue_depth"]
+        assert snapshot["histograms"]["service_time_seconds"]["count"] \
+            == answered
+        assert gauges["service_peak_queue_depth"] >= \
+            gauges["service_queue_depth"]
+
+
+@pytest.fixture()
+def hold(monkeypatch):
+    """Keep requests seeded ``HELD_SEED`` executing until released.
+
+    Patches the inline pool's task body, so the held requests stay
+    admitted (and their queue slots taken) while a test looks.
+    """
+    real = pool_module._execute_task
+    release = threading.Event()
+
+    def held(kind, payload):
+        if payload.seed == HELD_SEED:
+            assert release.wait(timeout=60.0)
+        return real(kind, payload)
+
+    monkeypatch.setattr(pool_module, "_execute_task", held)
+    return release
+
+
+def test_queue_depth_tracks_admission_and_settlement(hold):
+    held = SPEC.replaced(seed=HELD_SEED)
+
+    async def main():
+        async with Service(workers=1, pool_mode="inline",
+                           max_queue=2) as service:
+            first = asyncio.ensure_future(service.submit(held))
+            twin = asyncio.ensure_future(service.submit(held))
+            await asyncio.sleep(0.05)  # both admitted, one dispatched
+            # The overload error reports the depth at admission time.
+            with pytest.raises(ServiceOverloaded) as excinfo:
+                await service.submit(SPEC)
+            assert excinfo.value.queue_depth == 2
+            hold.set()
+            await asyncio.gather(first, twin)
+            return service.metrics()
+
+    metrics = run(main())
+    assert metrics["gauges"]["service_queue_depth"] == 0
+    assert metrics["gauges"]["service_peak_queue_depth"] == 2
+    assert metrics["counters"]["service_completed_total"] == 1
+    assert metrics["counters"]["service_deduped_total"] == 1
+
+
+def test_metrics_count_every_stage(hold, tmp_path):
+    cached = SPEC.replaced(seed=5)
+    ResultCache(tmp_path).store(Engine.from_spec(cached).run())
+    held = SPEC.replaced(seed=HELD_SEED)
+
+    async def main():
+        async with Service(workers=1, pool_mode="inline", cache=tmp_path,
+                           max_queue=2) as service:
+            await service.submit(cached)                       # cache hit
+            with pytest.raises(ValueError, match="no_such_knob"):
+                await service.submit(                          # error
+                    SPEC.replaced(params={"no_such_knob": 1}))
+            mean = service.metrics()["histograms"][
+                "service_time_seconds"]["mean_seconds"]
+            first = asyncio.ensure_future(service.submit(held))
+            twin = asyncio.ensure_future(service.submit(held))  # deduped
+            await asyncio.sleep(0.05)
+            with pytest.raises(ServiceOverloaded) as excinfo:  # rejected
+                await service.submit(SPEC)
+            hold.set()
+            await asyncio.gather(first, twin)                  # completed
+            return service.metrics(), mean, excinfo.value
+
+    metrics, mean, overload = run(main())
+    counters = metrics["counters"]
+    assert counters["service_requests_total"] == 4
+    assert counters["service_cache_hits_total"] == 1
+    assert counters["service_cache_misses_total"] == 2
+    assert counters["service_deduped_total"] == 1
+    assert counters["service_rejected_total"] == 1
+    assert counters["service_dispatches_total"] == 2
+    assert counters["service_dispatched_requests_total"] == 2
+    assert counters["service_completed_total"] == 1
+    assert counters["service_errors_total"] == 1
+    latency = metrics["histograms"]["service_time_seconds"]
+    assert latency["count"] == 2
+    # The retry-after hint scales the backlog (2 requests on 1 worker)
+    # by the mean service time, which only the error had set.
+    assert mean > 0
+    assert overload.retry_after_seconds == pytest.approx(
+        max(0.05, mean * 2 / 1))
+
+
+def test_failed_cache_store_still_settles(monkeypatch, tmp_path, caplog):
+    def full_disk(self, result):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(ResultCache, "store", full_disk)
+
+    async def main():
+        async with Service(workers=1, pool_mode="inline",
+                           cache=tmp_path) as service:
+            # The second submit dedups onto the first one's future.
+            results = await asyncio.wait_for(asyncio.gather(
+                service.submit(SPEC), service.submit(SPEC)), timeout=20.0)
+            return results, service.metrics()
+
+    with caplog.at_level(logging.WARNING, logger="repro.serving"):
+        results, metrics = run(main())
+    assert all(result.ok for result in results)
+    assert metrics["gauges"]["service_queue_depth"] == 0
+    assert metrics["counters"]["service_completed_total"] == 1
+    assert metrics["counters"]["service_deduped_total"] == 1
+    assert "cache_store_failed" in caplog.text
 
 
 def test_serve_all_retries_after_overload():
