@@ -18,11 +18,14 @@ activation pays the per-column read energy over the tile's physical
 bit lines, and slices are sequential while tiles convert in parallel,
 so a matvec's latency is ``dac_bits`` read cycles per layer.
 
-:meth:`AnalogMVM.reference_matvec` evaluates the identical pipeline
-digitally -- the ideal read currents synthesized from the intended
-programs, converted through the same ADC model -- without touching the
-fabric: on ideal hardware analog and reference agree bit-for-bit, and
-under nonidealities their divergence *is* the measured accuracy loss.
+:meth:`AnalogMVM.reference_matvec` evaluates the pipeline digitally
+without touching the fabric: where no ideal ADC code can clip or round
+away from its ON-cell count, as the exact integer matvec of the input
+slices with the quantized weights; elsewhere, as the ideal read
+currents synthesized from the intended programs and converted through
+the same ADC model.  On ideal hardware analog and reference agree
+bit-for-bit, and under nonidealities their divergence *is* the measured
+accuracy loss.
 """
 
 from __future__ import annotations
@@ -181,10 +184,14 @@ class AnalogMVM:
     def reference_matvec(self, x: np.ndarray) -> np.ndarray:
         """The digital golden twin of :meth:`matvec`.
 
-        Same DAC quantization, ideal read currents synthesized from
-        the tiles' intended programs, same ADC conversion and debias
-        gain -- with no cost accounting and no fabric state.  Equals
-        :meth:`matvec` exactly on an ideal fabric.
+        Same DAC quantization and shift-and-add, with no cost
+        accounting and no fabric state.  Each read's code is its count
+        of ON cells when no ideal code can clip or round away from it
+        (:attr:`repro.mvm.kernel.TileStack.exact_reference`), so the
+        reads are one integer matvec with the quantized weights;
+        otherwise the ideal read currents are synthesized from the
+        tiles' intended programs and pass the same ADC conversion and
+        debias gain.  Equals :meth:`matvec` exactly on an ideal fabric.
         """
         return self._single(x, electrical=False)
 
@@ -513,28 +520,25 @@ class AnalogAcceleratorGroup:
                 x.reshape(members * batch, n), proto.config.dac_bits)
         x_int = x_int.reshape(members, batch, n)
         scales = scales.reshape(members, batch)
-        if all(mvm._stack is proto for mvm in mvms[1:]):
+        stacks = [mvm._stack for mvm in mvms]
+
+        def operand(stack: TileStack) -> np.ndarray:
+            return (stack.fabric_conductances() if electrical
+                    else stack.reference_operand)
+
+        if all(stack is proto for stack in stacks[1:]):
             # Ledger twins share one mapped fabric: pass a single
             # broadcast member (the kernel never mixes members, so a
             # size-1 member axis is a pure layout change) instead of
             # stacking identical copies.
-            if electrical:
-                conductance = proto.fabric_conductances()[None]
-            else:
-                conductance = proto._g_ideal[None]
+            operands = operand(proto)[None]
             scale_gain = proto._scale_gain[None]
-        elif electrical:
-            conductance = np.stack(
-                [mvm._stack.fabric_conductances() for mvm in mvms])
-            scale_gain = np.stack(
-                [mvm._stack._scale_gain for mvm in mvms])
         else:
-            conductance = np.stack(
-                [mvm._stack._g_ideal for mvm in mvms])
+            operands = np.stack([operand(stack) for stack in stacks])
             scale_gain = np.stack(
-                [mvm._stack._scale_gain for mvm in mvms])
+                [stack._scale_gain for stack in stacks])
         y, counted, tile_sats = proto.execute_group(
-            x_int, scales, electrical, conductance, scale_gain)
+            x_int, scales, electrical, operands, scale_gain)
         if electrical:
             with span("mvm.ledger"):
                 for i, mvm in enumerate(mvms):

@@ -37,6 +37,14 @@ activated, padded columns have zero conductance, so their codes are
 zero, their baseline-subtracted raw codes clip at zero, and their
 (sliced-off) fold contributions are exact zeros.
 
+The digital reference runs the same kernel on the tiles' ideal
+conductances -- unless every ideal code provably equals its count of
+ON cells (:attr:`TileStack.exact_reference`).  Then currents and ADC
+drop out, and the folded planes are one exact integer matvec of the
+activation masks with the tiles' quantized weights, so the reference
+shares neither the row sums nor the converter with the fabric read it
+checks.
+
 Tiles whose fabric models wire IR drop are the one exception: each
 read then solves a nodal network whose result depends on the whole
 activation pattern, so those fabrics keep the per-read serial path in
@@ -74,6 +82,13 @@ class TileStack:
     Attributes:
         n_tiles: stacked tile count.
         bands: distinct input row bands, in offset order.
+        exact_reference: True when the digital reference is the exact
+            integer matvec; False when it converts the ideal
+            conductances' currents through the ADC.
+        reference_operand: what the reference path reads: the
+            ``(tiles, rows, out_cols)`` quantized weights in the exact
+            regime, else the ``(tiles, rows, cols)`` ideal
+            conductances.
     """
 
     def __init__(
@@ -119,14 +134,38 @@ class TileStack:
         # float expression of CrossbarTile.combine.
         self._pair_vector = tiles[0][2]._pair_vector
         scale_gain = []
+        leak_ratio = 0.0
         for _, _, tile in tiles:
             params = tile.crossbar.params
             gain = 1.0 / (1.0 - params.r_on / params.r_off)
             scale_gain.append(tile.scale * gain)
+            leak_ratio = max(leak_ratio, params.r_on / params.r_off)
         self._scale_gain = np.array(scale_gain, dtype=float)
 
-        self._g_ideal = self._stack(
-            [tile._ideal_conductance for _, _, tile in tiles])
+        # The reference regime.  An ideal read of ``k`` ON cells
+        # converts to ``rint(k * (1 - r_on/r_off))``; while ``k *
+        # r_on/r_off < 0.25`` that value sits more than 0.25 from a
+        # rounding boundary -- far beyond any float error -- so the
+        # code is exactly ``k``, and ``k <= max_rows <= max_code``
+        # never clips.  Every code then equals its ON-cell count, and
+        # the shift-and-added reference is the integer matvec ``masks
+        # @ quantized`` (see _execute_chunk).  Outside the regime
+        # (narrow ADCs, tie windows, small windows at this height) the
+        # reference synthesizes the ideal currents through the ADC.
+        self.exact_reference = (
+            self._max_rows <= adc.max_code
+            and self._max_rows * leak_ratio < 0.25
+        )
+        if self.exact_reference:
+            self.reference_operand = np.zeros(
+                (self.n_tiles, self._max_rows, self._max_out),
+                dtype=float)
+            for t, (_, _, tile) in enumerate(tiles):
+                self.reference_operand[t, :tile.rows, :tile.out_cols] \
+                    = tile.quantized.T
+        else:
+            self.reference_operand = self._stack(
+                [tile._ideal_conductance for _, _, tile in tiles])
         # True when the single row band spans the full logical input:
         # activation slices then *are* the band masks (no padded rows),
         # so execution can broadcast them instead of copying.
@@ -138,13 +177,15 @@ class TileStack:
 
     def geometry_key(self) -> tuple:
         """Hashable layout signature; equal keys mean two stacks can
-        execute as one group (same tiling, bands, converters and
-        read voltage -- fabrics and scales are per-member state)."""
+        execute as one group (same tiling, bands, converters, read
+        voltage and reference regime -- fabrics and scales are
+        per-member state)."""
         return (
             self.out_dim, self.in_dim, self._max_rows, self._cols,
             tuple(self.bands), tuple(int(r) for r in self._band_rows),
             tuple(self._col0), tuple(self._out_cols),
             self._read_voltage, self.config, self.adc,
+            self.exact_reference,
         )
 
     def _stack(self, per_tile: list[np.ndarray]) -> np.ndarray:
@@ -184,8 +225,10 @@ class TileStack:
         Args:
             x_int: ``(batch, in_dim)`` quantized DAC levels.
             scales: ``(batch,)`` per-sample DAC scales.
-            electrical: read the programmed fabric (True) or synthesize
-                the ideal reference currents (False).
+            electrical: read the programmed fabric (True) or compute
+                the digital reference (False): the exact integer
+                matvec when :attr:`exact_reference`, else the ideal
+                currents through the ADC.
 
         Returns:
             ``(y, counted, tile_saturations)``: the ``(batch, out_dim)``
@@ -194,11 +237,11 @@ class TileStack:
             per-tile saturation totals (both ``None`` on the reference
             path, which keeps no ledger).
         """
-        conductance = (self.fabric_conductances() if electrical
-                       else self._g_ideal)
+        operand = (self.fabric_conductances() if electrical
+                   else self.reference_operand)
         y, counted, tile_sats = self.execute_group(
             x_int[None], scales[None], electrical,
-            conductance[None], self._scale_gain[None],
+            operand[None], self._scale_gain[None],
         )
         if not electrical:
             return y[0], None, None
@@ -209,7 +252,7 @@ class TileStack:
         x_int: np.ndarray,
         scales: np.ndarray,
         electrical: bool,
-        conductance: np.ndarray,
+        operand: np.ndarray,
         scale_gain: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
         """Run several same-geometry members' batches as one pass.
@@ -225,10 +268,16 @@ class TileStack:
         Args:
             x_int: ``(members, batch, in_dim)`` quantized DAC levels.
             scales: ``(members, batch)`` per-sample DAC scales.
-            electrical: fabric read (True) or ideal reference (False).
-            conductance: ``(members, tiles, rows, cols)`` stacked cell
-                conductances to read; a size-1 member axis broadcasts
-                (members sharing one fabric, e.g. ledger twins).
+            electrical: fabric read (True) or digital reference
+                (False).
+            operand: per member, the stacked ``(tiles, rows, cols)``
+                cell conductances to read -- the fabric's, or on the
+                reference path outside :attr:`exact_reference` the
+                ideal ones -- or, on the exact reference path, the
+                ``(tiles, rows, out_cols)`` quantized weights
+                (:attr:`reference_operand`).  A size-1 member axis
+                broadcasts (members sharing one fabric, e.g. ledger
+                twins).
             scale_gain: ``(members, tiles)`` per-tile ``scale * gain``;
                 a size-1 member axis broadcasts.
 
@@ -266,7 +315,7 @@ class TileStack:
             tile_sats = np.zeros((members, self.n_tiles), dtype=np.int64)
             for m0 in range(0, batch, chunk):
                 part = self._execute_chunk(
-                    slices[:, m0:m0 + chunk], conductance, scale_gain,
+                    slices[:, m0:m0 + chunk], operand, scale_gain,
                     electrical)
                 with span("mvm.shift_add"):
                     y[:, m0:m0 + chunk] = part[0]
@@ -283,13 +332,15 @@ class TileStack:
             return y, counted, tile_sats
 
     def _execute_chunk(
-        self, slices: np.ndarray, conductance: np.ndarray,
+        self, slices: np.ndarray, operand: np.ndarray,
         scale_gain: np.ndarray, electrical: bool,
     ):
-        """One sample chunk: masks -> currents -> codes -> partials."""
+        """One sample chunk: masks -> currents -> codes -> partials
+        (on the exact reference path: masks @ weights -> partials)."""
         members, m = slices.shape[:2]
         s_bits = self.config.dac_bits
         n_bands = len(self.bands)
+        exact = not electrical and self.exact_reference
 
         with span("mvm.accumulate"):
             # (members, bands, m, slices, rows): each band's activation
@@ -305,29 +356,46 @@ class TileStack:
                     rows = int(self._band_rows[b])
                     band_masks[:, b, :, :, :rows] = \
                         slices[:, :, :, row0:row0 + rows]
-            active = band_masks.sum(axis=4, dtype=np.int64)
-
-            act_t = active[:, self._band_of_tile]
-            summed = self._row_sums(band_masks, conductance)
-            currents = self._read_voltage * summed
+            if exact:
+                # Exact reference: every code is its ON-cell count, so
+                # the folded planes are the integer matvec of the masks
+                # with the signed quantized weights.  Operands are 0/1
+                # and integers, every partial sum an integer far below
+                # 2**53, so any BLAS order yields the same bits as the
+                # ADC path's fold.
+                if band_masks.shape[1] != 1:
+                    band_masks = band_masks[:, self._band_of_tile]
+                folded = (
+                    band_masks.reshape(
+                        members, -1, m * s_bits, self._max_rows,
+                    ).astype(float) @ operand
+                ).reshape(members, self.n_tiles, m, s_bits,
+                          self._max_out)
+            else:
+                act_t = band_masks.sum(
+                    axis=4, dtype=np.int64)[:, self._band_of_tile]
+                currents = self._row_sums(band_masks, operand)
+                currents *= self._read_voltage
             # Free the stage's big temporaries while its span is still
             # open: teardown stays attributed to the stage that paid
             # for the allocation, and peak memory drops a chunk's worth
             # of masks before the ADC allocates its code planes.
-            del band_masks, active, summed
+            del band_masks
 
-        with span("mvm.adc"):
-            codes, clipped = self.adc.convert_codes(currents, act_t)
-            del currents
+        if not exact:
+            with span("mvm.adc"):
+                codes, clipped = self.adc.convert_codes(currents, act_t)
+                del currents
 
         with span("mvm.shift_add"):
             # Shift-and-add: fold differential bit planes (exact:
             # integer codes scaled by exact powers of two), apply
             # per-tile scale * gain, then the per-slice 2**s weights.
-            folded = codes.reshape(
-                members, self.n_tiles, m, s_bits, self._max_out,
-                self.config.planes_per_col,
-            ) @ self._pair_vector
+            if not exact:
+                folded = codes.reshape(
+                    members, self.n_tiles, m, s_bits, self._max_out,
+                    self.config.planes_per_col,
+                ) @ self._pair_vector
             partial = folded * scale_gain[:, :, None, None, None]
             partial *= 2.0 ** np.arange(s_bits)[None, None, None, :, None]
             del folded

@@ -19,12 +19,14 @@ the array -- set the accuracy floor:
 
 With an ideal fabric the subtraction makes the conversion exact in the
 sense that the code equals ``round(n * (1 - r_on/r_off))`` for ``n``
-activated ON cells, whatever the device window.
-:meth:`repro.mvm.analog.AnalogMVM.reference_matvec` exploits this by
-synthesizing the ideal read currents digitally (same operands, same
-reduction order as the fabric) and converting them through this same
-ADC model, which is what lets tests pin analog == reference
-bit-for-bit on ideal hardware -- half-tie roundings included.
+activated ON cells, whatever the device window.  Where that code is
+``n`` itself for every read -- a wide enough window and ADC for the
+tile height -- :meth:`repro.mvm.analog.AnalogMVM.reference_matvec` is
+an exact integer matvec that shares nothing with this converter;
+elsewhere (tie windows, narrow ADCs) it synthesizes the ideal read
+currents digitally and converts them through this same ADC model.
+Either way tests pin analog == reference bit-for-bit on ideal
+hardware -- half-tie roundings included.
 """
 
 from __future__ import annotations
@@ -243,9 +245,10 @@ class ADCModel:
         baseline = np.asarray(active_rows) * self.leak_current_amps
         if np.ndim(baseline) and np.ndim(baseline) < currents.ndim:
             baseline = np.expand_dims(baseline, -1)
-        raw = np.rint(
-            (currents - baseline) / self.lsb_current_amps
-        )
+        # In place: one buffer through subtract, divide and round.
+        raw = np.subtract(currents, baseline)
+        raw /= self.lsb_current_amps
+        np.rint(raw, out=raw)
         clipped = raw > self.max_code
         np.maximum(raw, 0.0, out=raw)
         np.minimum(raw, float(self.max_code), out=raw)

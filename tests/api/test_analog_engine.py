@@ -165,3 +165,63 @@ class TestValidation:
 
         rebuilt = RunResult.from_dict(result.to_dict())
         assert rebuilt.accuracy == result.accuracy
+
+
+class TestModelCache:
+    def test_cache_is_bounded_and_eviction_is_invisible(self):
+        """Trained models are memoized per seed, but a long-lived
+        process serving fresh seeds keeps only the most recent few; a
+        seed trained again after eviction yields the same result."""
+        from repro.api import workloads
+
+        bound = workloads._MLP_MODEL_CACHE_SIZE
+        spec = MLP_SPEC.replaced(size=4, batch=1, seed=7000)
+        first = run(spec)
+        for seed in range(7001, 7002 + bound):
+            run(spec.replaced(seed=seed))
+            assert len(workloads._MLP_MODEL_CACHE) <= bound
+        assert all(key[0] != 7000 for key in workloads._MLP_MODEL_CACHE)
+
+        def comparable(result):
+            data = result.to_dict()
+            data["provenance"].pop("wall_seconds")
+            return data
+
+        assert comparable(run(spec)) == comparable(first)
+
+    def test_concurrent_lookups_keep_the_bound(self):
+        """Threads training and hitting the cache at once (an inline
+        serving pool shares it) never break it or overfill it."""
+        import sys
+        import threading
+
+        from repro.api import workloads
+        from repro.api.workloads import adapter_for
+
+        bound = workloads._MLP_MODEL_CACHE_SIZE
+        specs = [MLP_SPEC.replaced(size=4, batch=1, seed=7100 + i)
+                 for i in range(bound + 4)]
+        errors = []
+
+        def worker(offset):
+            try:
+                for k in range(len(specs)):
+                    spec = specs[(k + offset) % len(specs)]
+                    adapter_for(spec, "analog_mvm")._model
+            except Exception as exc:  # reported by the assert below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,))
+                       for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(workloads._MLP_MODEL_CACHE) <= bound

@@ -10,13 +10,20 @@ read) and drives both through hypothesis-generated geometries --
 ragged tiles, all-negative columns, zero tiles, 1-bit DAC -- plus the
 grouped member-axis execution and ledger twins, asserting bitwise
 equality throughout.
+
+Device windows are drawn too, so the digital reference runs in both of
+its regimes: the exact integer matvec (every ideal code equals its
+ON-cell count) and, outside it, the ideal currents through the ADC.
+Either way it must equal the ideal electrical read bit for bit.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.api.registry import DEVICES
+from repro.devices.base import DeviceParameters
 from repro.mvm import (
     AnalogAccelerator,
     AnalogAcceleratorGroup,
@@ -25,6 +32,9 @@ from repro.mvm import (
     bit_slices,
     quantize_input,
 )
+
+#: The device registry's published windows.
+PRESET_WINDOWS = [entry.parameters for _, entry in DEVICES.items()]
 
 
 def legacy_run(mvm: AnalogMVM, x: np.ndarray):
@@ -96,18 +106,40 @@ def assert_ledger_equals(mvm: AnalogMVM, ledgers) -> None:
     assert mvm.latency_seconds == latency
 
 
+def exact_regime(mvm: AnalogMVM) -> bool:
+    """The exact reference's predicate, recomputed from the mapping:
+    no ideal code can clip or round away from its ON-cell count."""
+    max_rows = max(tile.rows for _, _, tile in mvm.tiles)
+    return (max_rows <= mvm.adc.max_code
+            and max_rows * (mvm.params.r_on / mvm.params.r_off) < 0.25)
+
+
 @st.composite
 def problems(draw):
-    """A random geometry + batch, biased toward awkward edges."""
+    """A random geometry, device window and batch, biased toward
+    awkward edges and toward both reference regimes."""
     out_dim = draw(st.integers(1, 6))
-    in_dim = draw(st.integers(1, 18))
+    in_dim = draw(st.integers(1, 40))
     config = MVMConfig(
         weight_bits=draw(st.integers(1, 4)),
         dac_bits=draw(st.integers(1, 5)),
         adc_bits=draw(st.integers(2, 8)),
-        tile_rows=draw(st.integers(1, 8)),
+        tile_rows=draw(st.integers(1, 40)),
         tile_cols=draw(st.integers(1, 5)),
     )
+    # A registry preset, r_off/r_on log-uniform in [2, 1e6], or a
+    # window on the exact regime's edge (max_rows * r_on/r_off ~ 0.25).
+    window = draw(st.sampled_from(["preset", "log_uniform", "edge"]))
+    if window == "preset":
+        params = draw(st.sampled_from(PRESET_WINDOWS))
+    else:
+        if window == "log_uniform":
+            ratio = 10.0 ** draw(st.floats(np.log10(2.0), 6.0))
+        else:
+            max_rows = min(config.tile_rows, in_dim)
+            ratio = 4.0 * max_rows * draw(st.floats(0.8, 1.25))
+        r_on = 10.0 ** draw(st.floats(2.0, 9.0))
+        params = DeviceParameters(r_on=r_on, r_off=r_on * ratio)
     weights = draw(hnp.arrays(
         np.float64, (out_dim, in_dim),
         elements=st.floats(-2.0, 2.0, width=64)))
@@ -119,24 +151,28 @@ def problems(draw):
     x = draw(hnp.arrays(
         np.float64, (batch, in_dim),
         elements=st.floats(0.0, 3.0, width=64)))
-    return config, weights, x
+    if not np.abs(weights).max():
+        weights[0, 0] = 1.0  # the mapper rejects all-zero matrices
+    return config, params, weights, x
 
 
 class TestVectorizedEqualsLegacy:
     @settings(max_examples=60, deadline=None)
     @given(problems())
     def test_batch_outputs_and_ledger_match_oracle(self, problem):
-        config, weights, x = problem
-        if not np.abs(weights).max():
-            weights[0, 0] = 1.0  # the mapper rejects all-zero matrices
-        mvm = AnalogMVM(weights, config)
+        config, params, weights, x = problem
+        mvm = AnalogMVM(weights, config, params=params)
         y = mvm.matvec_batch(x)
         oracle = [legacy_run(mvm, row) for row in x]
         assert y.shape == (x.shape[0], weights.shape[0])
         for m, (y_ref, _) in enumerate(oracle):
             assert np.array_equal(y[m], y_ref)
         assert_ledger_equals(mvm, [l for _, l in oracle])
-        # The digital reference equals the ideal electrical read.
+        # The digital reference equals the ideal electrical read, in
+        # whichever regime the geometry and window select.
+        assert mvm._stack.exact_reference == exact_regime(mvm)
+        event("exact reference" if mvm._stack.exact_reference
+              else "float reference")
         assert np.array_equal(mvm.reference_matvec_batch(x), y)
 
     def test_ragged_tiles_and_one_bit_dac(self):
@@ -170,6 +206,30 @@ class TestVectorizedEqualsLegacy:
 class TestGroupedEqualsSolo:
     CONFIG = MVMConfig(weight_bits=3, dac_bits=3, adc_bits=5,
                        tile_rows=4, tile_cols=3)
+
+    @settings(max_examples=30, deadline=None)
+    @given(problems(), st.integers(2, 3))
+    def test_grouped_reference_matches_solo_reads(self, problem, members):
+        """Stacked members (own weights, shared geometry) and ledger
+        twins (one shared stack, broadcast) both take the stack's
+        reference operand; each member equals its solo ideal read."""
+        config, params, weights, x = problem
+        member_weights = [weights, -weights,
+                          np.roll(weights, 1, axis=1)][:members]
+        xs = np.stack([np.roll(x, i, axis=0) for i in range(members)])
+        stacked = [AnalogAccelerator([w], config, params=params)
+                   for w in member_weights]
+        template = AnalogAccelerator([weights], config, params=params)
+        twins = [template] + [template.ledger_twin()
+                              for _ in range(members - 1)]
+        for accelerators, solo_weights in (
+                (stacked, member_weights),
+                (twins, [weights] * members)):
+            group = AnalogAcceleratorGroup(accelerators)
+            ref = group.reference_matvec_batch(0, xs)
+            for i, w in enumerate(solo_weights):
+                solo = AnalogMVM(w, config, params=params)
+                assert np.array_equal(ref[i], solo.matvec_batch(xs[i]))
 
     def test_grouped_members_match_solo_accelerators(self):
         rng = np.random.default_rng(7)
