@@ -8,42 +8,59 @@ conductances are stacked into one padded ``(tiles, rows, cols)``
 tensor (``cols = out_cols * 2 * weight_bits`` bit lines, i.e. the
 bit-plane axis is unrolled into the physical column axis exactly as it
 is on the fabric), and a whole batch of matvecs executes as a handful
-of whole-tensor operations: masked conductance sums for the read
-currents, one vectorized ADC conversion, one shift-and-add
-contraction over the differential bit planes, and one ordered
-reduction for the partial-sum accumulation.
+of whole-tensor operations.
+
+Each read -- one (sample, DAC slice, row band) activation -- is keyed
+by its fabric, its row band and its active-row pattern, and one
+``np.unique`` finds the distinct keys (reads of tiles too tall for an
+int64 key are each their own).  Only those are evaluated:
+pattern-table conductance sums for the read currents, one vectorized
+ADC conversion and one shift-and-add contraction over the differential
+bit planes, each against the tiles of the key's band.  Every read then
+gathers its key's folded planes, clip counts and active-row count back
+through the inverse index, and one ordered reduction performs the
+partial-sum accumulation.  Repeats are common -- ledger twins read one
+fabric, and a narrow DAC slice has few patterns -- but the ledger still
+charges every read, as the paper's energy and latency accounting
+requires.
 
 **Bit-for-bit contract.**  The kernel is not "close to" the scalar
 pipeline -- it is exactly it, for every sample, fabric and device
 window (the equivalence suite in ``tests/mvm/test_kernel_equivalence``
-pins this against a scalar transcription of the legacy loops):
+pins this against a scalar transcription of the legacy loops, and
+against per-read crossbar reads on faulty and variable fabrics):
 
-* masked reduction: ``np.where(mask, G, 0.0).sum(axis=rows)`` reduces
-  over a non-innermost axis, which NumPy performs strictly
-  sequentially in index order; the masked-out zeros are exact
-  additive no-ops, so the result is bit-identical to the legacy
-  ``G[active_rows, :].sum(axis=0)``;
+* row sums: each read folds its active rows' conductances in ascending
+  row order from 0.0 -- a doubling table over the lowest rows'
+  patterns, then one masked in-place add per higher row -- which is
+  the legacy ``G[active_rows, :].sum(axis=0)`` bit for bit wherever
+  the table split falls (inactive rows add nothing; the serial path's
+  +0.0 addends are exact no-ops);
+* deduplication: a read's currents, codes and clip flags are a
+  function of (fabric, tile, pattern) alone -- the row sum above, the
+  elementwise ADC, the exact plane fold -- so evaluating each key once
+  and gathering it per read is the per-read computation, in any chunk;
 * the ADC applies the identical elementwise expression through
-  :meth:`repro.mvm.pipeline.ADCModel.convert_batch`;
+  :meth:`repro.mvm.pipeline.ADCModel.convert_codes`;
 * shift-and-add folds integer-valued floats scaled by exact powers of
   two (every intermediate is exactly representable), so the plane
   contraction is exact in any association order;
 * partial sums accumulate through an ordered ``(slice, row-band)``
-  axis reduction that reproduces the legacy slice-major, grid-order
-  accumulation sequence.
+  loop that reproduces the legacy slice-major, grid-order accumulation
+  sequence.
 
 Zero-padding is benign by construction: padded rows are never
 activated, padded columns have zero conductance, so their codes are
 zero, their baseline-subtracted raw codes clip at zero, and their
 (sliced-off) fold contributions are exact zeros.
 
-The digital reference runs the same kernel on the tiles' ideal
-conductances -- unless every ideal code provably equals its count of
-ON cells (:attr:`TileStack.exact_reference`).  Then currents and ADC
-drop out, and the folded planes are one exact integer matvec of the
-activation masks with the tiles' quantized weights, so the reference
-shares neither the row sums nor the converter with the fabric read it
-checks.
+The digital reference runs the same distinct-read kernel on the tiles'
+ideal conductances -- unless every ideal code provably equals its
+count of ON cells (:attr:`TileStack.exact_reference`).  Then currents
+and ADC drop out, and the folded planes are one exact integer matvec
+of the activation masks with the tiles' quantized weights, so the
+reference shares neither the row sums nor the converter with the
+fabric read it checks.
 
 Tiles whose fabric models wire IR drop are the one exception: each
 read then solves a nodal network whose result depends on the whole
@@ -61,11 +78,14 @@ from repro.obs.trace import span
 
 __all__ = ["TileStack"]
 
-#: Soft ceiling on the masked-conductance workspace (float64 elements);
-#: batches whose ``tiles * samples * slices * rows * cols`` footprint
-#: would exceed it are executed in sample chunks (chunking is invisible
-#: to the numerics -- samples are independent and chunks run in order).
-_WORKSPACE_ELEMENTS = 1 << 24
+#: Soft ceiling on a chunk's largest per-read buffers (float64
+#: elements): one ``max(rows, cols)``-wide row per (member, tile,
+#: sample, slice) covers the activation masks and, should every read be
+#: distinct, the distinct reads' currents and codes.  Batches over it
+#: run in sample chunks (invisible to the numerics -- samples are
+#: independent, chunks run in order, and a read's result depends on
+#: its key alone, so deduplicating per chunk changes nothing).
+_WORKSPACE_ELEMENTS = 1 << 21
 
 
 class TileStack:
@@ -125,6 +145,10 @@ class TileStack:
              for row0 in band_offsets], dtype=np.int64)
         self._band_of_tile = np.array(
             [band_index[row0] for row0, _, _ in tiles], dtype=np.int64)
+        # The mapper splits every band into the same column tiles, band
+        # by band, so band ``b``'s tiles are row ``b`` of this grid.
+        self._band_tiles = np.arange(self.n_tiles).reshape(
+            len(band_offsets), -1)
         self._col0 = [col0 for _, col0, _ in tiles]
         self._out_cols = [tile.out_cols for _, _, tile in tiles]
         self._read_voltage = tiles[0][2].crossbar.read_voltage
@@ -261,9 +285,11 @@ class TileStack:
         group (one accelerator's layer, with its own fabric and tile
         scales) executes its own batch, and every tensor simply carries
         the member axis in front.  Per-member numerics are exactly
-        :meth:`execute` -- members never mix in any reduction -- so
-        grouping is a pure layout change (the equivalence suite pins
-        grouped == solo bit-for-bit).
+        :meth:`execute` -- members never mix in any reduction, and
+        share a distinct read's evaluation only when they share its
+        fabric, whose result depends on the key alone -- so grouping
+        is a pure layout change (the equivalence suite pins grouped ==
+        solo bit-for-bit).
 
         Args:
             x_int: ``(members, batch, in_dim)`` quantized DAC levels.
@@ -288,58 +314,51 @@ class TileStack:
             reference path.
         """
         members, batch = x_int.shape[:2]
+        s_bits = self.config.dac_bits
         y = np.zeros((members, batch, self.out_dim), dtype=float)
+        counted = np.zeros((members, self.n_tiles, batch, s_bits),
+                           dtype=bool) if electrical else None
+        tile_sats = np.zeros((members, self.n_tiles), dtype=np.int64)
         if batch == 0 or members == 0:
-            if not electrical:
-                return y, None, None
-            return y, np.zeros(
-                (members, self.n_tiles, batch, self.config.dac_bits),
-                dtype=bool), \
-                np.zeros((members, self.n_tiles), dtype=np.int64)
-        # Stage spans are whole-tensor (one per batch, not per sample),
+            return y, counted, tile_sats if electrical else None
+        # Stage spans are whole-tensor (one per chunk, not per sample),
         # so tracing never perturbs the numerics and enabled overhead
         # stays within the obs bench's <5% bar.
         with span("mvm.kernel", members=members, batch=batch,
                   tiles=self.n_tiles):
             with span("mvm.dac"):
                 slices = bit_slices_batch(
-                    x_int.reshape(members * batch, self.in_dim),
-                    self.config.dac_bits,
-                ).reshape(members, batch, self.config.dac_bits,
-                          self.in_dim)
+                    x_int.reshape(members * batch, self.in_dim), s_bits,
+                ).reshape(members, batch, s_bits, self.in_dim)
 
-            per_sample = (members * self.n_tiles * self.config.dac_bits
-                          * self._max_rows * self._cols)
+            per_sample = (members * self.n_tiles * s_bits
+                          * max(self._max_rows, self._cols))
             chunk = max(1, _WORKSPACE_ELEMENTS // max(1, per_sample))
-            counted_parts: list[np.ndarray] = []
-            tile_sats = np.zeros((members, self.n_tiles), dtype=np.int64)
             for m0 in range(0, batch, chunk):
-                part = self._execute_chunk(
-                    slices[:, m0:m0 + chunk], operand, scale_gain,
-                    electrical)
-                with span("mvm.shift_add"):
-                    y[:, m0:m0 + chunk] = part[0]
-                if electrical:
-                    with span("mvm.ledger"):
-                        counted_parts.append(part[1])
-                        tile_sats += part[2]
-            with span("mvm.shift_add"):
-                y *= scales[:, :, None]
-            if not electrical:
-                return y, None, None
-            with span("mvm.ledger"):
-                counted = np.concatenate(counted_parts, axis=2)
-            return y, counted, tile_sats
+                window = slice(m0, m0 + chunk)
+                self._execute_chunk(
+                    slices[:, window], scales[:, window], operand,
+                    scale_gain, y[:, window],
+                    counted[:, :, window] if electrical else None,
+                    tile_sats)
+        return y, counted, tile_sats if electrical else None
 
     def _execute_chunk(
-        self, slices: np.ndarray, operand: np.ndarray,
-        scale_gain: np.ndarray, electrical: bool,
-    ):
-        """One sample chunk: masks -> currents -> codes -> partials
-        (on the exact reference path: masks @ weights -> partials)."""
+        self, slices: np.ndarray, scales: np.ndarray,
+        operand: np.ndarray, scale_gain: np.ndarray, y: np.ndarray,
+        counted: np.ndarray | None, tile_sats: np.ndarray,
+    ) -> None:
+        """One sample chunk: masks -> distinct reads -> codes -> partials
+        (on the exact reference path: masks @ weights -> partials).
+
+        Writes the chunk's scaled outputs into ``y`` and, on the
+        electrical path (``counted`` given), its performed-read mask
+        into ``counted`` and its saturations onto ``tile_sats``.
+        """
         members, m = slices.shape[:2]
         s_bits = self.config.dac_bits
-        n_bands = len(self.bands)
+        n_bands, per_band = self._band_tiles.shape
+        electrical = counted is not None
         exact = not electrical and self.exact_reference
 
         with span("mvm.accumulate"):
@@ -369,35 +388,46 @@ class TileStack:
                     band_masks.reshape(
                         members, -1, m * s_bits, self._max_rows,
                     ).astype(float) @ operand
-                ).reshape(members, self.n_tiles, m, s_bits,
-                          self._max_out)
+                ).reshape(members, n_bands, per_band, m, s_bits,
+                          self._max_out).transpose(0, 1, 3, 4, 2, 5)
             else:
-                act_t = band_masks.sum(
-                    axis=4, dtype=np.int64)[:, self._band_of_tile]
-                currents = self._row_sums(band_masks, operand)
+                patterns, fabric, band, inverse = self._distinct_reads(
+                    band_masks, keyed=operand.shape[0] == members > 1)
+                active = patterns.sum(axis=1, dtype=np.int64)
+                currents = self._row_sums(
+                    patterns, operand, fabric, band,
+                    reads=members * m * s_bits)
                 currents *= self._read_voltage
             # Free the stage's big temporaries while its span is still
             # open: teardown stays attributed to the stage that paid
-            # for the allocation, and peak memory drops a chunk's worth
-            # of masks before the ADC allocates its code planes.
+            # for the allocation.
             del band_masks
 
         if not exact:
             with span("mvm.adc"):
-                codes, clipped = self.adc.convert_codes(currents, act_t)
+                codes, clipped = self.adc.convert_codes(
+                    currents, active[:, None])
                 del currents
 
         with span("mvm.shift_add"):
-            # Shift-and-add: fold differential bit planes (exact:
-            # integer codes scaled by exact powers of two), apply
-            # per-tile scale * gain, then the per-slice 2**s weights.
             if not exact:
-                folded = codes.reshape(
-                    members, self.n_tiles, m, s_bits, self._max_out,
-                    self.config.planes_per_col,
-                ) @ self._pair_vector
-            partial = folded * scale_gain[:, :, None, None, None]
-            partial *= 2.0 ** np.arange(s_bits)[None, None, None, :, None]
+                # Fold each distinct read's differential bit planes
+                # (exact: integer codes scaled by exact powers of two),
+                # then hand every read its key's folded planes.
+                folded = np.take(
+                    (codes.reshape(-1, per_band, self._max_out,
+                                   self.config.planes_per_col)
+                     @ self._pair_vector).reshape(len(codes), -1),
+                    inverse, axis=0,
+                ).reshape(members, n_bands, m, s_bits, per_band,
+                          self._max_out)
+                del codes
+            # (members, bands, m, slices, tiles-in-band, out_cols):
+            # apply per-tile scale * gain, then the per-slice 2**s
+            # weights.
+            partial = folded * scale_gain.reshape(
+                -1, n_bands, 1, 1, per_band, 1)
+            partial *= 2.0 ** np.arange(s_bits).reshape(-1, 1, 1)
             del folded
 
             # Partial-sum accumulation in the legacy order: slice-major,
@@ -414,25 +444,76 @@ class TileStack:
                 (members, s_bits, n_bands, m, self.out_dim), dtype=float)
             for t in range(self.n_tiles):
                 col0, out_cols = self._col0[t], self._out_cols[t]
-                gathered[:, :, self._band_of_tile[t], :,
-                         col0:col0 + out_cols] \
-                    = partial[:, t, :, :, :out_cols].transpose(0, 2, 1, 3)
+                b, j = divmod(t, per_band)
+                gathered[:, :, b, :, col0:col0 + out_cols] \
+                    = partial[:, b, :, :, j, :out_cols].transpose(
+                        0, 2, 1, 3)
             gathered = gathered.reshape(members, -1, m, self.out_dim)
-            y = np.zeros((members, m, self.out_dim), dtype=float)
             for k in range(gathered.shape[1]):
                 y += gathered[:, k]
+            y *= scales[:, :, None]
             del partial, gathered
 
         if not electrical:
-            return y, None, None
+            return
         with span("mvm.ledger"):
-            counted = act_t > 0
+            # Every read is charged, repeats included: the active-row
+            # and clip counts of its key, gathered back per read.
             # Saturations count per conversion; inactive reads convert
             # nothing (their raw codes are exactly zero) and padded
             # columns clip at the bottom of the range, so the mask is
             # already confined to real conversions.
-            tile_sats = clipped.sum(axis=(2, 3, 4), dtype=np.int64)
-        return y, counted, tile_sats
+            counted[...] = (active[inverse] > 0)[:, self._band_of_tile]
+            tile_sats += np.take(
+                clipped.sum(axis=2), inverse, axis=0,
+            ).sum(axis=(2, 3)).reshape(members, self.n_tiles)
+
+    def _distinct_reads(
+        self, band_masks: np.ndarray, keyed: bool
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Deduplicate a chunk's reads by (fabric, row band, pattern).
+
+        A read's currents, codes and clip flags are a function of its
+        fabric, its tile and its active-row pattern alone, so each
+        distinct key is evaluated once against its band's tiles.  The
+        key is one int64, the ``(fabric, band)`` prefix above the
+        pattern bits, and the distinct patterns are decoded from the
+        keys themselves.  Reads whose key overflows 63 bits (tiles over
+        about 62 rows) are not deduplicated: each is its own distinct
+        read, which is exact too.
+
+        Args:
+            band_masks: ``(members, bands, m, slices, rows)`` masks.
+            keyed: True when every member reads its own fabric (the
+                fabric joins the key); False when members share one
+                (ledger twins, the reference operand).
+
+        Returns:
+            ``(patterns, fabric, band, inverse)``: the ``(D, rows)``
+            distinct masks, their fabric and band indexes, and the
+            ``(members, bands, m, slices)`` index of each read's key.
+        """
+        members, n_bands, m, s_bits, rows = band_masks.shape
+        patterns = band_masks.reshape(-1, rows)
+        groups = np.arange(members * n_bands) if keyed \
+            else np.tile(np.arange(n_bands), members)
+        group = np.repeat(groups, m * s_bits)
+        if rows + int(groups[-1]).bit_length() <= 63:
+            keys, inverse = np.unique(
+                (group << rows)
+                | (patterns.astype(np.int64)
+                   @ (1 << np.arange(rows, dtype=np.int64))),
+                return_inverse=True)
+            group = keys >> rows
+            patterns = np.unpackbits(
+                keys.astype("<i8").view(np.uint8).reshape(-1, 8),
+                axis=1, count=rows, bitorder="little").view(bool)
+        else:
+            inverse = np.arange(len(patterns))
+        fabric = group // n_bands if keyed \
+            else np.zeros(len(group), dtype=np.int64)
+        return (patterns, fabric, group % n_bands,
+                inverse.reshape(members, n_bands, m, s_bits))
 
     #: Row-pattern lookup tables cover at most this many rows; the
     #: remainder folds with masked adds.  2**bits table entries per
@@ -441,38 +522,43 @@ class TileStack:
     _TABLE_BUDGET = 1 << 22
 
     def _row_sums(
-        self, band_masks: np.ndarray, conductance: np.ndarray
+        self, patterns: np.ndarray, conductance: np.ndarray,
+        fabric: np.ndarray, band: np.ndarray, reads: int,
     ) -> np.ndarray:
-        """Per-read conductance row sums, in serial fold order.
+        """Conductance row sums of distinct reads, in serial fold order.
 
         Each read accumulates its active rows' conductances by an
-        ascending-row left fold (the serial path's order).  A fold over
-        the lowest ``tb`` rows depends only on their activation bit
-        pattern, so those are precomputed for every pattern with a
-        doubling recurrence -- ``table[p] = table[p - msb(p)] +
-        G[msb(p)]``, exactly the ascending fold since the highest bit
-        is added last -- and gathered per read; rows above ``tb`` fold
-        on top with masked in-place adds, one sequential addition each.
-        Inactive rows contribute nothing on either path, which matches
-        the serial sum bitwise: its +0.0 addends never change the
-        non-negative accumulator.
+        ascending-row left fold from 0.0 (the serial path's order).  A
+        fold over the lowest ``tb`` rows depends only on their
+        activation bit pattern, so those are precomputed for every
+        pattern with a doubling recurrence -- ``table[p] = table[p -
+        msb(p)] + G[msb(p)]``, exactly the ascending fold since the
+        highest bit is added last -- and gathered per read; rows above
+        ``tb`` fold on top with masked in-place adds, one sequential
+        addition each.  Inactive rows contribute nothing on either
+        path, which matches the serial sum bitwise: its +0.0 addends
+        never change the non-negative accumulator.  The result is the
+        same fold wherever the table split falls, so it depends on
+        (fabric, tile, pattern) alone.
 
         Args:
-            band_masks: ``(members, bands-or-1, m, slices, rows)``
-                activation masks (a size-1 band axis broadcasts).
+            patterns: ``(D, rows)`` distinct activation masks.
             conductance: ``(members-or-1, tiles, rows, cols)`` cell
-                conductances (a size-1 member axis broadcasts -- e.g.
-                ledger twins sharing one fabric).
+                conductances (one fabric shared by every member, e.g.
+                ledger twins, or one per member).
+            fabric: ``(D,)`` index of each read's fabric in
+                ``conductance``.
+            band: ``(D,)`` row band of each read.
+            reads: the chunk's read count, which sizes the table.
 
         Returns:
-            ``(members, tiles, m, slices, cols)`` summed conductances.
+            ``(D, tiles_per_band, cols)`` summed conductances against
+            the tiles of each read's band.
         """
-        members = band_masks.shape[0]
         i_c = conductance.shape[0]
         # Shrink the table until building it (2**tb patterns per
-        # member-tile) is cheap relative to the reads it serves; each
+        # fabric-tile) is cheap relative to the reads it serves; each
         # level below max_rows trades one masked add per read.
-        reads = members * band_masks.shape[2] * band_masks.shape[3]
         tb = min(self._TABLE_BITS, self._max_rows)
         while tb > 0 and (
                 (i_c * self.n_tiles * self._cols) << tb
@@ -485,21 +571,12 @@ class TileStack:
             half = 1 << b
             table[:, :, half:2 * half] = (
                 table[:, :, :half] + conductance[:, :, None, b, :])
-        weights = np.zeros(self._max_rows, dtype=np.int64)
-        weights[:tb] = 1 << np.arange(tb, dtype=np.int64)
-        idx = band_masks.astype(np.int64) @ weights
-        if idx.shape[1] != 1:
-            idx = idx[:, self._band_of_tile]
-        mem = (np.arange(members).reshape(-1, 1, 1, 1)
-               if i_c == members and members > 1
-               else np.zeros((1, 1, 1, 1), dtype=np.intp))
-        til = np.arange(self.n_tiles).reshape(1, -1, 1, 1)
-        summed = table[mem, til, idx]
-        if tb < self._max_rows:
-            tile_masks = band_masks if band_masks.shape[1] == 1 \
-                else band_masks[:, self._band_of_tile]
-            for r in range(tb, self._max_rows):
-                np.add(summed, conductance[:, :, None, None, r, :],
-                       out=summed,
-                       where=tile_masks[:, :, :, :, r, None])
+        idx = patterns[:, :tb].astype(np.int64) \
+            @ (1 << np.arange(tb, dtype=np.int64))
+        fab = fabric[:, None]
+        tiles = self._band_tiles[band]
+        summed = table[fab, tiles, idx[:, None]]
+        for r in range(tb, self._max_rows):
+            np.add(summed, conductance[fab, tiles, r], out=summed,
+                   where=patterns[:, r, None, None])
         return summed

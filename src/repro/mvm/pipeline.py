@@ -44,6 +44,16 @@ __all__ = [
 ]
 
 
+def _check_finite(peak) -> None:
+    """Reject a NaN or +inf row peak (``max`` propagates NaN, and -inf
+    already fails the non-negative check).  Without it the int64 cast
+    turns NaN into -2**63 and +inf into a NaN scale, silently."""
+    if not np.isfinite(peak):
+        raise ValueError(
+            "analog MVM inputs must be finite (the DAC cannot quantize "
+            "NaN or inf)")
+
+
 def quantize_input(
     x: np.ndarray, bits: int
 ) -> tuple[np.ndarray, float]:
@@ -59,8 +69,8 @@ def quantize_input(
         an all-zero vector.
 
     Raises:
-        ValueError: on a non-1-D vector, negative entries, or a
-            non-positive bit count.
+        ValueError: on a non-1-D vector, negative, NaN or infinite
+            entries, or a non-positive bit count.
     """
     if bits < 1:
         raise ValueError("dac bits must be a positive integer")
@@ -74,6 +84,7 @@ def quantize_input(
             "the DAC)"
         )
     peak = float(x.max()) if x.size else 0.0
+    _check_finite(peak)
     if peak == 0.0:
         return np.zeros(x.shape, dtype=np.int64), 0.0
     scale = peak / (2 ** bits - 1)
@@ -96,8 +107,8 @@ def quantize_batch(
         batching is a pure layout change, not a numerics change.
 
     Raises:
-        ValueError: on a non-2-D matrix, negative entries, or a
-            non-positive bit count.
+        ValueError: on a non-2-D matrix, negative, NaN or infinite
+            entries, or a non-positive bit count.
     """
     if bits < 1:
         raise ValueError("dac bits must be a positive integer")
@@ -116,6 +127,7 @@ def quantize_batch(
         return (np.zeros(x.shape, dtype=np.int64),
                 np.zeros(x.shape[0], dtype=float))
     peaks = x.max(axis=1)
+    _check_finite(peaks.max())
     scales = np.where(peaks > 0.0, peaks / (2 ** bits - 1), 0.0)
     # Divide by 1.0 on all-zero rows (their x_int is forced to 0), so
     # live rows see the exact ``x / scale`` division of the scalar path.
@@ -230,12 +242,17 @@ class ADCModel:
     ) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`convert_batch` returning float-valued codes.
 
-        The kernel's hot path: ``np.rint`` already yields exact
-        integer-valued floats and clipping preserves them, so the codes
-        can feed the shift-and-add fold directly without an int64 round
-        trip.  Numerically identical to :meth:`convert_batch` --
-        ``convert_batch(c, a) == (convert_codes(c, a)[0].astype(int64),
-        ...)`` element for element.
+        The kernel's conversion: it passes the ``(distinct reads,
+        tiles, cols)`` currents of each distinct (fabric, pattern) read
+        once, with ``(distinct reads, 1)`` active-row counts, and
+        gathers the folded codes and clip counts back to every read --
+        exact, since each element converts independently.  ``np.rint``
+        already yields exact integer-valued floats and clipping
+        preserves them, so the codes feed the shift-and-add fold
+        directly without an int64 round trip.  Numerically identical to
+        :meth:`convert_batch` -- ``convert_batch(c, a) ==
+        (convert_codes(c, a)[0].astype(int64), ...)`` element for
+        element.
 
         Returns:
             ``(codes, clipped)``: float64 integer-valued codes clipped

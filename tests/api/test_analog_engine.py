@@ -1,9 +1,15 @@
 """The analog_mvm engine: accuracy, nonideality response, validation."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from repro.api import Engine, ScenarioSpec, ScenarioError, run
+from repro.api.registry import DEVICES
+from repro.api.spec import SpecError
 from repro.parallel import SweepRunner, expand_grid
 
 MLP_SPEC = ScenarioSpec(engine="analog_mvm", workload="mlp_inference",
@@ -225,3 +231,58 @@ class TestModelCache:
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
         assert len(workloads._MLP_MODEL_CACHE) <= bound
+
+
+@st.composite
+def edge_specs(draw):
+    """Valid but unusual ``analog_mvm`` specs: single items and
+    samples, every registry device, narrow and wide ADCs, ideal or
+    fully stuck or spread fabrics, and tiles up to 100 rows -- with
+    layers tall enough (``items`` is the MLP's hidden width,
+    ``size`` the temporal workload's history) to fill tiles past an
+    int64 read key."""
+    workload = draw(st.sampled_from(
+        ["mlp_inference", "temporal_correlation"]))
+    tall = draw(st.booleans())
+    lengths = st.integers(63, 80) if tall else st.integers(1, 4)
+    nonideality = {}
+    if draw(st.booleans()):
+        nonideality["fault_rate"] = 1.0
+    if draw(st.booleans()):
+        nonideality["variability_sigma"] = 0.3
+    return ScenarioSpec(
+        engine="analog_mvm", workload=workload,
+        device=draw(st.sampled_from([name for name, _ in DEVICES.items()])),
+        size=draw(lengths), items=draw(lengths),
+        batch=draw(st.integers(1, 3)), seed=draw(st.integers(0, 99)),
+        params={"tile_rows": draw(st.integers(63 if tall else 1, 100)),
+                "adc_bits": draw(st.sampled_from([1, 2, 8, 16]))},
+        nonideality=nonideality,
+    )
+
+
+class TestFacadeFuzz:
+    """Every edge spec runs to healthy ledgers or fails typed."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(edge_specs())
+    def test_edge_specs_run_or_raise_typed(self, spec):
+        try:
+            result = run(spec)
+        except (ScenarioError, SpecError) as exc:
+            event(f"rejected: {type(exc).__name__}")
+            return
+        costs = [result.cost, *result.item_costs]
+        for cost in costs:
+            for value in (cost.energy_joules, cost.latency_seconds,
+                          *cost.counters.values()):
+                assert math.isfinite(value) and value >= 0, cost
+        height = spec.items if spec.workload == "mlp_inference" \
+            else spec.size
+        if min(spec.params["tile_rows"], height) > 62:
+            event("tiles over 62 rows")
+        if spec.nonideality.is_default():
+            event("ideal")
+            assert result.outputs["checks_passed"] is True
+        else:
+            event("nonideal")

@@ -31,8 +31,8 @@ SHAPES = {
 def inflated_row_sums(monkeypatch):
     original = TileStack._row_sums
 
-    def inflated(self, band_masks, conductance):
-        return 1.3 * original(self, band_masks, conductance)
+    def inflated(self, *args, **kwargs):
+        return 1.3 * original(self, *args, **kwargs)
 
     monkeypatch.setattr(TileStack, "_row_sums", inflated)
 

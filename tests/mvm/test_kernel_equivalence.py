@@ -1,15 +1,22 @@
 """Vectorized kernel == legacy scalar pipeline, bit for bit.
 
 The structure-of-arrays kernel in ``repro.mvm.kernel`` promises to be
-a pure layout change: on an ideal fabric every output *and every
-ledger increment* must equal the original per-slice x per-tile scalar
-loop exactly -- not approximately.  This suite transcribes that legacy
-loop as an oracle (currents synthesized per read, ADC conversion per
-tile, shift-and-add in slice-major tile order, one energy addend per
-read) and drives both through hypothesis-generated geometries --
-ragged tiles, all-negative columns, zero tiles, 1-bit DAC -- plus the
-grouped member-axis execution and ledger twins, asserting bitwise
-equality throughout.
+a pure layout change: every output *and every ledger increment* must
+equal the original per-slice x per-tile scalar loop exactly -- not
+approximately.  This suite transcribes that legacy loop as an oracle
+(currents read per read, ADC conversion per tile, shift-and-add in
+slice-major tile order, one energy addend per read) and drives both
+through hypothesis-generated geometries -- ragged tiles, all-negative
+columns, zero tiles, 1-bit DAC, several row bands, tiles taller than
+an int64 read key, repeated input rows -- plus the grouped member-axis
+execution and ledger twins, asserting bitwise equality throughout.
+
+The kernel evaluates each distinct (fabric, row band, pattern) read
+once and gathers it back to every read, so repeats are drawn on
+purpose: on ideal fabrics (currents synthesized from the intended
+programs) and on faulty and variable ones (each tile's programmed
+crossbar read per read, as the serial IR-drop path does), solo and
+grouped, with members sharing one fabric or each owning theirs.
 
 Device windows are drawn too, so the digital reference runs in both of
 its regimes: the exact integer matvec (every ideal code equals its
@@ -18,11 +25,13 @@ Either way it must equal the ideal electrical read bit for bit.
 """
 
 import numpy as np
-from hypothesis import event, given, settings
+import pytest
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.api.registry import DEVICES
+from repro.crossbar.nonideal import NonidealitySpec
 from repro.devices.base import DeviceParameters
 from repro.mvm import (
     AnalogAccelerator,
@@ -30,21 +39,34 @@ from repro.mvm import (
     AnalogMVM,
     MVMConfig,
     bit_slices,
+    quantize_batch,
     quantize_input,
 )
+from repro.mvm import kernel
 
 #: The device registry's published windows.
 PRESET_WINDOWS = [entry.parameters for _, entry in DEVICES.items()]
 
 
-def legacy_run(mvm: AnalogMVM, x: np.ndarray):
+def ideal_read(tile, active_rows):
+    """A read's currents synthesized from the tile's intended program."""
+    return tile.ideal_currents(active_rows)
+
+
+def fabric_read(tile, active_rows):
+    """A read of the tile's programmed crossbar (faults, spread)."""
+    return tile.crossbar.column_currents(list(active_rows))
+
+
+def legacy_run(mvm: AnalogMVM, x: np.ndarray, read=ideal_read):
     """One sample through the original scalar loop: outputs + ledger.
 
-    A direct transcription of the pre-vectorization pipeline (and of
-    :meth:`AnalogMVM._matvec_serial`, with ideal currents synthesized
-    from the tiles' intended programs): bit-serial slices outermost,
-    tiles in grid order, one ADC conversion block and one energy addend
-    per active read, float accumulations in the exact serial order.
+    A direct transcription of the pre-vectorization pipeline and of
+    :meth:`AnalogMVM._matvec_serial`: bit-serial slices outermost,
+    tiles in grid order, one ``read`` (ideal currents by default, or
+    :func:`fabric_read`), one ADC conversion block and one energy
+    addend per active read, float accumulations in the exact serial
+    order.
     """
     x_int, x_scale = quantize_input(x, mvm.config.dac_bits)
     y = np.zeros(mvm.out_dim, dtype=float)
@@ -70,7 +92,7 @@ def legacy_run(mvm: AnalogMVM, x: np.ndarray):
             active_rows = np.nonzero(sub)[0]
             if active_rows.size == 0:
                 continue
-            currents = tile.ideal_currents(active_rows)
+            currents = read(tile, active_rows)
             codes, saturated = mvm.adc.convert(
                 currents, int(active_rows.size))
             ledger["reads"] += 1
@@ -106,6 +128,16 @@ def assert_ledger_equals(mvm: AnalogMVM, ledgers) -> None:
     assert mvm.latency_seconds == latency
 
 
+def assert_same_ledger(mvm: AnalogMVM, other: AnalogMVM) -> None:
+    """Two runs charged identical ledgers, floats to the last bit."""
+    assert mvm.reads == other.reads
+    assert mvm.adc_conversions == other.adc_conversions
+    assert mvm.adc_saturations == other.adc_saturations
+    assert mvm.tile_saturations == other.tile_saturations
+    assert mvm.energy_joules == other.energy_joules
+    assert mvm.latency_seconds == other.latency_seconds
+
+
 def exact_regime(mvm: AnalogMVM) -> bool:
     """The exact reference's predicate, recomputed from the mapping:
     no ideal code can clip or round away from its ON-cell count."""
@@ -117,14 +149,21 @@ def exact_regime(mvm: AnalogMVM) -> bool:
 @st.composite
 def problems(draw):
     """A random geometry, device window and batch, biased toward
-    awkward edges and toward both reference regimes."""
+    awkward edges, toward both reference regimes and toward reads that
+    repeat (duplicated input rows)."""
     out_dim = draw(st.integers(1, 6))
-    in_dim = draw(st.integers(1, 40))
+    # Short layers; long layers over many row bands; or tiles whose
+    # activation patterns overflow an int64 read key (over 62 rows).
+    in_dim, tile_rows = draw(st.sampled_from([
+        (st.integers(1, 40), st.integers(1, 40)),
+        (st.integers(41, 80), st.integers(1, 40)),
+        (st.integers(63, 80), st.integers(63, 80)),
+    ]).flatmap(lambda heights: st.tuples(*heights)))
     config = MVMConfig(
         weight_bits=draw(st.integers(1, 4)),
         dac_bits=draw(st.integers(1, 5)),
         adc_bits=draw(st.integers(2, 8)),
-        tile_rows=draw(st.integers(1, 40)),
+        tile_rows=tile_rows,
         tile_cols=draw(st.integers(1, 5)),
     )
     # A registry preset, r_off/r_on log-uniform in [2, 1e6], or a
@@ -151,9 +190,40 @@ def problems(draw):
     x = draw(hnp.arrays(
         np.float64, (batch, in_dim),
         elements=st.floats(0.0, 3.0, width=64)))
+    if batch:
+        # Repeated rows repeat every one of their reads.
+        again = draw(st.lists(st.integers(0, batch - 1), max_size=3))
+        x = np.concatenate([x, x[again]])
     if not np.abs(weights).max():
         weights[0, 0] = 1.0  # the mapper rejects all-zero matrices
     return config, params, weights, x
+
+
+@st.composite
+def nonidealities(draw):
+    """Stuck faults and/or lognormal variability (never ideal, never
+    wire IR drop, which keeps the serial path)."""
+    fault_rate = draw(st.sampled_from([0.0, 0.05, 0.3, 1.0]))
+    sigma = draw(st.sampled_from([0.1, 0.4] if fault_rate == 0.0
+                                 else [0.0, 0.1, 0.4]))
+    stuck = draw(st.sampled_from([0.0, 0.5, 1.0])) if fault_rate \
+        else 0.5
+    return NonidealitySpec(fault_rate=fault_rate,
+                           stuck_at_one_fraction=stuck,
+                           variability_sigma=sigma)
+
+
+def key_fits(rows: int, groups: int) -> bool:
+    """True when reads of ``rows``-row tiles over ``groups`` (fabric,
+    band) pairs fit the kernel's int64 key and are deduplicated."""
+    return rows + (groups - 1).bit_length() <= 63
+
+
+def key_form(mvm: AnalogMVM) -> str:
+    """Whether a solo batch through ``mvm`` deduplicates its reads."""
+    stack = mvm._stack
+    return ("int64 key" if key_fits(stack._max_rows, len(stack.bands))
+            else "unkeyed reads")
 
 
 class TestVectorizedEqualsLegacy:
@@ -162,6 +232,7 @@ class TestVectorizedEqualsLegacy:
     def test_batch_outputs_and_ledger_match_oracle(self, problem):
         config, params, weights, x = problem
         mvm = AnalogMVM(weights, config, params=params)
+        event(key_form(mvm))
         y = mvm.matvec_batch(x)
         oracle = [legacy_run(mvm, row) for row in x]
         assert y.shape == (x.shape[0], weights.shape[0])
@@ -203,19 +274,155 @@ class TestVectorizedEqualsLegacy:
         assert solo.tile_saturations == batched.tile_saturations
 
 
+class TestNonidealEqualsPerRead:
+    """Faulty and variable fabrics against per-read crossbar reads."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(problems(), nonidealities(), st.integers(0, 2 ** 16))
+    def test_solo_matches_per_read_oracle(self, problem, nonideality,
+                                          seed):
+        config, params, weights, x = problem
+        mvm = AnalogMVM(weights, config, params=params,
+                        nonideality=nonideality,
+                        rng=np.random.default_rng(seed))
+        event(key_form(mvm))
+        y = mvm.matvec_batch(x)
+        oracle = [legacy_run(mvm, row, fabric_read) for row in x]
+        for m, (y_ref, _) in enumerate(oracle):
+            assert np.array_equal(y[m], y_ref)
+        assert_ledger_equals(mvm, [l for _, l in oracle])
+
+    @settings(max_examples=20, deadline=None)
+    @given(problems(), nonidealities(), st.integers(2, 4))
+    def test_grouped_members_own_fabrics(self, problem, nonideality,
+                                         members):
+        """Members program their own fabrics from their own streams
+        and read overlapping batches: equal patterns on different
+        fabrics are different reads."""
+        config, params, weights, x = problem
+        accelerators = [
+            AnalogAccelerator([weights], config, params=params,
+                              nonideality=nonideality,
+                              rng=np.random.default_rng(i))
+            for i in range(members)]
+        xs = np.stack([np.roll(x, i, axis=0) for i in range(members)])
+        y = AnalogAcceleratorGroup(accelerators).matvec_batch(0, xs)
+        for i, accelerator in enumerate(accelerators):
+            mvm = accelerator.layers[0]
+            oracle = [legacy_run(mvm, row, fabric_read) for row in xs[i]]
+            for m, (y_ref, _) in enumerate(oracle):
+                assert np.array_equal(y[i, m], y_ref)
+            assert_ledger_equals(mvm, [l for _, l in oracle])
+
+
+class TestReadKeys:
+    """Read keys are exact: every read maps to the distinct read of its
+    own (fabric, band, pattern), and reads too wide for the int64 key
+    are each their own distinct read."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 80), st.integers(1, 80), st.integers(1, 5),
+           st.booleans(), st.integers(0, 2 ** 16))
+    def test_keys_reconstruct_every_read(self, in_dim, tile_rows,
+                                         members, keyed, seed):
+        stack = AnalogMVM(np.ones((2, in_dim)),
+                          MVMConfig(tile_rows=tile_rows))._stack
+        rng = np.random.default_rng(seed)
+        n_bands, rows = len(stack.bands), stack._max_rows
+        # Few sparse patterns, so keys repeat within and across members.
+        pool = rng.random((3, rows)) < 0.3
+        masks = pool[rng.integers(0, 3, (members, n_bands, 4, 2))]
+        patterns, fabric, band, inverse = stack._distinct_reads(
+            masks, keyed=keyed)
+        assert np.array_equal(patterns[inverse], masks)
+        assert (band[inverse]
+                == np.arange(n_bands)[:, None, None]).all()
+        owner = np.arange(members)[:, None, None, None] if keyed else 0
+        assert (fabric[inverse] == owner).all()
+        keys = {(int(f), int(b), p.tobytes())
+                for f, b, p in zip(fabric, band, patterns)}
+        groups = members * n_bands if keyed else n_bands
+        if key_fits(rows, groups):
+            event("int64 key")
+            assert len(keys) == len(patterns)
+        else:
+            event("unkeyed reads")
+            assert len(patterns) == masks[..., 0].size
+
+
+class TestChunking:
+    """Batches over the workspace budget run in sample chunks, and each
+    chunk deduplicates only its own reads.  With a budget of one
+    element every sample is its own chunk; outputs, performed-read
+    masks and saturations must equal the one-chunk run and the per-read
+    oracle."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(problems(), nonidealities(), st.integers(0, 2 ** 16))
+    def test_solo(self, problem, nonideality, seed):
+        config, params, weights, x = problem
+        assume(len(x) >= 2)
+        mvm = AnalogMVM(weights, config, params=params,
+                        nonideality=nonideality,
+                        rng=np.random.default_rng(seed))
+        x_int, scales = quantize_batch(x, config.dac_bits)
+        whole = mvm._stack.execute(x_int, scales, electrical=True)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernel, "_WORKSPACE_ELEMENTS", 1)
+            chunked = mvm._stack.execute(x_int, scales, electrical=True)
+            y = mvm.matvec_batch(x)
+        for ours, theirs in zip(chunked, whole):
+            assert np.array_equal(ours, theirs)
+        oracle = [legacy_run(mvm, row, fabric_read) for row in x]
+        for m, (y_ref, _) in enumerate(oracle):
+            assert np.array_equal(y[m], y_ref)
+        assert_ledger_equals(mvm, [l for _, l in oracle])
+
+    @settings(max_examples=25, deadline=None)
+    @given(problems(), nonidealities(), st.integers(2, 8))
+    def test_ledger_twin_group(self, problem, nonideality, members):
+        config, params, weights, x = problem
+        assume(len(x) >= 2)
+        template = AnalogAccelerator([weights], config, params=params,
+                                     nonideality=nonideality,
+                                     rng=np.random.default_rng(1))
+        twins = [template] + [template.ledger_twin()
+                              for _ in range(members - 1)]
+        xs = np.stack([np.roll(x, i, axis=0) for i in range(members)])
+        stack = template.layers[0]._stack
+        x_int, scales = quantize_batch(
+            xs.reshape(-1, xs.shape[2]), config.dac_bits)
+        args = (x_int.reshape(xs.shape), scales.reshape(xs.shape[:2]),
+                True, stack.fabric_conductances()[None],
+                stack._scale_gain[None])
+        whole = stack.execute_group(*args)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernel, "_WORKSPACE_ELEMENTS", 1)
+            chunked = stack.execute_group(*args)
+            y = AnalogAcceleratorGroup(twins).matvec_batch(0, xs)
+        for ours, theirs in zip(chunked, whole):
+            assert np.array_equal(ours, theirs)
+        for i, twin in enumerate(twins):
+            mvm = twin.layers[0]
+            oracle = [legacy_run(mvm, row, fabric_read) for row in xs[i]]
+            for m, (y_ref, _) in enumerate(oracle):
+                assert np.array_equal(y[i, m], y_ref)
+            assert_ledger_equals(mvm, [l for _, l in oracle])
+
+
 class TestGroupedEqualsSolo:
     CONFIG = MVMConfig(weight_bits=3, dac_bits=3, adc_bits=5,
                        tile_rows=4, tile_cols=3)
 
     @settings(max_examples=30, deadline=None)
-    @given(problems(), st.integers(2, 3))
+    @given(problems(), st.integers(2, 8))
     def test_grouped_reference_matches_solo_reads(self, problem, members):
         """Stacked members (own weights, shared geometry) and ledger
         twins (one shared stack, broadcast) both take the stack's
         reference operand; each member equals its solo ideal read."""
         config, params, weights, x = problem
-        member_weights = [weights, -weights,
-                          np.roll(weights, 1, axis=1)][:members]
+        member_weights = [(-1) ** i * np.roll(weights, i // 2, axis=1)
+                          for i in range(members)]
         xs = np.stack([np.roll(x, i, axis=0) for i in range(members)])
         stacked = [AnalogAccelerator([w], config, params=params)
                    for w in member_weights]
@@ -230,6 +437,23 @@ class TestGroupedEqualsSolo:
             for i, w in enumerate(solo_weights):
                 solo = AnalogMVM(w, config, params=params)
                 assert np.array_equal(ref[i], solo.matvec_batch(xs[i]))
+
+    @settings(max_examples=30, deadline=None)
+    @given(problems(), st.integers(2, 8))
+    def test_ledger_twin_groups_match_solo_runs(self, problem, members):
+        """Up to 8 twins over one fabric read overlapping batches, so
+        keys repeat across the member axis; each twin's outputs and
+        ledger equal an independent solo run."""
+        config, params, weights, x = problem
+        xs = np.stack([np.roll(x, i, axis=0) for i in range(members)])
+        template = AnalogAccelerator([weights], config, params=params)
+        twins = [template] + [template.ledger_twin()
+                              for _ in range(members - 1)]
+        y = AnalogAcceleratorGroup(twins).matvec_batch(0, xs)
+        for i, twin in enumerate(twins):
+            solo = AnalogMVM(weights, config, params=params)
+            assert np.array_equal(y[i], solo.matvec_batch(xs[i]))
+            assert_same_ledger(twin.layers[0], solo)
 
     def test_grouped_members_match_solo_accelerators(self):
         rng = np.random.default_rng(7)

@@ -11,6 +11,7 @@ from repro.mvm import (
     AnalogMVM,
     MVMConfig,
     bit_slices,
+    quantize_batch,
     quantize_input,
 )
 
@@ -47,6 +48,51 @@ class TestDAC:
             quantize_input(np.zeros((2, 2)), bits=4)
         with pytest.raises(ValueError, match="dac bits"):
             quantize_input(np.zeros(2), bits=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_nan_and_infinite_inputs(self, bad):
+        """NaN used to cast to -2**63 levels and +inf to a NaN scale;
+        both now fail at the DAC, wherever they sit in the input."""
+        x = np.array([1.0, bad, 0.5])
+        with pytest.raises(ValueError, match="finite"):
+            quantize_input(x, bits=4)
+        with pytest.raises(ValueError, match="finite"):
+            quantize_batch(np.stack([np.ones(3), x]), bits=4)
+        mvm = AnalogMVM(np.ones((2, 3)), MVMConfig())
+        with pytest.raises(ValueError, match="finite"):
+            mvm.matvec(x)
+        with pytest.raises(ValueError, match="finite"):
+            mvm.matvec_batch(np.stack([x, np.ones(3)]))
+        assert mvm.reads == 0 and mvm.latency_seconds == 0.0
+
+    def test_nan_beside_a_negative_entry_is_still_rejected(self):
+        with pytest.raises(ValueError):
+            quantize_input(np.array([np.nan, -1.0]), bits=4)
+        with pytest.raises(ValueError):
+            quantize_batch(np.array([[np.nan, -1.0]]), bits=4)
+
+    def test_finite_inputs_quantize_as_before(self):
+        """Per row: peak / (2**bits - 1) as the scale, rint(x / scale)
+        as the levels, a zero row to zero scale -- up to the largest
+        finite float."""
+        rng = np.random.default_rng(9)
+        x = rng.random((5, 7)) * 3.0
+        x[1] = 0.0
+        x[2, 3] = np.finfo(float).max
+        x[3] *= 1e-300
+        for bits in (1, 4, 8):
+            x_int, scales = quantize_batch(x, bits)
+            for row, levels, scale in zip(x, x_int, scales):
+                solo = quantize_input(row, bits)
+                assert np.array_equal(levels, solo[0])
+                assert scale == solo[1]
+                peak = row.max()
+                if peak == 0.0:
+                    assert scale == 0.0 and not levels.any()
+                else:
+                    assert scale == peak / (2 ** bits - 1)
+                    assert np.array_equal(
+                        levels, np.rint(row / scale).astype(np.int64))
 
 
 class TestADC:

@@ -97,3 +97,32 @@ class TestKernelStageCoverage:
                 seen.add(node.span_id)
                 node = by_id[node.parent_id]
             assert node.name == "engine.run"
+
+
+#: The benchmark's analog shapes: a served request (ideal ledger twins)
+#: and a nonideal sweep cell (members with their own fabrics).
+ONE_CHUNK_SPECS = {
+    "served_mlp": ScenarioSpec(engine="analog_mvm", workload="mlp_inference",
+                               size=128, items=16, batch=16, seed=1),
+    "fault_sweep_cell": ScenarioSpec(
+        engine="analog_mvm", workload="mlp_inference", size=32, items=16,
+        batch=4, seed=1,
+        nonideality={"fault_rate": 0.05, "variability_sigma": 0.05}),
+}
+
+
+@pytest.mark.parametrize("spec", ONE_CHUNK_SPECS.values(),
+                         ids=ONE_CHUNK_SPECS)
+def test_benchmark_batches_run_as_one_chunk(spec):
+    """Reads deduplicate within a chunk, so the workspace ceiling must
+    leave the benchmark's batches whole: one accumulate stage per
+    kernel call."""
+    with traced() as tracer:
+        Engine.from_spec(spec).run()
+    records = tracer.records()
+    kernel_ids = {rec.span_id for rec in records
+                  if rec.name == "mvm.kernel"}
+    chunks = [rec for rec in records
+              if rec.name == "mvm.accumulate"
+              and rec.parent_id in kernel_ids]
+    assert kernel_ids and len(chunks) == len(kernel_ids)
