@@ -59,21 +59,19 @@ import numpy as np
 from repro.api.registry import WORKLOADS
 from repro.api.spec import ScenarioSpec
 from repro.arch.params import WorkloadParameters
-from repro.automata.homogeneous import (
-    HomogeneousAutomaton,
-    homogenize,
-    merge_automata,
-)
-from repro.automata.regex import compile_regex
+from repro.automata.homogeneous import HomogeneousAutomaton, homogenize
+from repro.automata.regex import compile_automaton
 from repro.automata.symbols import Alphabet
 from repro.mvm.accuracy import AccuracySummary
 from repro.mvm.analog import AnalogAcceleratorGroup
 from repro.mvp.isa import Instruction
 from repro.workloads.database import lower_query
 from repro.workloads.datamining import (
+    ITEM_ALPHABET,
     contains_in_order,
     generate_patterns,
     generate_transaction,
+    pattern_to_regex,
 )
 from repro.workloads.mlp import blob_means, sample_blobs, train_mlp
 from repro.workloads.temporal import (
@@ -91,7 +89,6 @@ from repro.workloads import (
     make_motif_dataset,
     motif_nfa,
     mvp_bfs,
-    pattern_nfa,
     random_graph,
     random_query,
     random_table,
@@ -671,13 +668,19 @@ class DnaAdapter(WorkloadAdapter):
 
     @cached_property
     def _datasets(self):
-        return [
-            make_motif_dataset(
-                self.item_rng(i), self.spec.size, self.motif,
-                self.spec.items
-            )
-            for i in self.batch_indices
-        ]
+        try:
+            return [
+                make_motif_dataset(
+                    self.item_rng(i), self.spec.size, self.motif,
+                    self.spec.items
+                )
+                for i in self.batch_indices
+            ]
+        except ValueError as exc:
+            raise ScenarioError(
+                f"dna reference size {self.spec.size} cannot hold "
+                f"{self.spec.items} plant(s) of motif {self.motif!r}: {exc}"
+            ) from exc
 
     def build_automaton(self) -> HomogeneousAutomaton:
         return homogenize(motif_nfa(self.motif))
@@ -752,12 +755,8 @@ class NetworkingAdapter(WorkloadAdapter):
         return payloads
 
     def build_automaton(self) -> HomogeneousAutomaton:
-        automata = [
-            homogenize(rule.compile(PAYLOAD_ALPHABET))
-            for rule in self._rules
-        ]
-        merged, _ = merge_automata(automata)
-        return merged
+        return compile_automaton([rule.pattern for rule in self._rules],
+                                 PAYLOAD_ALPHABET)
 
     def streams(self) -> list[str]:
         return [payload for payload, _ in self._payloads]
@@ -830,12 +829,7 @@ class StringsAdapter(WorkloadAdapter):
         return texts
 
     def build_automaton(self) -> HomogeneousAutomaton:
-        automata = [
-            homogenize(compile_regex(p, _TEXT_ALPHABET))
-            for p in self._patterns
-        ]
-        merged, _ = merge_automata(automata)
-        return merged
+        return compile_automaton(self._patterns, _TEXT_ALPHABET)
 
     def streams(self) -> list[str]:
         return self._texts
@@ -862,6 +856,10 @@ class StringsAdapter(WorkloadAdapter):
 # ---------------------------------------------------------------------------
 
 
+#: Items per candidate pattern in the datamining domain.
+_PATTERN_LENGTH = 3
+
+
 @WORKLOADS.register("datamining")
 class DataminingAdapter(WorkloadAdapter):
     """Sequential pattern mining: ordered containment per transaction.
@@ -884,10 +882,17 @@ class DataminingAdapter(WorkloadAdapter):
     @cached_property
     def _patterns(self) -> tuple[str, ...]:
         return generate_patterns(self.shared_rng(0), self.spec.items,
-                                 pattern_length=3)
+                                 pattern_length=_PATTERN_LENGTH)
 
     @cached_property
     def _sequences(self) -> list[str]:
+        # A supported pattern is embedded at distinct positions, so every
+        # transaction must hold one whole pattern.
+        if self.spec.size < _PATTERN_LENGTH:
+            raise ScenarioError(
+                f"datamining transaction size {self.spec.size} is shorter "
+                f"than a pattern ({_PATTERN_LENGTH} items)"
+            )
         return [
             generate_transaction(self.item_rng(i), self._patterns,
                                  self.spec.size)
@@ -895,11 +900,8 @@ class DataminingAdapter(WorkloadAdapter):
         ]
 
     def build_automaton(self) -> HomogeneousAutomaton:
-        automata = [
-            homogenize(pattern_nfa(p)) for p in self._patterns
-        ]
-        merged, _ = merge_automata(automata)
-        return merged
+        return compile_automaton(
+            [pattern_to_regex(p) for p in self._patterns], ITEM_ALPHABET)
 
     def streams(self) -> list[str]:
         return list(self._sequences)

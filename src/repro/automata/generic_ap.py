@@ -43,19 +43,22 @@ def encode_streams(
     """Pack symbol streams into a padded index matrix for batch stepping.
 
     Args:
-        alphabet: the symbol universe (provides ``index_of``).
+        alphabet: the symbol universe (provides ``indices_of``).
         sequences: iterables of alphabet symbols; lengths may differ.
 
     Returns:
         ``(indices, lengths)``: an (M, T_max) int array of symbol indices
         (zero-padded past each stream's end) and the (M,) true lengths.
+
+    Raises:
+        KeyError: naming the first symbol not in the alphabet.
     """
-    seqs = [list(s) for s in sequences]
-    lengths = np.array([len(s) for s in seqs], dtype=np.int64)
-    t_max = int(lengths.max()) if len(seqs) else 0
-    indices = np.zeros((len(seqs), t_max), dtype=np.int64)
-    for k, seq in enumerate(seqs):
-        indices[k, : len(seq)] = [alphabet.index_of(s) for s in seq]
+    rows = [alphabet.indices_of(s) for s in sequences]
+    lengths = np.array([len(row) for row in rows], dtype=np.int64)
+    t_max = int(lengths.max()) if len(rows) else 0
+    indices = np.zeros((len(rows), t_max), dtype=np.int64)
+    for k, row in enumerate(rows):
+        indices[k, : len(row)] = row
     return indices, lengths
 
 

@@ -12,7 +12,16 @@ consumes:
 * quantifiers ``* + ?`` and bounded repeats ``{m} {m,} {m,n}``.
 
 The pipeline is: parse to an AST, compile to an epsilon-NFA via Thompson's
-rules, then eliminate epsilon transitions and unreachable states.
+rules, then eliminate epsilon transitions.  Epsilon closures are Python-int
+bitmasks, one per state and direction, so the epsilon-free result comes out
+as :class:`~repro.automata.homogeneous.TransitionBlocks`: one block per
+symbol edge ``r --C--> q``, from every state whose closure holds ``r`` to
+every state in the closure of ``q``.  Thompson fragments are connected from
+their start state, so every state is reachable and none is pruned.
+:func:`compile_regex` unpacks the blocks into an :class:`NFA`;
+:func:`compile_automaton` hands a whole rule set's blocks to the array
+conversion (:func:`~repro.automata.homogeneous.homogenize_rules`) without
+building NFA objects.
 """
 
 from __future__ import annotations
@@ -21,10 +30,21 @@ import dataclasses
 import string
 from typing import Sequence
 
+from repro.automata.homogeneous import (
+    HomogeneousAutomaton,
+    TransitionBlocks,
+    homogenize_rules,
+)
 from repro.automata.nfa import NFA
 from repro.automata.symbols import Alphabet, SymbolClass
 
-__all__ = ["RegexError", "parse", "compile_regex"]
+__all__ = [
+    "RegexError",
+    "parse",
+    "compile_regex",
+    "compile_ruleset",
+    "compile_automaton",
+]
 
 
 class RegexError(ValueError):
@@ -124,7 +144,7 @@ class _Parser:
 
     def _concat(self):
         parts = []
-        while self._peek() is not None and self._peek() not in "|)":
+        while (ch := self._peek()) is not None and ch not in "|)":
             parts.append(self._repeat())
         if len(parts) == 1:
             return parts[0]
@@ -165,7 +185,7 @@ class _Parser:
 
     def _number(self) -> int:
         digits = ""
-        while (ch := self._peek()) is not None and ch.isdigit():
+        while (ch := self._peek()) is not None and ch in string.digits:
             digits += self._take()
         if not digits:
             raise RegexError(f"expected a number in {self.pattern!r}")
@@ -185,7 +205,9 @@ class _Parser:
             return Literal(SymbolClass.full(self.alphabet))
         if ch == "\\":
             self._take()
-            return Literal(self._escape(self._take()))
+            ch = self._take()
+            return Literal(self._non_empty(
+                SymbolClass.of(self.alphabet, self._escape(ch)), f"\\{ch}"))
         if ch in "*+?{":
             raise RegexError(
                 f"quantifier with nothing to repeat at {self.pos} in "
@@ -195,21 +217,22 @@ class _Parser:
 
     # -- character classes ---------------------------------------------------
 
-    def _escape(self, ch: str) -> SymbolClass:
+    def _escape(self, ch: str) -> list[str]:
+        """The alphabet symbols escape ``\\ch`` stands for (maybe none)."""
         if ch in _ESCAPE_CLASSES:
-            members = [c for c in _ESCAPE_CLASSES[ch] if c in self.alphabet]
-            return self._non_empty(SymbolClass.of(self.alphabet, members),
-                                   f"\\{ch}")
+            return [c for c in _ESCAPE_CLASSES[ch] if c in self.alphabet]
         if ch in _METACHARACTERS or ch in ("-",):
-            return self._single(ch)
+            return [ch] if ch in self.alphabet else []
         raise RegexError(f"unsupported escape \\{ch} in {self.pattern!r}")
 
     def _single(self, ch: str) -> SymbolClass:
-        if ch not in self.alphabet:
+        try:
+            index = self.alphabet.index_of(ch)
+        except KeyError:
             raise RegexError(
                 f"symbol {ch!r} is not in the target alphabet"
-            )
-        return SymbolClass.of(self.alphabet, [ch])
+            ) from None
+        return self.alphabet.singletons[index]
 
     def _char_class(self) -> SymbolClass:
         self._expect("[")
@@ -228,7 +251,7 @@ class _Parser:
             first = False
             ch = self._take()
             if ch == "\\":
-                members.update(self._escape(self._take()).symbols)
+                members.update(self._escape(self._take()))
                 continue
             if self._peek() == "-" and self.pos + 1 < len(self.pattern) \
                     and self.pattern[self.pos + 1] != "]":
@@ -348,74 +371,50 @@ class _EpsilonNFA:
 
     # -- epsilon elimination ---------------------------------------------------
 
-    def to_nfa(self, start: int, accept: int) -> NFA:
-        """Eliminate epsilon edges and prune unreachable states."""
-        closures = self._epsilon_closures()
-        # A state is accepting if its closure reaches the accept state.
-        accepting = [s for s in range(self.n) if accept in closures[s]]
-        # delta'(p, C) = { q : exists r in closure(p) with (r, C, q) };
-        # target states then absorb their own closures at the *next* step's
-        # source expansion, so we instead push closures into sources only
-        # and keep targets as-is -- standard one-sided elimination.
-        edges: dict[int, list[tuple[SymbolClass, int]]] = {
-            s: [] for s in range(self.n)
-        }
-        by_src: dict[int, list[tuple[SymbolClass, int]]] = {
-            s: [] for s in range(self.n)
-        }
-        for src, symbols, dst in self.symbol_edges:
-            by_src[src].append((symbols, dst))
-        for state in range(self.n):
-            for member in closures[state]:
-                edges[state].extend(by_src[member])
-        # Reachability from the start closure over symbol edges.
-        reachable = set(closures[start])
-        frontier = list(reachable)
-        while frontier:
-            state = frontier.pop()
-            for _, dst in edges[state]:
-                for member in closures[dst]:
-                    if member not in reachable:
-                        reachable.add(member)
-                        frontier.append(member)
-        # Keep only states that are sources of meaning: reachable ones.
-        keep = sorted(reachable)
-        renumber = {old: new for new, old in enumerate(keep)}
-        nfa = NFA(
-            alphabet=self.alphabet,
-            n_states=len(keep),
-            start_states=[renumber[s] for s in closures[start] if s in reachable],
-            accepting_states=[
-                renumber[s] for s in accepting if s in reachable
-            ],
-        )
-        seen: set[tuple[int, tuple[int, ...], int]] = set()
-        for old in keep:
-            for symbols, dst in edges[old]:
-                for target in closures[dst]:
-                    if target not in reachable:
-                        continue
-                    key = (renumber[old], symbols.indices, renumber[target])
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    nfa.add_transition(renumber[old], symbols, renumber[target])
-        return nfa
+    def eliminate(self, start: int, accept: int) -> TransitionBlocks:
+        """The epsilon-free automaton of the fragment ``(start, accept)``.
 
-    def _epsilon_closures(self) -> list[set[int]]:
-        closures = [{s} for s in range(self.n)]
-        adjacency: dict[int, list[int]] = {s: [] for s in range(self.n)}
-        for src, dst in self.epsilon_edges:
-            adjacency[src].append(dst)
-        for state in range(self.n):
-            stack = [state]
-            while stack:
-                cur = stack.pop()
-                for nxt in adjacency[cur]:
-                    if nxt not in closures[state]:
-                        closures[state].add(nxt)
-                        stack.append(nxt)
-        return closures
+        State ``p`` steps on symbol edge ``r --C--> q`` when its closure
+        holds ``r``, and lands on every state of ``q``'s closure.
+        """
+        # Thompson edges mostly point to newer states: close the forward
+        # graph newest edge first and the backward graph oldest first.
+        closure = _closures(self.epsilon_edges[::-1], self.n)
+        reaches = _closures([(dst, src) for src, dst in self.epsilon_edges],
+                            self.n)
+        return TransitionBlocks(
+            n_states=self.n,
+            start=closure[start],
+            accept=reaches[accept],
+            blocks=[(reaches[src], symbols, closure[dst])
+                    for src, symbols, dst in self.symbol_edges],
+        )
+
+
+def _closures(edges: list[tuple[int, int]], n: int) -> list[int]:
+    """Reflexive-transitive closures of ``n`` states over ``edges``, as
+    bitmasks: sweeps the edges until a sweep changes nothing."""
+    closure = [1 << s for s in range(n)]
+    changed = True
+    while changed:
+        changed = False
+        for src, dst in edges:
+            mask = closure[src] | closure[dst]
+            if mask != closure[src]:
+                closure[src] = mask
+                changed = True
+    return closure
+
+
+def _states(mask: int) -> list[int]:
+    """The states of a bitmask, ascending."""
+    return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+
+
+def _blocks(pattern: str, alphabet: Alphabet) -> TransitionBlocks:
+    enfa = _EpsilonNFA(alphabet)
+    start, accept = enfa.compile(parse(pattern, alphabet))
+    return enfa.eliminate(start, accept)
 
 
 def compile_regex(pattern: str, alphabet: Alphabet) -> NFA:
@@ -434,12 +433,38 @@ def compile_regex(pattern: str, alphabet: Alphabet) -> NFA:
     Raises:
         RegexError: on malformed patterns.
     """
-    ast = parse(pattern, alphabet)
-    enfa = _EpsilonNFA(alphabet)
-    start, accept = enfa.compile(ast)
-    return enfa.to_nfa(start, accept)
+    rule = _blocks(pattern, alphabet)
+    nfa = NFA(alphabet, rule.n_states, _states(rule.start),
+              _states(rule.accept))
+    seen: set[tuple[int, tuple[int, ...], int]] = set()
+    for sources, symbols, targets in rule.blocks:
+        for src in _states(sources):
+            for dst in _states(targets):
+                key = (src, symbols.indices, dst)
+                if key not in seen:
+                    seen.add(key)
+                    nfa.add_transition(src, symbols, dst)
+    return nfa
 
 
 def compile_ruleset(patterns: Sequence[str], alphabet: Alphabet) -> list[NFA]:
     """Compile a list of patterns (a signature rule set) to NFAs."""
     return [compile_regex(p, alphabet) for p in patterns]
+
+
+def compile_automaton(
+    patterns: Sequence[str], alphabet: Alphabet
+) -> HomogeneousAutomaton:
+    """Compile a rule set into one merged homogeneous automaton.
+
+    Equal -- state order, labels, symbol classes, flags and edges -- to
+    ``merge_automata([homogenize(compile_regex(p, alphabet)) for p in
+    patterns])[0]``, but built from the rules' transition blocks in one
+    array pass, with no NFA objects in between.
+
+    Raises:
+        RegexError: on malformed patterns.
+        ValueError: for an empty rule set.
+    """
+    return homogenize_rules(alphabet,
+                            [_blocks(p, alphabet) for p in patterns])

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -54,12 +55,31 @@ class Alphabet:
         """Number of decoder word lines, 2^W."""
         return 2 ** self.wordline_bits
 
+    @cached_property
+    def singletons(self) -> tuple["SymbolClass", ...]:
+        """The single-symbol classes, one shared instance per word line."""
+        return tuple(SymbolClass(self, (i,)) for i in range(self.size))
+
     def index_of(self, symbol) -> int:
         """Word-line index of ``symbol``; raises KeyError if unknown."""
         try:
             return self._index[symbol]
         except KeyError:
             raise KeyError(f"symbol {symbol!r} is not in the alphabet")
+
+    def indices_of(self, symbols: Iterable) -> list[int]:
+        """Word-line indices of ``symbols``, one dict lookup each.
+
+        Raises:
+            KeyError: naming the first symbol not in the alphabet.
+        """
+        index = self._index
+        try:
+            return [index[symbol] for symbol in symbols]
+        except KeyError as exc:
+            raise KeyError(
+                f"symbol {exc.args[0]!r} is not in the alphabet"
+            ) from None
 
     def __contains__(self, symbol) -> bool:
         return symbol in self._index
@@ -96,7 +116,7 @@ class SymbolClass:
     @classmethod
     def of(cls, alphabet: Alphabet, symbols: Iterable) -> "SymbolClass":
         """Build from explicit member symbols."""
-        idx = sorted({alphabet.index_of(s) for s in symbols})
+        idx = sorted(set(alphabet.indices_of(symbols)))
         return cls(alphabet=alphabet, indices=tuple(idx))
 
     @classmethod
@@ -108,11 +128,13 @@ class SymbolClass:
         return cls(alphabet=alphabet, indices=tuple(range(alphabet.size)))
 
     def __post_init__(self) -> None:
-        for i in self.indices:
+        indices = self.indices
+        if list(indices) != sorted(set(indices)):
+            raise ValueError("indices must be sorted and unique")
+        # Sorted, so the ends bound every index.
+        for i in (indices[0], indices[-1]) if indices else ():
             if not 0 <= i < self.alphabet.size:
                 raise ValueError(f"index {i} outside the alphabet")
-        if list(self.indices) != sorted(set(self.indices)):
-            raise ValueError("indices must be sorted and unique")
 
     # -- set operations -----------------------------------------------------
 

@@ -82,6 +82,8 @@ class AutomataProcessor:
         self.automaton = automaton
         self.kernel = kernel
         self.alphabet = automaton.alphabet
+        # The automaton's exports are copies this processor owns: fault
+        # campaigns corrupt ``ste_matrix`` in place.
         self.ste_matrix = automaton.ste_matrix()
         self.start = automaton.start_vector()
         self.accept = automaton.accept_vector()

@@ -109,7 +109,8 @@ def make_motif_dataset(
         The dataset with 1-based end positions of the planted copies.
     """
     m = len(motif)
-    if n_plants * (m + 1) > length:
+    # Slots are drawn as 4 * n_plants distinct candidate starts.
+    if n_plants * (m + 1) > length or 4 * n_plants > length - m + 1:
         raise ValueError("sequence too short for that many plants")
     sequence = random_sequence(rng, length)
     # Pick non-overlapping slots left-to-right.

@@ -50,9 +50,15 @@ class SignatureRule:
         return compile_regex(self.pattern, alphabet)
 
 
+#: Draw pools as arrays: ``rng.choice`` draws the same indices from an
+#: array as from the list it would otherwise convert on every call.
+_LITERAL_SYMBOLS = np.array(list(string.ascii_lowercase + string.digits))
+_DIGITS = np.array(list(string.digits))
+_PAYLOAD_SYMBOLS = np.array(PAYLOAD_ALPHABET.symbols)
+
+
 def _random_literal(rng: np.random.Generator, length: int) -> str:
-    letters = string.ascii_lowercase + string.digits
-    return "".join(rng.choice(list(letters), size=length))
+    return "".join(rng.choice(_LITERAL_SYMBOLS, size=length).tolist())
 
 
 def generate_ruleset(
@@ -82,9 +88,7 @@ def generate_ruleset(
         else:
             run = int(rng.integers(2, 5))
             pattern = f"{head}[0-9]{{{run}}}"
-            example = head + "".join(
-                rng.choice(list(string.digits), size=run)
-            )
+            example = head + "".join(rng.choice(_DIGITS, size=run).tolist())
         rules.append(SignatureRule(rule_id=rule_id, pattern=pattern,
                                    example=example))
     return rules
@@ -96,7 +100,7 @@ def generate_payload(
     planted: list[tuple[SignatureRule, int]] | None = None,
 ) -> str:
     """Random payload with rule examples planted at given offsets."""
-    body = "".join(rng.choice(list(PAYLOAD_ALPHABET.symbols), size=length))
+    body = "".join(rng.choice(_PAYLOAD_SYMBOLS, size=length).tolist())
     for rule, offset in planted or []:
         if offset < 0 or offset + len(rule.example) > length:
             raise ValueError(f"rule {rule.rule_id} does not fit at {offset}")

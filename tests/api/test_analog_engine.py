@@ -261,6 +261,28 @@ def edge_specs(draw):
     )
 
 
+@st.composite
+def ap_edge_specs(draw):
+    """``rram_ap`` specs below and at the size floor: one stream and one
+    rule (or plant), every kernel, ideal or fully stuck STE cells.  The
+    size is left to the test, which climbs from 1."""
+    return dict(
+        engine="rram_ap",
+        workload=draw(st.sampled_from(
+            ["networking", "strings", "dna", "datamining"])),
+        items=1, batch=1, seed=draw(st.integers(0, 99)),
+        params={"kernel": draw(st.sampled_from(["rram", "sram", "sdram"]))},
+        nonideality=draw(st.sampled_from([{}, {"fault_rate": 1.0}])),
+    )
+
+
+def assert_healthy_ledgers(result):
+    for cost in (result.cost, *result.item_costs):
+        for value in (cost.energy_joules, cost.latency_seconds,
+                      *cost.counters.values()):
+            assert math.isfinite(value) and value >= 0, cost
+
+
 class TestFacadeFuzz:
     """Every edge spec runs to healthy ledgers or fails typed."""
 
@@ -272,11 +294,7 @@ class TestFacadeFuzz:
         except (ScenarioError, SpecError) as exc:
             event(f"rejected: {type(exc).__name__}")
             return
-        costs = [result.cost, *result.item_costs]
-        for cost in costs:
-            for value in (cost.energy_joules, cost.latency_seconds,
-                          *cost.counters.values()):
-                assert math.isfinite(value) and value >= 0, cost
+        assert_healthy_ledgers(result)
         height = spec.items if spec.workload == "mlp_inference" \
             else spec.size
         if min(spec.params["tile_rows"], height) > 62:
@@ -286,3 +304,26 @@ class TestFacadeFuzz:
             assert result.outputs["checks_passed"] is True
         else:
             event("nonideal")
+
+    @settings(max_examples=40, deadline=None)
+    @given(ap_edge_specs())
+    def test_ap_edge_specs_run_or_raise_typed(self, fields):
+        """Sizes climb from 1: every size below the smallest that fits
+        raises a typed error, and the smallest that fits returns healthy
+        ledgers (and passes its check when ideal)."""
+        for size in range(1, 17):
+            spec = ScenarioSpec(size=size, **fields)
+            try:
+                result = run(spec)
+            except (ScenarioError, SpecError):
+                continue
+            assert size > 1, "size 1 fits no AP workload"
+            assert_healthy_ledgers(result)
+            if spec.nonideality.is_default():
+                event("ideal")
+                assert result.outputs["checks_passed"] is True
+            else:
+                event("stuck")
+            event(f"{spec.workload}: smallest size {size}")
+            return
+        pytest.fail(f"no size up to 16 fits {fields}")

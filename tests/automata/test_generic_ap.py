@@ -10,6 +10,7 @@ from repro.automata import (
     compile_regex,
     homogenize,
 )
+from repro.automata.generic_ap import encode_streams
 from repro.automata.paper_example import build_example_ap
 
 AB = Alphabet("ab")
@@ -115,6 +116,18 @@ class TestBatchExecution:
 
     def test_empty_batch(self):
         assert build_example_ap().run_batch([]) == []
+
+    def test_encode_streams_indexes_every_symbol(self):
+        indices, lengths = encode_streams(AB, ["abba", "b", ""])
+        np.testing.assert_array_equal(lengths, [4, 1, 0])
+        np.testing.assert_array_equal(
+            indices, [[0, 1, 1, 0], [1, 0, 0, 0], [0, 0, 0, 0]])
+
+    def test_unknown_symbol_is_named(self):
+        with pytest.raises(KeyError, match="'c'"):
+            encode_streams(AB, ["ab", "abca"])
+        with pytest.raises(KeyError, match="'z'"):
+            build_example_ap().run_batch(["ab", "z"])
 
 
 class TestKernelCounts:

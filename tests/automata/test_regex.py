@@ -6,7 +6,7 @@ import string
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.automata import Alphabet, RegexError, compile_regex
+from repro.automata import DNA_ALPHABET, Alphabet, RegexError, compile_regex
 
 ASCII = Alphabet(string.ascii_lowercase + string.digits + " .")
 AB = Alphabet("ab")
@@ -103,6 +103,9 @@ class TestErrors:
     @pytest.mark.parametrize("pattern", [
         "(ab", "ab)", "[abc", "a{", "a{,}", "*a", "a**b|*",
         "[z-a]", r"\q",
+        # Repeat counts are ASCII digits only: a superscript two is not
+        # a digit to int(), and an Arabic-Indic three is not a count.
+        "a{\u00b2}", "a{\u0663}", "a{1,\u0663}",
     ])
     def test_malformed_patterns(self, pattern):
         with pytest.raises(RegexError):
@@ -115,6 +118,32 @@ class TestErrors:
     def test_class_empty_on_alphabet(self):
         with pytest.raises(RegexError):
             compile_regex(r"\d", AB)
+
+    @pytest.mark.parametrize("pattern", [r"[\d]", r"[\s\d]", r"[\.]"])
+    def test_class_of_escapes_empty_on_alphabet(self, pattern):
+        with pytest.raises(RegexError):
+            compile_regex(pattern, DNA_ALPHABET)
+
+
+class TestClassEscapes:
+    """An escape inside a class adds what it matches on the alphabet;
+    only the whole class must be non-empty."""
+
+    @pytest.mark.parametrize("pattern,same_as", [
+        (r"[A\d]", "A"),
+        (r"[\dA]", "A"),
+        (r"[\s\wC]", "[ACGT]"),
+        (r"[A\.G]", "[AG]"),
+        (r"[^\dA]", "[CGT]"),
+    ])
+    def test_class_compiles_like_its_members(self, pattern, same_as):
+        assert _transitions(compile_regex(pattern, DNA_ALPHABET)) == \
+            _transitions(compile_regex(same_as, DNA_ALPHABET))
+
+
+def _transitions(nfa):
+    return (nfa.n_states, nfa.start_states, nfa.accepting_states,
+            {(s, c.indices, d) for s, c, d in nfa.all_transitions()})
 
 
 class TestRulesetCompilation:

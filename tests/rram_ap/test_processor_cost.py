@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.automata import Alphabet, compile_regex, homogenize
+from repro.automata import (
+    Alphabet,
+    compile_automaton,
+    compile_regex,
+    homogenize,
+)
 from repro.rram_ap import (
     APChipCost,
     AutomataProcessor,
@@ -15,6 +20,7 @@ from repro.rram_ap import (
     rram_ap,
     sram_ap,
 )
+from repro.rram_ap.ste_array import inject_ste_faults
 
 AB = Alphabet("ab")
 
@@ -128,6 +134,29 @@ class TestProcessorFunctional:
         proc = rram_ap(automaton("abb"))
         assert proc.find_matches("xabbyabb".replace("x", "a")
                                  .replace("y", "a")) == (4, 8)
+
+    def test_processors_own_their_configuration(self):
+        """Fault injection corrupts a processor's STE matrix in place; the
+        automaton and a second processor configured from it must not see
+        it."""
+        patterns = ["ab+a", "(a|b)*abb", "b{2,4}"]
+        ha = compile_automaton(patterns, AB)
+        ste, routing = ha.ste_matrix(), ha.routing_matrix()
+        first, second = rram_ap(ha), rram_ap(ha)
+        text = "aabbbabbab"
+        before = second.run(text)[0]
+        inject_ste_faults(first.ste_matrix, first.ste_matrix.size,
+                          np.random.default_rng(0), stuck_at_one_fraction=1.0)
+        first.routing.routing[:] = True
+        assert first.ste_matrix.all()
+        np.testing.assert_array_equal(ha.ste_matrix(), ste)
+        np.testing.assert_array_equal(ha.routing_matrix(), routing)
+        np.testing.assert_array_equal(second.ste_matrix, ste)
+        np.testing.assert_array_equal(second.routing.routing, routing)
+        after = second.run(text)[0]
+        np.testing.assert_array_equal(after.active, before.active)
+        with pytest.raises(ValueError):
+            ha._ste[0, 0] = True
 
     def test_invalid_options(self):
         ha = automaton()
