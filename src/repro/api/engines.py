@@ -36,7 +36,6 @@ import numpy as np
 
 import repro
 from repro.api.devices import energy_model_for
-from repro.api.fabric_cache import active_fabric_cache
 from repro.api.registry import ENGINES, RegistryError
 from repro.api.result import (
     CostSummary,
@@ -305,20 +304,6 @@ class Engine:
                                          rngs=rngs)
         return NonidealCrossbar(rows, cols, params=params,
                                 nonideality=nonideality, rng=rngs[0])
-
-    def warm_fabric_key(self) -> str | None:
-        """The warm-fabric cache key this spec's fabric may reuse.
-
-        None (the default) means the engine's fabric is never reusable
-        across runs -- either construction is stochastic, or execution
-        mutates it.  Engines whose ideal fabric is a deterministic
-        read-only mapping (the analog MVM accelerator) return a key
-        built on :meth:`~repro.api.spec.ScenarioSpec.structure_hash`,
-        and a process that activated a
-        :class:`~repro.api.fabric_cache.FabricCache` (a warm serving
-        worker) then reuses the mapped hardware across runs.
-        """
-        return None
 
     def _fabric_item_rng(self, index: int) -> np.random.Generator:
         """Entropy stream of batch item ``index``'s fabric."""
@@ -718,73 +703,30 @@ class AnalogMVMEngine(Engine):
         except ValueError as exc:
             raise ScenarioError(str(exc)) from None
 
-    def warm_fabric_key(self) -> str | None:
-        """Ideal analog fabrics are warm-reusable; nonideal never are.
-
-        The key is the spec structure hash: everything that shapes the
-        mapping (workload weights via seed/sizes, quantization knobs,
-        device window) splits the entry, while batch width -- which
-        only multiplies ledgers over the same mapped tiles -- shares it.
-        """
-        if not self.spec.nonideality.is_default():
-            return None
-        return f"analog_mvm/{self.spec.structure_hash()}"
-
     def build_fabric(self, adapter):
         """One per-item accelerator list, in window order.
 
         Item ``i``'s tiles draw all stochastic nonidealities from the
         absolute-index fabric stream, so its physics never depend on
         the window or sibling items.
-
-        When the process has an active
-        :class:`~repro.api.fabric_cache.FabricCache` (a warm serving
-        worker), the ideal template mapping is kept warm across runs
-        under :meth:`warm_fabric_key`: a later run whose first item's
-        layers verify value-equal to the cached template's source
-        serves every matching item a ledger twin instead of remapping.
-        Verification makes reuse bit-identical by construction -- equal
-        layers plus deterministic entropy-free mapping produce an equal
-        accelerator, and twinning is pinned identical to fresh
-        construction by the kernel-equivalence suite.
         """
         config = self.mvm_config()
         params = self.spec.device.resolve_parameters()
         nonideality = self.spec.nonideality
         energy_model = energy_model_for(params)
         ideal = nonideality.is_default()
-        cache = active_fabric_cache() if ideal else None
-        warm_key = self.warm_fabric_key() if cache is not None else None
         accelerators = []
         template = None
         template_layers: list | None = None
-        warm_unverified = False
-        if warm_key is not None:
-            warm = cache.lookup(warm_key)
-            if warm is not None:
-                template, template_layers = warm
-                warm_unverified = True
         for index in adapter.batch_indices:
             layers = adapter.mvm_layers(index)
             # Ideal fabrics are deterministic, entropy-free and
             # read-only, so items sharing the identical weight arrays
-            # (e.g. one trained model inferred over many testsets) can
-            # share one mapping and differ only in their ledgers.
-            # Within a window the adapter hands out the same objects
-            # (`is`); across warm runs the arrays are regenerated, so
-            # the warm template additionally accepts value equality.
-            if (ideal and template is not None
-                    and _same_layers(layers, template_layers)):
-                warm_unverified = False
+            # (one trained model inferred over many testsets) share one
+            # mapping and differ only in their ledgers.
+            if ideal and _same_layers(layers, template_layers):
                 accelerators.append(template.ledger_twin())
                 continue
-            if warm_unverified:
-                # The warm entry did not verify against this run's
-                # layers (cache.lookup counted a hit above): demote it
-                # to an honest miss and rebuild below.
-                cache.miss()
-                warm_unverified = False
-                template = template_layers = None
             rng = None if ideal else self._fabric_item_rng(index)
             accelerator = AnalogAccelerator(
                 layers, config, params=params,
@@ -793,13 +735,6 @@ class AnalogMVMEngine(Engine):
             )
             if ideal:
                 template, template_layers = accelerator, layers
-                if warm_key is not None and not accelerators:
-                    # Keep a zero-ledger twin of the first item's
-                    # mapping warm (runs only ever execute twins of
-                    # cached templates, so the stored mapping stays
-                    # pristine); later runs verify against item 0.
-                    cache.store(warm_key,
-                                (accelerator.ledger_twin(), layers))
             accelerators.append(accelerator)
         return accelerators
 
@@ -859,21 +794,13 @@ class AnalogMVMEngine(Engine):
 
 
 def _same_layers(layers, reference) -> bool:
-    """Whether two weight-layer lists are interchangeable for mapping.
+    """Whether ``layers`` are the very arrays ``reference`` holds.
 
-    Identity short-circuits the common shared-model case (adapters
-    hand out the same arrays within a window, and process-cached
-    models across runs); otherwise exact value equality decides --
-    the mapping is a pure function of the values, so equal values
-    guarantee an equal fabric.
+    Within a window an adapter hands every item of a shared model the
+    same array objects, so identity is the whole test.
     """
-    if reference is None or len(layers) != len(reference):
-        return False
-    return all(
-        a is b or (a.shape == b.shape and a.dtype == b.dtype
-                   and bool(np.array_equal(a, b)))
-        for a, b in zip(layers, reference)
-    )
+    return reference is not None and len(layers) == len(reference) \
+        and all(a is b for a, b in zip(layers, reference))
 
 
 def run(spec: ScenarioSpec | Mapping[str, Any]) -> RunResult:

@@ -302,25 +302,6 @@ class ScenarioSpec:
         """SHA-256 over :meth:`canonical_json` -- the result-cache key."""
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
 
-    def structure_hash(self) -> str:
-        """SHA-256 over the spec *minus its batch width*.
-
-        The warm-fabric cache key (see
-        :mod:`repro.api.fabric_cache`): everything that can shape the
-        compute fabric -- engine, workload, device window, sizes, seed,
-        params, nonideality -- participates, while ``batch`` (how many
-        items ride through the fabric) does not.  Two specs differing
-        only in batch therefore share warm hardware; any other
-        difference gets its own entry, which is what keeps reuse
-        conservative: a false split only costs a rebuild, a false merge
-        could corrupt results.
-        """
-        data = self.to_dict()
-        del data["batch"]
-        canonical = json.dumps(data, sort_keys=True,
-                               separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()
-
     # -- registry validation ---------------------------------------------------
 
     def validate_names(self) -> "ScenarioSpec":

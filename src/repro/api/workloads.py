@@ -109,6 +109,9 @@ __all__ = [
 
 #: Alphabet for the string-matching domain (literal lowercase patterns).
 _TEXT_ALPHABET = Alphabet(string.ascii_lowercase)
+#: Its letters as an array: ``rng.choice`` draws the same letters from
+#: it as from the list it would otherwise convert on every call.
+_TEXT_LETTERS = np.array(list(string.ascii_lowercase))
 
 #: Spawn-key axes under ``spec.seed`` (see the module docstring): axis 0
 #: holds the batch-wide shared streams, axis 1 the per-item streams.
@@ -616,6 +619,11 @@ class GraphAdapter(WorkloadAdapter):
 
     @cached_property
     def _graph(self):
+        if self.spec.size < 2:
+            raise ScenarioError(
+                f"graph size {self.spec.size} is below the 2 vertices a "
+                "BFS graph needs"
+            )
         degree = float(self.spec.params.get("avg_degree", 3.0))
         return random_graph(self.shared_rng(0), self.spec.size, degree)
 
@@ -800,11 +808,11 @@ class StringsAdapter(WorkloadAdapter):
     @cached_property
     def _patterns(self) -> list[str]:
         rng = self.shared_rng(0)
-        letters = list(string.ascii_lowercase)
         patterns = set()
         while len(patterns) < self.spec.items:
             length = int(rng.integers(3, 7))
-            patterns.add("".join(rng.choice(letters, size=length)))
+            patterns.add(
+                "".join(rng.choice(_TEXT_LETTERS, size=length).tolist()))
         return sorted(patterns)
 
     @cached_property
@@ -815,11 +823,10 @@ class StringsAdapter(WorkloadAdapter):
                 f"strings text size {self.spec.size} is shorter than the "
                 f"longest pattern ({longest})"
             )
-        letters = list(string.ascii_lowercase)
         texts = []
         for i in self.batch_indices:
             rng = self.item_rng(i)
-            text = list(rng.choice(letters, size=self.spec.size))
+            text = rng.choice(_TEXT_LETTERS, size=self.spec.size).tolist()
             for pattern in self._patterns:
                 start = int(rng.integers(
                     0, self.spec.size - len(pattern) + 1

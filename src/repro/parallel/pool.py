@@ -7,9 +7,8 @@ serving :class:`~repro.serving.service.Service` keeps one for its
 lifetime.
 Workers are long-lived processes that receive pickled
 :class:`~repro.api.spec.ScenarioSpec` tasks over private queues, keep
-their per-process caches warm across tasks (the
-:mod:`~repro.api.fabric_cache` mapped-fabric store, the workload
-adapters' model caches), and send results back over private outboxes.
+the workload adapters' per-process model caches warm across tasks, and
+send results back over private outboxes.
 
 Determinism is inherited, not re-proven: a ``"window"`` task runs
 :func:`~repro.parallel.sharding.run_shard`, a ``"spec"`` task runs
@@ -32,8 +31,8 @@ Robustness contract:
   only then escalates to termination.
 
 The ``inline`` mode runs tasks synchronously in-process with the same
-task/merge plumbing and a process-local warm fabric cache -- the
-deterministic single-CPU and unit-test configuration.
+task/merge plumbing -- the deterministic single-CPU and unit-test
+configuration.
 """
 
 from __future__ import annotations
@@ -50,12 +49,6 @@ from multiprocessing import connection
 from typing import Any, Mapping, Sequence
 
 from repro.api.engines import Engine
-from repro.api.fabric_cache import (
-    FabricCache,
-    activate_fabric_cache,
-    active_fabric_cache,
-    deactivate_fabric_cache,
-)
 from repro.api.result import RunResult
 from repro.api.spec import ScenarioSpec
 from repro.api.workloads import adapter_for
@@ -77,10 +70,6 @@ __all__ = [
 #: ``inline`` executes tasks serially in-process -- same plan, same
 #: merge, no processes (useful for tests and debugging).
 POOL_MODES = ("auto", "fork", "forkserver", "spawn", "inline")
-
-#: Warm-fabric counters a task reports as increments; the pool sums them
-#: into ``pool_fabric_cache_<name>_total``.
-_FABRIC_COUNTERS = ("hits", "misses", "stores", "evictions")
 
 
 class ServingError(RuntimeError):
@@ -121,13 +110,6 @@ def _execute_task(kind: str, payload: Any) -> Any:
     raise ValueError(f"unknown task kind {kind!r}")
 
 
-def _fabric_increments(
-    before: Mapping[str, int], after: Mapping[str, int]
-) -> dict[str, int]:
-    """Counter increments between two :meth:`FabricCache.counts`."""
-    return {key: after[key] - before[key] for key in _FABRIC_COUNTERS}
-
-
 def _sendable_error(exc: BaseException) -> BaseException:
     """``exc`` if it survives pickling, else a faithful stand-in."""
     try:
@@ -137,17 +119,8 @@ def _sendable_error(exc: BaseException) -> BaseException:
         return ServingError(f"{type(exc).__name__}: {exc}")
 
 
-def _worker_main(worker_id: int, inbox, outbox, warm_entries: int) -> None:
-    """Worker process body: serve tasks until the shutdown sentinel.
-
-    Each worker activates its own process-local
-    :class:`~repro.api.fabric_cache.FabricCache` so mapped fabrics stay
-    warm across the runs it serves, and piggybacks the cache-counter
-    increments and its warm entry count on every completion so the
-    parent can aggregate pool-wide warmth counters.
-    """
-    cache = activate_fabric_cache(FabricCache(max_entries=warm_entries))
-    reported = cache.counts()
+def _worker_main(worker_id: int, inbox, outbox) -> None:
+    """Worker process body: serve tasks until the shutdown sentinel."""
     while True:
         message = inbox.get()
         if message[0] == "shutdown":
@@ -175,13 +148,9 @@ def _worker_main(worker_id: int, inbox, outbox, warm_entries: int) -> None:
                         _sendable_error(exc),
                         time.perf_counter() - started))
             continue
-        counts = cache.counts()
-        increments = _fabric_increments(reported, counts)
-        reported = counts
         spans = [] if tracer is None else tracer.records()
         outbox.put(("done", worker_id, dispatch_id, result,
-                    time.perf_counter() - started, increments,
-                    counts["entries"], spans))
+                    time.perf_counter() - started, spans))
 
 
 class PoolTask:
@@ -230,7 +199,6 @@ class _WorkerSlot:
         self.inbox = None
         self.outbox = None
         self.dispatch_id: str | None = None
-        self.warm_entries_gauge = 0
 
     @property
     def busy(self) -> bool:
@@ -249,7 +217,6 @@ class WorkerPool:
             spawn), "fork", "forkserver", "spawn", or "inline"
             (synchronous in-process execution with the same task
             plumbing; no processes, nothing to crash).
-        warm_entries: per-worker warm-fabric LRU capacity.
         max_attempts: workers a task may consume before its future
             fails with :class:`WorkerCrashed`.
     """
@@ -258,7 +225,6 @@ class WorkerPool:
         self,
         workers: int = 2,
         mode: str = "auto",
-        warm_entries: int = 8,
         max_attempts: int = 3,
     ) -> None:
         if not isinstance(workers, int) or isinstance(workers, bool) \
@@ -272,7 +238,6 @@ class WorkerPool:
             raise ValueError("max_attempts must be a positive integer")
         self.workers = workers
         self.mode = mode
-        self.warm_entries = warm_entries
         self.max_attempts = max_attempts
         self._lock = threading.RLock()
         self._answered = threading.Condition(self._lock)
@@ -300,21 +265,11 @@ class WorkerPool:
         self._pending_gauge = self._metrics.gauge("pool_pending_tasks")
         self._running_gauge = self._metrics.gauge("pool_running_tasks")
         self._alive_gauge = self._metrics.gauge("pool_workers_alive")
-        self._fabric_counters = {
-            key: self._metrics.counter(f"pool_fabric_cache_{key}_total")
-            for key in _FABRIC_COUNTERS}
-        self._fabric_entries = self._metrics.gauge(
-            "pool_fabric_cache_entries")
-        # Inline mode: the cache shared by in-process execution, plus
-        # whatever cache was active before start() so shutdown can
-        # restore it.
-        self._inline_cache: FabricCache | None = None
-        self._prior_cache: FabricCache | None = None
 
     # -- lifecycle ------------------------------------------------------------
 
     def start(self) -> "WorkerPool":
-        """Fork the workers (or install the inline cache) once."""
+        """Fork the workers once (inline pools fork nothing)."""
         with self._lock:
             if self._running:
                 return self
@@ -322,9 +277,6 @@ class WorkerPool:
                 raise ServingError("pool already shut down")
             self._running = True
             if self.mode == "inline":
-                self._prior_cache = active_fabric_cache()
-                self._inline_cache = activate_fabric_cache(
-                    FabricCache(max_entries=self.warm_entries))
                 return self
             self._ctx = multiprocessing.get_context(self._method())
             self._slots = [_WorkerSlot(i) for i in range(self.workers)]
@@ -367,11 +319,6 @@ class WorkerPool:
         if self.mode == "inline":
             with self._lock:
                 self._running = False
-                if self._inline_cache is not None:
-                    if self._prior_cache is not None:
-                        activate_fabric_cache(self._prior_cache)
-                    else:
-                        deactivate_fabric_cache()
             return
         with self._lock:
             self._running = False
@@ -427,8 +374,6 @@ class WorkerPool:
     def _run_inline(self, task: PoolTask) -> None:
         task.started.set()
         task.attempts = 1
-        cache = self._inline_cache
-        before = cache.counts()
         started = time.perf_counter()
         try:
             result = _execute_task(task.kind, task.payload)
@@ -439,7 +384,6 @@ class WorkerPool:
             return
         self._busy_seconds.inc(time.perf_counter() - started)
         self._tasks_done.inc()
-        self._count_fabric(_fabric_increments(before, cache.counts()))
         task.future.set_result(result)
 
     # -- high-level blocking API ----------------------------------------------
@@ -525,29 +469,23 @@ class WorkerPool:
         """A snapshot of the pool's ``pool_*`` series.
 
         Counters: ``pool_restarts_total``,
-        ``pool_tasks_{done,failed,retried}_total``,
-        ``pool_busy_seconds_total`` and the warm-fabric
-        ``pool_fabric_cache_{hits,misses,stores,evictions}_total``
-        summed over workers.  Gauges, refreshed here: ``pool_workers``,
-        ``pool_workers_alive``, ``pool_pending_tasks``,
-        ``pool_running_tasks`` and ``pool_fabric_cache_entries``.
+        ``pool_tasks_{done,failed,retried}_total`` and
+        ``pool_busy_seconds_total``.  Gauges, refreshed here:
+        ``pool_workers``, ``pool_workers_alive``, ``pool_pending_tasks``
+        and ``pool_running_tasks``.
         """
         with self._lock:
             if self.mode == "inline":
                 alive = self.workers if self._running else 0
                 running = 0
-                entries = 0 if self._inline_cache is None \
-                    else len(self._inline_cache)
             else:
                 alive = sum(1 for s in self._slots if s.alive())
                 running = sum(1 for s in self._slots if s.busy)
-                entries = sum(s.warm_entries_gauge for s in self._slots)
             # Instantaneous gauges refresh on snapshot (the registry's
             # exposition reflects the latest metrics() call).
             self._pending_gauge.set(len(self._pending))
             self._running_gauge.set(running)
             self._alive_gauge.set(alive)
-            self._fabric_entries.set(entries)
             return self._metrics.snapshot()
 
     # -- internals -------------------------------------------------------------
@@ -557,11 +495,6 @@ class WorkerPool:
             return self.mode
         available = multiprocessing.get_all_start_methods()
         return "fork" if "fork" in available else "spawn"
-
-    def _count_fabric(self, increments: Mapping[str, int]) -> None:
-        """Add one task's warm-fabric increments (caller holds the lock)."""
-        for key, amount in increments.items():
-            self._fabric_counters[key].inc(amount)
 
     def _start_worker(self, slot: _WorkerSlot) -> None:
         """(Re)fork one worker into ``slot`` (caller holds the lock).
@@ -574,11 +507,9 @@ class WorkerPool:
         slot.inbox = self._ctx.Queue()
         slot.outbox = self._ctx.Queue()
         slot.dispatch_id = None
-        slot.warm_entries_gauge = 0
         slot.process = self._ctx.Process(
             target=_worker_main,
-            args=(slot.worker_id, slot.inbox, slot.outbox,
-                  self.warm_entries),
+            args=(slot.worker_id, slot.inbox, slot.outbox),
             daemon=True,
             name=f"repro-pool-worker-{slot.worker_id}",
         )
@@ -669,10 +600,8 @@ class WorkerPool:
             if slot.dispatch_id == dispatch_id:
                 slot.dispatch_id = None
             if kind == "done":
-                _, _, _, result, busy, increments, entries, spans = message
+                _, _, _, result, busy, spans = message
                 self._busy_seconds.inc(busy)
-                self._count_fabric(increments)
-                slot.warm_entries_gauge = entries
                 tracer = active_tracer()
                 if spans and tracer is not None:
                     tracer.adopt(

@@ -10,9 +10,8 @@ results bit-identically to the single-process run
 
 A call that has work to fan out runs on the pool passed as
 ``executor=``, or on the runner's own pool, kept warm from its first
-fan-out until the runner is dropped.  An ``"inline"`` pool is entered
-per call instead, so it never leaves its fabric cache installed in the
-caller.  Every other call runs in-process, so ``workers=1`` never forks.
+fan-out until the runner is dropped.  Every other call runs in-process,
+so ``workers=1`` never forks.
 
 A :class:`~repro.parallel.cache.ResultCache` can be attached; cache
 lookups happen before any task is submitted, so a warm cache serves
@@ -21,7 +20,6 @@ repeated runs (figure regenerations, sweep re-runs) without compute.
 
 from __future__ import annotations
 
-import contextlib
 import os
 import threading
 import weakref
@@ -46,7 +44,7 @@ class ParallelRunner:
         pool: start method of the runner's pool -- "auto" (fork where
             available, else spawn), "fork", "forkserver", "spawn", or
             "inline" (serial in-process execution of the identical
-            shard plan, entered per call).
+            shard plan).
         executor: an optional started
             :class:`~repro.parallel.pool.WorkerPool` to run on instead
             of the runner's own pool: cache handling stays here,
@@ -108,8 +106,7 @@ class ParallelRunner:
             else self.executor.workers
         shards = plan_shards(spec.batch, workers)
         if engine.shardable and len(shards) > 1:
-            with self._pool_for(len(shards)) as pool:
-                result = pool.run(spec)
+            result = self._worker_pool().run(spec)
         else:
             result = engine.run()
         if self.cache is not None:
@@ -142,8 +139,7 @@ class ParallelRunner:
         missing = [resolved[i] for i in misses]
         if len(missing) > 1 and (self.executor is not None
                                  or self.workers > 1):
-            with self._pool_for(len(missing)) as pool:
-                fresh = pool.run_many(missing)
+            fresh = self._worker_pool().run_many(missing)
         else:
             fresh = [Engine.from_spec(spec).run() for spec in missing]
         for i, result in zip(misses, fresh):
@@ -152,19 +148,16 @@ class ParallelRunner:
             results[i] = result
         return results  # type: ignore[return-value]
 
-    def _pool_for(self, tasks: int):
-        """The attached executor, the kept pool, or an inline pool
-        entered for one call."""
+    def _worker_pool(self) -> WorkerPool:
+        """The attached executor, or the runner's kept pool."""
         if self.executor is not None:
-            return contextlib.nullcontext(self.executor)
-        if self.pool == "inline":
-            return WorkerPool(min(self.workers, tasks), mode="inline")
+            return self.executor
         with self._pool_lock:
             if self._pool is None or self._pool_pid != os.getpid():
                 pool = WorkerPool(self.workers, mode=self.pool).start()
                 self._pool, self._pool_pid = pool, os.getpid()
                 weakref.finalize(self, _stop_pool, pool, os.getpid())
-            return contextlib.nullcontext(self._pool)
+            return self._pool
 
 
 def _stop_pool(pool: WorkerPool, pid: int) -> None:

@@ -2,10 +2,9 @@
 
 The production-traffic layer of the reproduction.  Requests are served
 by a long-lived :class:`~repro.parallel.pool.WorkerPool` -- worker
-processes forked once, mapped fabrics kept warm across runs keyed by
-:meth:`~repro.api.spec.ScenarioSpec.structure_hash`, health checks,
-crash restarts with bit-identical retries, graceful shutdown -- the
-same executor :class:`~repro.parallel.runner.ParallelRunner` runs on.
+processes forked once, health checks, crash restarts with bit-identical
+retries, graceful shutdown -- the same executor
+:class:`~repro.parallel.runner.ParallelRunner` runs on.
 This package adds the request path in front of it:
 
 * :class:`~repro.serving.service.Service` -- the asyncio front-end:

@@ -398,9 +398,9 @@ def render_metrics(snapshot: Mapping[str, Any]) -> str:
     """The text summary of a :meth:`Service.metrics` snapshot.
 
     One line per stage, read by series name: admissions and outcomes,
-    cache tier and dedup, dispatches, queue depth, latency, the pool,
-    the warm fabric and -- only when the snapshot holds the cache
-    tier's ``result_cache_*`` series -- the result cache.
+    cache tier and dedup, dispatches, queue depth, latency, the pool
+    and -- only when the snapshot holds the cache tier's
+    ``result_cache_*`` series -- the result cache.
     """
     counters, gauges = snapshot["counters"], snapshot["gauges"]
     latency = snapshot["histograms"]["service_time_seconds"]
@@ -423,9 +423,6 @@ def render_metrics(snapshot: Mapping[str, Any]) -> str:
         f"workers alive, {counters['pool_restarts_total']} restarts, "
         f"{counters['pool_tasks_done_total']} tasks, "
         f"busy {counters['pool_busy_seconds_total']:.4g} s",
-        f"warm fabric: {counters['pool_fabric_cache_hits_total']} hits / "
-        f"{counters['pool_fabric_cache_misses_total']} misses "
-        f"({gauges['pool_fabric_cache_entries']} warm)",
     ]
     if "result_cache_hits_total" in counters:
         lines.append(

@@ -123,7 +123,9 @@ def make_motif_dataset(
         if not chosen or pos >= chosen[-1] + m:
             chosen.append(int(pos))
     if len(chosen) < n_plants:
-        raise ValueError("could not find enough non-overlapping slots")
+        # The draw crowded itself out; a start every m + 1 positions
+        # always fits (checked above), so the spec never fails by seed.
+        chosen = list(range(0, n_plants * (m + 1), m + 1))
     ends = []
     for pos in chosen:
         concrete = "".join(

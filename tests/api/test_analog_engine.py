@@ -4,12 +4,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from repro.api import Engine, ScenarioSpec, ScenarioError, run
-from repro.api.registry import DEVICES
+from repro.api.registry import DEVICES, ENGINES, WORKLOADS
 from repro.api.spec import SpecError
+from repro.crossbar.nonideal import (
+    AXIS_FAULTS,
+    AXIS_IR_DROP,
+    AXIS_VARIABILITY,
+    AXIS_WRITE_VERIFY,
+)
 from repro.parallel import SweepRunner, expand_grid
 
 MLP_SPEC = ScenarioSpec(engine="analog_mvm", workload="mlp_inference",
@@ -233,6 +239,73 @@ class TestModelCache:
         assert len(workloads._MLP_MODEL_CACHE) <= bound
 
 
+WARM_SPEC = ScenarioSpec(engine="analog_mvm", workload="mlp_inference",
+                         batch=2, seed=7)
+
+
+def comparable(result) -> dict:
+    data = result.to_dict()
+    data["provenance"].pop("wall_seconds", None)
+    return data
+
+
+class TestWarmExecution:
+    """A process that already ran a spec (a warm pool worker, say)
+    runs it again exactly as a cold one does.  Only the trained model
+    outlives a run; every run maps its own fabric."""
+
+    @pytest.fixture
+    def cold(self, monkeypatch):
+        """Empties the trained-model memo, as in a fresh process."""
+        from collections import OrderedDict
+
+        from repro.api import workloads
+
+        def empty():
+            monkeypatch.setattr(workloads, "_MLP_MODEL_CACHE",
+                                OrderedDict())
+        return empty
+
+    def test_warm_rerun_bit_identical_to_cold(self, cold, monkeypatch):
+        from repro.api import engines
+        fabrics = []
+        build = engines.AnalogMVMEngine.build_fabric
+
+        def recorded_build(self, adapter):
+            fabrics.append(build(self, adapter))
+            return fabrics[-1]
+
+        monkeypatch.setattr(engines.AnalogMVMEngine, "build_fabric",
+                            recorded_build)
+        cold()
+        first = run(WARM_SPEC)   # trains the model
+        second = run(WARM_SPEC)  # reuses the trained model
+        assert comparable(second) == comparable(first)
+        assert second.item_costs == first.item_costs
+        crossbars = [id(c) for accelerators in fabrics
+                     for c in accelerators[0].crossbars]
+        assert len(fabrics) == 2
+        assert len(set(crossbars)) == len(crossbars)
+
+    def test_batch_variant_after_a_warm_run_matches_cold(self, cold):
+        variant = WARM_SPEC.replaced(batch=3)
+        cold()
+        want = run(variant)
+        cold()
+        run(WARM_SPEC)
+        assert comparable(run(variant)) == comparable(want)
+
+    def test_nonideal_rerun_matches_cold(self, cold):
+        nonideal = WARM_SPEC.replaced(
+            nonideality=WARM_SPEC.nonideality.replaced(fault_rate=0.05))
+        cold()
+        want = run(nonideal)
+        got = run(nonideal)
+        for result in (want, got):
+            assert result.fidelity is not None
+        assert comparable(got) == comparable(want)
+
+
 @st.composite
 def edge_specs(draw):
     """Valid but unusual ``analog_mvm`` specs: single items and
@@ -274,6 +347,40 @@ def ap_edge_specs(draw):
         params={"kernel": draw(st.sampled_from(["rram", "sram", "sdram"]))},
         nonideality=draw(st.sampled_from([{}, {"fault_rate": 1.0}])),
     )
+
+
+#: One nonideality per axis an MVP crossbar fabric models.
+_AXIS_NONIDEALITIES = {
+    AXIS_FAULTS: {"fault_rate": 1.0},
+    AXIS_VARIABILITY: {"variability_sigma": 0.3},
+    AXIS_IR_DROP: {"wire_resistance": 5.0},
+    AXIS_WRITE_VERIFY: {"write_scheme": "verify"},
+}
+
+
+@st.composite
+def digital_edge_specs(draw):
+    """``mvp``, ``mvp_batched`` and ``arch_model`` specs at their
+    floors: every workload the engine accepts, sizes from 1, one or two
+    items and batch items, and any mix of the nonideality axes the
+    engine models.  ``arch_model`` runs only at its default size, items
+    and seed, so those are drawn too."""
+    engine = draw(st.sampled_from(["mvp", "mvp_batched", "arch_model"]))
+    workload = draw(st.sampled_from(sorted(
+        name for name, adapter in WORKLOADS.items()
+        if engine in adapter.engines)))
+    nonideality = {}
+    for axis in sorted(ENGINES.get(engine).nonideality_axes):
+        if draw(st.booleans()):
+            nonideality.update(_AXIS_NONIDEALITIES[axis])
+    fields = dict(size=draw(st.integers(1, 8)),
+                  items=draw(st.integers(1, 2)),
+                  seed=draw(st.integers(0, 99)))
+    if engine == "arch_model" and draw(st.booleans()):
+        fields = {}
+    return ScenarioSpec(engine=engine, workload=workload,
+                        batch=draw(st.integers(1, 2)),
+                        nonideality=nonideality, **fields)
 
 
 def assert_healthy_ledgers(result):
@@ -327,3 +434,19 @@ class TestFacadeFuzz:
             event(f"{spec.workload}: smallest size {size}")
             return
         pytest.fail(f"no size up to 16 fits {fields}")
+
+    @settings(max_examples=150, deadline=None)
+    @given(digital_edge_specs())
+    # Regression: a one-vertex graph fails typed, not as a ValueError.
+    @example(ScenarioSpec(engine="mvp", workload="graph", size=1,
+                          items=1, batch=1))
+    def test_digital_edge_specs_run_or_raise_typed(self, spec):
+        try:
+            result = run(spec)
+        except (ScenarioError, SpecError) as exc:
+            event(f"{spec.engine}: rejected ({type(exc).__name__})")
+            return
+        assert_healthy_ledgers(result)
+        event(f"{spec.engine} x {spec.workload}: ran")
+        if spec.nonideality.is_default():
+            assert result.outputs["checks_passed"] is True

@@ -5,6 +5,8 @@ plain dicts, batched-vs-single equivalence through the facade, and the
 unsupported engine x workload error paths.
 """
 
+import hashlib
+
 import pytest
 
 from repro.api import (
@@ -14,6 +16,7 @@ from repro.api import (
     ScenarioSpec,
     run,
 )
+from repro.api.workloads import adapter_for
 
 
 def _assert_populated(result: RunResult, spec: ScenarioSpec) -> None:
@@ -85,6 +88,23 @@ class TestDeterminism:
         a = run(base)
         b = run(base.replaced(seed=99))
         assert a.outputs["counts"] != b.outputs["counts"]
+
+    @pytest.mark.parametrize("size, items, batch, seed, digest", [
+        (64, 3, 4, 0, "6237eb2d67903dc0"),
+        (256, 8, 16, 11, "37a0a09c8a930cc6"),
+    ])
+    def test_strings_draws_are_pinned(self, size, items, batch, seed,
+                                      digest):
+        """The strings patterns and texts a seed draws stay fixed, so
+        a faster draw cannot change a workload."""
+        spec = ScenarioSpec(engine="rram_ap", workload="strings",
+                            size=size, items=items, batch=batch,
+                            seed=seed)
+        adapter = adapter_for(spec, "rram_ap")
+        patterns, texts = adapter._patterns, adapter.streams()
+        assert all(type(s) is str for s in (*patterns, *texts))
+        text = repr((patterns, texts))
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
 class TestBatchedEquivalence:

@@ -64,6 +64,26 @@ def test_second_fan_out_starts_no_process(starts):
     assert first == second == serial()
 
 
+def test_an_inline_runner_keeps_its_pool(monkeypatch, starts):
+    """An ``"inline"`` runner keeps its pool like every other mode: one
+    pool start serves every call, and no process is started."""
+    expected = serial()
+    pools = []
+    real = pool_module.WorkerPool.start
+
+    def counting(self):
+        pools.append(self)
+        return real(self)
+
+    monkeypatch.setattr(pool_module.WorkerPool, "start", counting)
+    runner = SweepRunner(workers=2, pool="inline")
+    first = [comparable(r) for r in runner.run(SPECS)]
+    second = [comparable(r) for r in runner.run(SPECS)]
+    assert len(pools) == 1
+    assert starts == []
+    assert first == second == expected
+
+
 def test_dropping_the_runner_stops_its_workers(starts):
     runner = ParallelRunner(workers=2)
     runner.run_many(SPECS)

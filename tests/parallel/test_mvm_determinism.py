@@ -79,7 +79,17 @@ class TestGroupedDispatchEquivalence:
         assert looped.accuracy == grouped.accuracy
 
     def test_ledger_twins_equal_independent_builds(self, monkeypatch):
+        from repro.api import engines
         from repro.api import workloads as wl
+        fabrics = []
+        build = engines.AnalogMVMEngine.build_fabric
+
+        def recorded_build(self, adapter):
+            fabrics.append(build(self, adapter))
+            return fabrics[-1]
+
+        monkeypatch.setattr(engines.AnalogMVMEngine, "build_fabric",
+                            recorded_build)
         twinned = Engine.from_spec(MLP).run()
         # Fresh weight copies defeat the identical-arrays check, so
         # every item maps its own fabric instead of twinning.
@@ -89,8 +99,28 @@ class TestGroupedDispatchEquivalence:
             lambda self, index: [w.copy()
                                  for w in orig(self, index)])
         rebuilt = Engine.from_spec(MLP).run()
+        shared, separate = fabrics
+        assert len(shared) == len(separate) == MLP.batch
+        first = shared[0].crossbars
+        for accelerator in shared[1:]:
+            assert all(a is b for a, b in
+                       zip(accelerator.crossbars, first, strict=True))
+        crossbars = [id(c) for accelerator in separate
+                     for c in accelerator.crossbars]
+        assert len(set(crossbars)) == len(crossbars)
         assert comparable(rebuilt) == comparable(twinned)
         assert rebuilt.item_costs == twinned.item_costs
+
+    def test_twins_need_the_very_same_arrays(self):
+        """Items twin on identical weight arrays; equal copies do not."""
+        import numpy as np
+
+        from repro.api.engines import _same_layers
+        layers = [np.eye(3), np.ones((3, 2))]
+        assert _same_layers(list(layers), layers)
+        assert not _same_layers([w.copy() for w in layers], layers)
+        assert not _same_layers(layers[:1], layers)
+        assert not _same_layers(layers, None)
 
 
 class TestCacheReplay:

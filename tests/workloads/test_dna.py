@@ -1,5 +1,8 @@
 """Tests for DNA workload generation."""
 
+import hashlib
+import re
+
 import numpy as np
 import pytest
 
@@ -71,6 +74,35 @@ class TestPlanting:
         proc = rram_ap(homogenize(motif_nfa(ds.motif)))
         found = set(proc.find_matches(ds.sequence))
         assert set(ds.planted_ends) <= found  # spontaneous extras allowed
+
+    @pytest.mark.parametrize("n_plants, length", [(4, 28), (5, 36)])
+    def test_plants_that_fit_never_fail_by_seed(self, n_plants, length):
+        """A crowded draw falls back to a start every m + 1 positions."""
+        m = len("TATAWR")
+        for seed in range(300):
+            ds = make_motif_dataset(np.random.default_rng(seed), length,
+                                    "TATAWR", n_plants)
+            assert len(ds.sequence) == length
+            starts = [end - m for end in ds.planted_ends]
+            assert len(starts) == n_plants and starts[0] >= 0
+            assert all(b >= a + m for a, b in zip(starts, starts[1:]))
+            assert max(ds.planted_ends) <= length
+            assert all(re.fullmatch(motif_to_regex("TATAWR"),
+                                    ds.sequence[s:s + m])
+                       for s in starts)
+
+    @pytest.mark.parametrize("n_plants, length, seed, digest", [
+        (4, 28, 0, "b7a81d756514627f"),
+        (4, 28, 1, "b228962b769330be"),
+        (5, 36, 2, "a7e4872f686a3aa5"),
+        (3, 300, 7, "9985f810558af8fb"),
+    ])
+    def test_successful_draws_keep_their_dataset(self, n_plants, length,
+                                                 seed, digest):
+        ds = make_motif_dataset(np.random.default_rng(seed), length,
+                                "TATAWR", n_plants)
+        text = f"{ds.sequence}|{ds.planted_ends}"
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
     def test_too_many_plants_rejected(self):
         rng = np.random.default_rng(0)
