@@ -48,6 +48,7 @@ bit-identical to the ``workers=1`` run.
 
 from __future__ import annotations
 
+import math
 import string
 import threading
 from collections import OrderedDict
@@ -65,7 +66,7 @@ from repro.automata.symbols import Alphabet
 from repro.mvm.accuracy import AccuracySummary
 from repro.mvm.analog import AnalogAcceleratorGroup
 from repro.mvp.isa import Instruction
-from repro.workloads.database import lower_query
+from repro.workloads.database import evaluate_query, lower_query
 from repro.workloads.datamining import (
     ITEM_ALPHABET,
     contains_in_order,
@@ -500,14 +501,33 @@ class DatabaseAdapter(WorkloadAdapter):
         ]
 
     @cached_property
+    def _columns(self) -> np.ndarray:
+        """The window's tables as one column-major (window, columns,
+        size) int8 stack.
+
+        ``_columns[k].T`` is the table :func:`random_table` draws from
+        item ``batch_indices[k]``'s own stream, as a lone table would
+        be (every cardinality fits int8).  Column-major, each bitmap
+        compare reads contiguous values.
+        """
+        columns = np.empty(
+            (self.window_batch, len(self._CARDINALITIES), self.spec.size),
+            dtype=np.int8)
+        for k, index in enumerate(self.batch_indices):
+            columns[k] = random_table(
+                self.item_rng(index), self.spec.size, self._CARDINALITIES).T
+        return columns
+
+    @cached_property
     def _indexes(self) -> list[BitmapIndex]:
-        """One table per windowed item, each from its own item stream."""
-        return [
-            BitmapIndex(random_table(
-                self.item_rng(i), self.spec.size, self._CARDINALITIES
-            ))
-            for i in self.batch_indices
-        ]
+        """One :class:`BitmapIndex` per windowed item, over its table in
+        the stack (a view: no bitmap is built until asked for)."""
+        return [BitmapIndex(columns.T) for columns in self._columns]
+
+    def _bitmaps(self, column: int, value: int) -> np.ndarray:
+        """(window, size) row masks of one equality predicate: one
+        compare over the whole stack."""
+        return self._columns[:, column] == value
 
     def _lower(self, query) -> tuple[list[Instruction], int]:
         """Lower one query via the shared legacy row-allocation scheme.
@@ -515,16 +535,11 @@ class DatabaseAdapter(WorkloadAdapter):
         Both paths run :func:`repro.workloads.database.lower_query` --
         the function behind ``BitmapIndex.to_mvp_program`` -- so facade
         programs are instruction-identical to the legacy lowering; with
-        batch > 1 the VLOAD payloads stack per-item bitmaps.
+        batch > 1 each VLOAD payload stacks the window's bitmaps.
         """
-        indexes = self._indexes
-        if len(indexes) == 1:
-            return indexes[0].to_mvp_program(query)
-
-        def stacked_fetch(column: int, value: int) -> np.ndarray:
-            return np.stack([idx.bitmap(column, value) for idx in indexes])
-
-        return lower_query(query, stacked_fetch)
+        if self.window_batch == 1:
+            return self._indexes[0].to_mvp_program(query)
+        return lower_query(query, self._bitmaps)
 
     @cached_property
     def _programs(self) -> list[tuple[list[Instruction], int]]:
@@ -542,11 +557,20 @@ class DatabaseAdapter(WorkloadAdapter):
         rows = max(rows_used for _, rows_used in self._programs)
         return rows + 1, self.spec.size  # + the reserved ones row
 
+    def _golden_counts(self) -> list[list[int]]:
+        """``counts[query][item]``: each query's CNF evaluated once over
+        the stacked bitmaps of the whole window."""
+        shape = (self.window_batch, self.spec.size)
+        return [
+            evaluate_query(query, self._bitmaps, shape).sum(axis=1).tolist()
+            for query in self._queries
+        ]
+
     def run_mvp(self, processor: "MVPProcessor") -> dict[str, Any]:
         counts = []
         for program in self.mvp_programs():
             counts.append(int(processor.execute(program)[-1]))
-        golden = [self._indexes[0].count(q) for q in self._queries]
+        golden = [per_item[0] for per_item in self._golden_counts()]
         return {
             "counts": counts,
             "golden_counts": golden,
@@ -560,9 +584,7 @@ class DatabaseAdapter(WorkloadAdapter):
         for program in self.mvp_programs():
             per_item = processor.execute(program)[-1]
             counts.append([int(c) for c in per_item])
-        golden = [
-            [idx.count(q) for idx in self._indexes] for q in self._queries
-        ]
+        golden = self._golden_counts()
         return {
             "counts": counts,
             "golden_counts": golden,
@@ -602,9 +624,9 @@ class GraphAdapter(WorkloadAdapter):
     """Frontier BFS on the MVP: each level is one multi-row scouting OR.
 
     ``size`` is the vertex count; the expected out-degree comes from
-    ``params["avg_degree"]`` (default 3.0).  BFS drives the processor
-    interactively (data-dependent frontiers), so there is no batched
-    lowering.
+    ``params["avg_degree"]`` (default 3.0; a finite number >= 0).  BFS
+    drives the processor interactively (data-dependent frontiers), so
+    there is no batched lowering.
     """
 
     name = "graph"
@@ -624,7 +646,14 @@ class GraphAdapter(WorkloadAdapter):
                 f"graph size {self.spec.size} is below the 2 vertices a "
                 "BFS graph needs"
             )
-        degree = float(self.spec.params.get("avg_degree", 3.0))
+        raw = self.spec.params.get("avg_degree", 3.0)
+        try:
+            degree = float(raw)
+        except (TypeError, ValueError):
+            degree = math.nan
+        if not (math.isfinite(degree) and degree >= 0):
+            raise ScenarioError(
+                f"graph avg_degree {raw!r} is not a finite number >= 0")
         return random_graph(self.shared_rng(0), self.spec.size, degree)
 
     def mvp_geometry(self) -> tuple[int, int]:

@@ -316,59 +316,6 @@ class Crossbar:
         conductance = 1.0 / self.resistances[rows, :]
         return self.read_voltage * conductance.sum(axis=0)
 
-    def batched_column_currents(self, row_sets) -> np.ndarray:
-        """Bit-line currents for B activation sets in one call.
-
-        The batched counterpart of :meth:`column_currents`: each row of
-        ``row_sets`` is an independent activation pattern, and the whole
-        batch is serviced by one fancy-indexed numpy reduction.  The
-        per-set currents are bit-identical to B separate
-        :meth:`column_currents` calls (same operands, same reduction
-        axis), which the batch engines rely on for exact equivalence.
-
-        Args:
-            row_sets: (B, k) integer array; row b lists the k word lines
-                activated in logical read b.
-
-        Returns:
-            (B, cols) currents: ``I[b, j] = sum_i Vr / R[row_sets[b, i], j]``.
-        """
-        sets = np.asarray(row_sets, dtype=int)
-        if sets.ndim != 2 or sets.shape[1] < 1:
-            raise ValueError("row_sets must be a (B, k) index array, k >= 1")
-        if ((sets < 0) | (sets >= self.rows)).any():
-            raise IndexError(f"row index out of range [0, {self.rows})")
-        sorted_sets = np.sort(sets, axis=1)
-        if (sorted_sets[:, 1:] == sorted_sets[:, :-1]).any():
-            raise ValueError("duplicate rows in an activation set")
-        conductance = 1.0 / self.resistances[sets, :]
-        return self.read_voltage * conductance.sum(axis=1)
-
-    def masked_column_currents(self, masks: np.ndarray) -> np.ndarray:
-        """Bit-line currents for B boolean activation masks (matmul form).
-
-        Masked-stack semantics for dot-product-style workloads where each
-        logical read may activate a different *number* of rows: the batch
-        collapses to one (B, rows) x (rows, cols) matrix product over the
-        conductance matrix.  Float rounding may differ from
-        :meth:`column_currents` at the last ulp (different reduction
-        order), which thresholded reads are insensitive to.
-
-        Args:
-            masks: (B, rows) boolean array; True activates the word line.
-
-        Returns:
-            (B, cols) currents.
-        """
-        masks = np.asarray(masks, dtype=bool)
-        if masks.ndim != 2 or masks.shape[1] != self.rows:
-            raise ValueError(f"masks must be (B, {self.rows})")
-        if not masks.any(axis=1).all():
-            raise ValueError("every mask must activate at least one row")
-        return self.read_voltage * (
-            masks.astype(float) @ (1.0 / self.resistances)
-        )
-
     def read_row(self, row: int) -> np.ndarray:
         """Conventional single-row memory read, returning stored bits.
 

@@ -24,6 +24,7 @@ output for every column -- this is the vector parallelism the MVP exploits.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Sequence
 
@@ -75,6 +76,13 @@ class ReferenceLadder:
                    self.levels[self.k] - self.i_ref_and)
 
 
+@functools.lru_cache(maxsize=256)
+def _ladder(k: int, read_voltage: float, r_on: float,
+            r_off: float) -> ReferenceLadder:
+    """:meth:`ReferenceLadder.build`, built once per distinct key."""
+    return ReferenceLadder.build(k, read_voltage, r_on, r_off)
+
+
 class ScoutingLogic:
     """Executes scouting-logic operations on a :class:`Crossbar`.
 
@@ -98,8 +106,13 @@ class ScoutingLogic:
     # -- reference construction ------------------------------------------
 
     def ladder(self, k: int) -> ReferenceLadder:
-        """Reference ladder for ``k`` activated rows of this crossbar."""
-        return ReferenceLadder.build(
+        """Reference ladder for ``k`` activated rows of this crossbar.
+
+        Ladders are immutable, so one is shared by every gate (and
+        every processor) that reads the same (k, read voltage, r_on,
+        r_off).
+        """
+        return _ladder(
             k,
             self.crossbar.read_voltage,
             self.crossbar.params.r_on,

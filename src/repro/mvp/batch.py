@@ -47,16 +47,18 @@ from typing import Sequence
 import numpy as np
 
 from repro.crossbar import CrossbarStack, ScoutingEnergyModel, ScoutingLogic
-from repro.mvp.isa import Instruction, Opcode, validate_program
+from repro.mvp.isa import Instruction, validate_program
 from repro.mvp.processor import (
     _WRITE_ENERGY_PER_CELL,
     _WRITE_LATENCY,
     MVPStats,
+    opcode_table,
 )
 
 __all__ = ["BatchedMVPProcessor"]
 
 
+@opcode_table
 class BatchedMVPProcessor:
     """Executes one MVP program over every logical array of a stack.
 
@@ -146,7 +148,7 @@ class BatchedMVPProcessor:
         self._energy += self.energy_model.operation_energy(cols)
         self._time += self.activation_latency_seconds
 
-    def _charge_write(self, cells_per_item: np.ndarray) -> None:
+    def _charge_write(self, cells_per_item: np.ndarray | int) -> None:
         self._program_cycles += cells_per_item
         self._energy += cells_per_item * _WRITE_ENERGY_PER_CELL
         self._time += _WRITE_LATENCY
@@ -160,19 +162,7 @@ class BatchedMVPProcessor:
         counts; all other opcodes return None.
         """
         self._instructions += 1
-        handler = {
-            Opcode.VLOAD: self._vload,
-            Opcode.VREAD: self._vread,
-            Opcode.VOR: self._vor,
-            Opcode.VAND: self._vand,
-            Opcode.VXOR: self._vxor,
-            Opcode.VMAJ: self._vmaj,
-            Opcode.VXOR3: self._vxor3,
-            Opcode.VNOT: self._vnot,
-            Opcode.VSTORE: self._vstore,
-            Opcode.POPCOUNT: self._popcount,
-        }[instr.opcode]
-        return handler(instr)
+        return self._handlers[instr.opcode](self, instr)
 
     def execute(self, program: Sequence[Instruction]) -> list:
         """Validate then run a program, collecting host-bound results."""
@@ -194,9 +184,8 @@ class BatchedMVPProcessor:
     def _vload(self, instr: Instruction):
         row = instr.rows[0]
         self.crossbar.write_row(row, instr.data)
-        self._charge_write(
-            np.full(self.batch, self.crossbar.cols, dtype=np.int64)
-        )
+        # Every item programs every column: one scalar charge for all.
+        self._charge_write(self.crossbar.cols)
         return None
 
     def _vread(self, instr: Instruction):

@@ -65,6 +65,19 @@ class MVPStats:
         )
 
 
+def opcode_table(cls):
+    """Class decorator: give ``cls`` its opcode -> handler table, once.
+
+    Every :class:`Opcode` dispatches to the class's ``_<opcode value>``
+    method (``VLOAD`` to ``_vload``), so ``execute_one`` looks the
+    handler up instead of building the table per instruction.  A
+    subclass that overrides a handler applies the decorator again.
+    """
+    cls._handlers = {op: getattr(cls, f"_{op.value}") for op in Opcode}
+    return cls
+
+
+@opcode_table
 class MVPProcessor:
     """Executes MVP macro-instruction programs.
 
@@ -106,19 +119,7 @@ class MVPProcessor:
         other opcodes return None.
         """
         self.stats.instructions += 1
-        handler = {
-            Opcode.VLOAD: self._vload,
-            Opcode.VREAD: self._vread,
-            Opcode.VOR: self._vor,
-            Opcode.VAND: self._vand,
-            Opcode.VXOR: self._vxor,
-            Opcode.VMAJ: self._vmaj,
-            Opcode.VXOR3: self._vxor3,
-            Opcode.VNOT: self._vnot,
-            Opcode.VSTORE: self._vstore,
-            Opcode.POPCOUNT: self._popcount,
-        }[instr.opcode]
-        return handler(instr)
+        return self._handlers[instr.opcode](self, instr)
 
     def execute(self, program: Sequence[Instruction]) -> list:
         """Validate then run a program, collecting host-bound results."""

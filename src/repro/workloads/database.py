@@ -15,8 +15,8 @@ import numpy as np
 
 from repro.mvp.isa import Instruction
 
-__all__ = ["BitmapIndex", "Query", "lower_query", "random_table",
-           "random_query"]
+__all__ = ["BitmapIndex", "Query", "evaluate_query", "lower_query",
+           "random_table", "random_query"]
 
 
 def random_table(
@@ -54,6 +54,10 @@ class Query:
 class BitmapIndex:
     """Equality-encoded bitmap index over a categorical table.
 
+    Bitmaps are computed when asked for, one column compare each: a
+    query reads a handful of the index's bitmaps, so none is built
+    ahead of use.
+
     Args:
         table: (n_rows, n_cols) integer matrix.
     """
@@ -64,29 +68,23 @@ class BitmapIndex:
             raise ValueError("table must be 2-D")
         self.table = table
         self.n_rows, self.n_cols = table.shape
-        # bitmaps[(col, value)] = boolean row mask.
-        self.bitmaps: dict[tuple[int, int], np.ndarray] = {}
-        for col in range(self.n_cols):
-            for value in np.unique(table[:, col]):
-                self.bitmaps[(col, int(value))] = table[:, col] == value
 
     def bitmap(self, column: int, value: int) -> np.ndarray:
-        """The row mask of one equality predicate (all-zero if absent)."""
-        return self.bitmaps.get(
-            (column, value), np.zeros(self.n_rows, dtype=bool)
-        )
+        """The row mask of one equality predicate (all-zero if absent).
+
+        Raises:
+            IndexError: if the table has no column ``column``.
+        """
+        if not 0 <= column < self.n_cols:
+            raise IndexError(
+                f"column {column} out of range [0, {self.n_cols})")
+        return self.table[:, column] == value
 
     # -- golden evaluation ---------------------------------------------------
 
     def evaluate(self, query: Query) -> np.ndarray:
         """Reference CNF evaluation with numpy."""
-        result = np.ones(self.n_rows, dtype=bool)
-        for term in query.terms:
-            disjunct = np.zeros(self.n_rows, dtype=bool)
-            for column, value in term:
-                disjunct |= self.bitmap(column, value)
-            result &= disjunct
-        return result
+        return evaluate_query(query, self.bitmap, (self.n_rows,))
 
     def count(self, query: Query) -> int:
         return int(self.evaluate(query).sum())
@@ -106,6 +104,30 @@ class BitmapIndex:
             result equals :meth:`count`.
         """
         return lower_query(query, self.bitmap)
+
+
+def evaluate_query(query: Query, bitmap_fetch, shape) -> np.ndarray:
+    """Evaluate a CNF query over the row masks ``bitmap_fetch`` returns.
+
+    The evaluation behind :meth:`BitmapIndex.evaluate`, parameterized
+    over the bitmap source like :func:`lower_query`, so a stack of
+    tables evaluates in one pass over (B, n_rows) masks.
+
+    Args:
+        query: the CNF query.
+        bitmap_fetch: ``(column, value) -> bool array`` of ``shape``.
+        shape: the mask shape, ``(n_rows,)`` or ``(B, n_rows)``.
+
+    Returns:
+        The bool hit mask, of ``shape``.
+    """
+    result = np.ones(shape, dtype=bool)
+    for term in query.terms:
+        disjunct = np.zeros(shape, dtype=bool)
+        for column, value in term:
+            disjunct |= bitmap_fetch(column, value)
+        result &= disjunct
+    return result
 
 
 def lower_query(

@@ -437,9 +437,12 @@ class TestFacadeFuzz:
 
     @settings(max_examples=150, deadline=None)
     @given(digital_edge_specs())
-    # Regression: a one-vertex graph fails typed, not as a ValueError.
+    # Regressions: a one-vertex graph and a non-numeric degree fail
+    # typed, not as a ValueError.
     @example(ScenarioSpec(engine="mvp", workload="graph", size=1,
                           items=1, batch=1))
+    @example(ScenarioSpec(engine="mvp", workload="graph", size=6,
+                          items=1, batch=1, params={"avg_degree": "abc"}))
     def test_digital_edge_specs_run_or_raise_typed(self, spec):
         try:
             result = run(spec)

@@ -167,6 +167,16 @@ class TestErrorPaths:
                                   params={"accelerated_fraction": 0.5}))
         assert result.outputs["accelerated_fraction"] == 0.5
 
+    @pytest.mark.parametrize("degree", ["abc", -2.0, float("nan"),
+                                        float("inf")])
+    def test_graph_rejects_unusable_avg_degree(self, degree):
+        """A degree that is no finite number >= 0 fails typed, instead
+        of escaping as a bare ValueError or running an edgeless (-2) or
+        complete (NaN, inf) graph."""
+        with pytest.raises(ScenarioError, match="avg_degree"):
+            run(ScenarioSpec(engine="mvp", workload="graph", size=6,
+                             params={"avg_degree": degree}))
+
     def test_arch_model_rejects_unused_axes(self):
         for overrides in ({"size": 9999}, {"items": 7}, {"seed": 99}):
             with pytest.raises(ScenarioError, match="analytical model"):

@@ -201,12 +201,6 @@ class TestFaults:
 class TestBatchedReadsAndWrites:
     """The batched Crossbar primitives match their looped equivalents."""
 
-    def _programmed(self, seed=5):
-        rng = np.random.default_rng(seed)
-        xb = make(rows=6, cols=8)
-        xb.load_matrix(rng.integers(0, 2, (6, 8)))
-        return xb
-
     def test_write_rows_equals_looped_write_row(self):
         rng = np.random.default_rng(9)
         bits = rng.integers(0, 2, (3, 8))
@@ -234,40 +228,6 @@ class TestBatchedReadsAndWrites:
             xb.write_rows([1, 1], np.zeros((2, 8), dtype=int))
         with pytest.raises(ValueError, match="shape"):
             xb.write_rows([1, 2], np.zeros((2, 5), dtype=int))
-
-    def test_batched_column_currents_equal_looped(self):
-        xb = self._programmed()
-        row_sets = np.array([[0, 2], [1, 3], [4, 5]])
-        batched = xb.batched_column_currents(row_sets)
-        for b, rows in enumerate(row_sets):
-            np.testing.assert_array_equal(
-                batched[b], xb.column_currents(list(rows))
-            )
-
-    def test_batched_column_currents_validation(self):
-        xb = self._programmed()
-        with pytest.raises(ValueError, match="duplicate"):
-            xb.batched_column_currents([[0, 0]])
-        with pytest.raises(IndexError):
-            xb.batched_column_currents([[0, 99]])
-
-    def test_masked_column_currents_close_to_looped(self):
-        xb = self._programmed()
-        masks = np.zeros((2, 6), dtype=bool)
-        masks[0, [0, 2, 5]] = True
-        masks[1, [1]] = True
-        currents = xb.masked_column_currents(masks)
-        np.testing.assert_allclose(
-            currents[0], xb.column_currents([0, 2, 5]), rtol=1e-12
-        )
-        np.testing.assert_allclose(
-            currents[1], xb.column_currents([1]), rtol=1e-12
-        )
-
-    def test_masked_column_currents_needs_active_rows(self):
-        xb = self._programmed()
-        with pytest.raises(ValueError, match="at least one"):
-            xb.masked_column_currents(np.zeros((1, 6), dtype=bool))
 
 
 class TestCrossbarStack:

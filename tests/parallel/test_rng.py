@@ -58,7 +58,7 @@ class TestWindowsReproduceTheFullBatch:
         for k in range(DB_SPEC.batch):
             window = adapter_for(DB_SPEC, "mvp_batched", window=(k, 1))
             np.testing.assert_array_equal(
-                window._indexes[0].table, full._indexes[k].table)
+                window._columns[0], full._columns[k])
 
     def test_database_shared_queries_are_window_free(self):
         full = adapter_for(DB_SPEC, "mvp_batched")
@@ -77,16 +77,16 @@ class TestTouchOrderIndependence:
         whichever cached property is touched first consumes the stream
         and changes the other artifact.  Child streams remove it."""
         tables_first = adapter_for(DB_SPEC, "mvp_batched")
-        tables_first._indexes  # noqa: B018 - touch order is the test
+        tables_first._columns  # noqa: B018 - touch order is the test
         tables_first._queries
 
         queries_first = adapter_for(DB_SPEC, "mvp_batched")
         queries_first._queries
-        queries_first._indexes
+        queries_first._columns
 
         assert tables_first._queries == queries_first._queries
-        for a, b in zip(tables_first._indexes, queries_first._indexes):
-            np.testing.assert_array_equal(a.table, b.table)
+        np.testing.assert_array_equal(tables_first._columns,
+                                      queries_first._columns)
 
     def test_networking_rules_ignore_payload_touch_order(self):
         spec = AP_SPECS[1]

@@ -58,6 +58,11 @@ class TestBitmapIndex:
     def test_missing_value_bitmap_is_empty(self):
         assert self.index.bitmap(0, 99).sum() == 0
 
+    @pytest.mark.parametrize("column", [-1, 3])
+    def test_bitmap_rejects_columns_the_table_lacks(self, column):
+        with pytest.raises(IndexError, match="column"):
+            self.index.bitmap(column, 0)
+
 
 class TestGraphBFS:
     def test_mvp_bfs_matches_networkx(self):
