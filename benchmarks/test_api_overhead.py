@@ -17,7 +17,7 @@ from __future__ import annotations
 from repro.api import Engine, ScenarioSpec, adapter_for
 from repro.bench import paired_comparison, smoke_mode, write_bench_json
 from repro.crossbar import CrossbarStack
-from repro.mvp.batch import BatchedMVPProcessor
+from repro.mvp import BatchedMVPProcessor
 
 
 BATCH = 16 if smoke_mode() else 64

@@ -4,7 +4,7 @@ Measures ops/sec for the two batch engines against a loop of single-item
 runs of the *same* workload:
 
 * the MVP in-memory adder over B = 64 operand sets
-  (:class:`~repro.mvp.batch.BatchedMVPProcessor` vs B single
+  (:class:`~repro.mvp.BatchedMVPProcessor` vs B single
   :class:`~repro.mvp.processor.MVPProcessor` runs);
 * the automata processor over M = 64 input streams
   (:meth:`GenericAPModel.run_batch` vs M single ``run`` calls).

@@ -28,7 +28,7 @@ from repro.bench import (
     write_bench_json,
 )
 from repro.crossbar import CrossbarStack
-from repro.mvp.batch import BatchedMVPProcessor
+from repro.mvp import BatchedMVPProcessor
 from repro.parallel import SweepRunner, expand_grid
 
 

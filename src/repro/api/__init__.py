@@ -36,10 +36,11 @@ Quickstart::
                               size=2000, items=8, batch=4))
     print(result.ok, result.cost.energy_joules)
 
-The legacy entrypoints (``MVPProcessor``, ``GenericAPModel.run``,
-``run_fig4_sweep``, the figure drivers) remain public and are what the
-engines delegate to; ``tests/api/test_shims.py`` pins facade and legacy
-results to be identical.
+The legacy entrypoints (``MVPProcessor`` on a crossbar or a stack,
+``AutomataProcessor`` and ``GenericAPModel``, ``run_fig4_sweep``, the
+figure drivers) remain public and are what the engines delegate to;
+``tests/api/test_shims.py`` pins facade and legacy results to be
+identical.
 """
 
 from repro.api.devices import DeviceEntry, device_entry, energy_model_for

@@ -778,8 +778,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     # pays off -- not numpy table generation, where it cannot.
     from repro.api.workloads import adapter_for
     from repro.crossbar import Crossbar, CrossbarStack
-    from repro.mvp.batch import BatchedMVPProcessor
-    from repro.mvp.processor import MVPProcessor
+    from repro.mvp import BatchedMVPProcessor, MVPProcessor
 
     base = ScenarioSpec(engine="mvp", workload="database",
                         size=args.size, items=4)

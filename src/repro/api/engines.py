@@ -4,8 +4,9 @@ Five registered engines cover the paper's CIM architectures plus the
 batched execution layer:
 
 * ``mvp``          -- single-item Memristive Vector Processor;
-* ``mvp_batched``  -- the PR-1 batch engine: one program over B logical
-  crossbars of a :class:`~repro.crossbar.array.CrossbarStack`;
+* ``mvp_batched``  -- the same processor on a
+  :class:`~repro.crossbar.array.CrossbarStack`: one program over B
+  logical crossbars;
 * ``rram_ap``      -- the hardware automata processor (RRAM kernel by
   default; ``params["kernel"] in {"rram", "sram", "sdram"}`` swaps the
   priced dot-product kernel);
@@ -20,10 +21,11 @@ Every engine consumes the same :class:`~repro.api.spec.ScenarioSpec`,
 resolves its device and workload through the registries, and returns
 the same :class:`~repro.api.result.RunResult` schema -- outputs, SI
 cost totals, per-item costs for batched runs, and provenance.  The
-engines delegate to the existing simulators (``MVPProcessor``,
-``BatchedMVPProcessor``, ``AutomataProcessor``, ``run_fig4_sweep``),
-which remain public: the facade is a front-end, not a fork, and the
-shim tests assert both surfaces produce identical results.
+engines delegate to the existing simulators (``MVPProcessor`` on a
+crossbar or, as ``BatchedMVPProcessor``, on a stack;
+``AutomataProcessor``; ``run_fig4_sweep``), which remain public: the
+facade is a front-end, not a fork, and the shim tests assert both
+surfaces produce identical results.
 """
 
 from __future__ import annotations
@@ -64,8 +66,7 @@ from repro.mvm.accuracy import AccuracySummary
 from repro.mvm.analog import AnalogAccelerator
 from repro.obs.trace import active_tracer, span
 from repro.mvm.mapper import CONFIG_PARAM_KEYS, MVMConfig
-from repro.mvp.batch import BatchedMVPProcessor
-from repro.mvp.processor import MVPProcessor
+from repro.mvp import BatchedMVPProcessor, MVPProcessor
 from repro.rram_ap.cost import RRAM_KERNEL, SDRAM_KERNEL, SRAM_KERNEL
 from repro.rram_ap.processor import AutomataProcessor
 from repro.rram_ap.ste_array import STEArray, inject_ste_faults

@@ -98,8 +98,7 @@ from repro.workloads.networking import PAYLOAD_ALPHABET
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.automata.generic_ap import APTrace
-    from repro.mvp.batch import BatchedMVPProcessor
-    from repro.mvp.processor import MVPProcessor
+    from repro.mvp import BatchedMVPProcessor, MVPProcessor
 
 __all__ = [
     "ScenarioError",

@@ -12,10 +12,11 @@ bit vectors:
 3. *Output identification* (Eq. 4): ``A = a . c`` against the Accept
    Vector.
 
-This module implements that model exactly, over numpy boolean arrays, for
-single inputs and for batched multi-stream execution (the throughput mode
-hardware APs are built for), and counts the kernel invocations (vector dot
-products and bitwise ANDs) that the hardware cost models price.
+This module implements that model exactly, over numpy boolean arrays, and
+counts the kernel invocations (vector dot products and bitwise ANDs) that
+the hardware cost models price.  Every run steps through one kernel: a
+single input is a batch of one, and batched multi-stream execution is the
+throughput mode hardware APs are built for.
 """
 
 from __future__ import annotations
@@ -74,9 +75,9 @@ def batched_matrix_steps(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run Eqs. (1)-(4) over M streams in lock step, vectorized.
 
-    The shared batch kernel behind both
-    :meth:`GenericAPModel.run_batch` and the hardware model's
-    ``AutomataProcessor.run_batch``: each step is one (M, N) x (N, N)
+    The one stepping kernel behind :meth:`GenericAPModel.run_batch` and
+    the hardware model's matrix backend (``run`` of either is a batch of
+    one): each step is one (M, N) x (N, N)
     product plus (M, N) bitwise ops, servicing every stream at once.
     The product accumulates in float64 so that it runs as one BLAS call
     per symbol (numpy never hands integer matmul to BLAS).  It is exact:
@@ -85,8 +86,8 @@ def batched_matrix_steps(
     OR of Eq. 2.  Eq. 4 is scored once, after the loop, over the accept
     columns only.
     Each row of the product and of the STE gather depends only on its
-    own stream, so per-stream results are identical to M independent
-    single runs -- equivalently, a stream's trace is invariant to which
+    own stream, so per-stream results are identical to stepping each
+    stream alone -- equivalently, a stream's trace is invariant to which
     other streams share the batch.  That co-scheduling invariance is
     what lets the sharded executor (:mod:`repro.parallel`) split a
     multi-stream run across worker processes and still merge traces
@@ -102,7 +103,8 @@ def batched_matrix_steps(
         lengths: (M,) true stream lengths.
         unanchored: re-arm start states before every symbol.
         counts: optional kernel counters; each grows by the total number
-            of symbols, ``lengths.sum()``, matching M single runs.
+            of symbols, ``lengths.sum()``, one read of each kind per
+            symbol.
 
     Returns:
         ``(actives, accepts)``: (M, T_max + 1, N) Active Vector history
@@ -142,8 +144,7 @@ def assemble_traces(
     """Slice :func:`batched_matrix_steps` output into per-stream traces.
 
     Each stream's history is cut to its true length; a zero-length
-    stream answers Eq. 4 on the start vector (``start_accepted``),
-    exactly as the single-stream path does.
+    stream answers Eq. 4 on the start vector (``start_accepted``).
     """
     return [
         APTrace(
@@ -273,29 +274,14 @@ class GenericAPModel:
     # -- full runs --------------------------------------------------------------
 
     def run(self, sequence, unanchored: bool = False) -> APTrace:
-        """Process a symbol sequence through Eqs. 1-4.
+        """Process a symbol sequence through Eqs. 1-4 (a batch of one).
 
         Args:
             sequence: iterable of alphabet symbols.
             unanchored: re-arm start states before every symbol (streaming
                 pattern search); False gives the paper's anchored semantics.
         """
-        symbols = list(sequence)
-        active = self.start.copy()
-        trace = np.zeros((len(symbols) + 1, self.n_states), dtype=bool)
-        trace[0] = active
-        accepts = np.zeros(len(symbols), dtype=bool)
-        for t, symbol in enumerate(symbols):
-            source = active | self.start if unanchored else active
-            active = self.next_active(source, symbol)
-            trace[t + 1] = active
-            accepts[t] = self.accept_value(active)
-        return APTrace(
-            active=trace,
-            accept_per_step=accepts,
-            accepted=bool(accepts[-1]) if len(symbols) else
-            self.accept_value(active),
-        )
+        return self.run_batch([sequence], unanchored=unanchored)[0]
 
     def accepts(self, sequence) -> bool:
         """Anchored acceptance (the paper's output A)."""
@@ -310,8 +296,8 @@ class GenericAPModel:
         streams turns the per-step math into (M, N) matrix ops, which is
         how the throughput benches drive the model.  Streams may have
         different lengths: shorter streams simply stop participating, and
-        every per-stream trace and kernel count is identical to M
-        independent :meth:`run` calls.
+        every per-stream trace and kernel count is identical to stepping
+        that stream alone through Eqs. 1-4.
 
         Args:
             sequences: list of symbol sequences (lengths may differ).
@@ -328,7 +314,7 @@ class GenericAPModel:
             indices, lengths, unanchored=unanchored, counts=self.counts,
         )
         # A zero-length stream answers Eq. 4 on the start vector, one
-        # accept-read each -- exactly as the single-stream path does.
+        # accept-read each.
         empty = int((lengths == 0).sum())
         self.counts.accept_reads += empty
         start_accepted = bool((self.start & self.accept).any())

@@ -203,11 +203,6 @@ class CrossbarTile:
         """Bit lines this tile occupies."""
         return self.out_cols * self.config.planes_per_col
 
-    @property
-    def ideal_bits(self) -> np.ndarray:
-        """The intended 0/1 program (pre-fault, pre-spread) -- a copy."""
-        return self._bit_matrix.copy()
-
     def ideal_counts(self, mask: np.ndarray) -> np.ndarray:
         """Digital popcounts the activation ``mask`` should produce."""
         mask = np.asarray(mask, dtype=bool)
@@ -217,21 +212,6 @@ class CrossbarTile:
                 f"{mask.shape}"
             )
         return mask.astype(np.int64) @ self._bit_matrix.astype(np.int64)
-
-    def ideal_currents(self, active_rows: np.ndarray) -> np.ndarray:
-        """Bit-line currents an *ideal* fabric produces for this read.
-
-        Computed from the tile's intended program with the identical
-        operands and reduction order as
-        :meth:`repro.crossbar.array.Crossbar.column_currents` on ideal
-        two-point resistances (precomputed once at construction), so
-        the digital reference path is bit-for-bit the ideal electrical
-        read -- whatever the device window -- without touching
-        (possibly non-ideal) fabric state.
-        """
-        conductance = self._ideal_conductance[
-            np.asarray(active_rows, dtype=int), :]
-        return self.crossbar.read_voltage * conductance.sum(axis=0)
 
     def combine(self, codes: np.ndarray) -> np.ndarray:
         """Shift-and-add one slice's ADC codes into per-column partials.

@@ -1,8 +1,9 @@
 """The Memristive Vector Processor (paper Section III).
 
-Functional simulator for the MVP: a macro-instruction ISA, a processor
-executing it on a scouting-logic crossbar with cost accounting, and a host
-offload runtime implementing the Fig. 2 execution model.
+Functional simulator for the MVP: a macro-instruction ISA, one processor
+executing it with cost accounting on a scouting-logic crossbar or on a
+stack of them, and a host offload runtime implementing the Fig. 2
+execution model.
 """
 
 from repro.mvp.arithmetic import (
@@ -14,10 +15,9 @@ from repro.mvp.arithmetic import (
     read_unsigned,
     subtract,
 )
-from repro.mvp.batch import BatchedMVPProcessor
 from repro.mvp.host import HostReport, HostSystem
 from repro.mvp.isa import Instruction, Opcode, validate_program
-from repro.mvp.processor import MVPProcessor, MVPStats
+from repro.mvp.processor import BatchedMVPProcessor, MVPProcessor, MVPStats
 
 __all__ = [
     "BatchedMVPProcessor",

@@ -21,12 +21,12 @@ Subtraction uses two's complement (NOT via the reserved ones row, then
 add with carry-in 1); equality reduces per-column XOR differences with a
 multi-row OR.
 
-All operations are *batch-polymorphic*: handed a
-:class:`~repro.mvp.batch.BatchedMVPProcessor` they issue the identical
+All operations are *batch-polymorphic*: handed an
+:class:`~repro.mvp.processor.MVPProcessor` on a
+:class:`~repro.crossbar.array.CrossbarStack` they issue the identical
 instruction stream, and every bit-serial stage (the per-bit XOR/AND/OR
-or parity/majority activations) applies across all B operand sets of the
-underlying :class:`~repro.crossbar.array.CrossbarStack` at once -- the
-whole batch rides each activation for free.
+or parity/majority activations) applies across all B operand sets at
+once -- the whole batch rides each activation for free.
 """
 
 from __future__ import annotations
@@ -79,21 +79,18 @@ def load_unsigned(
     """Store ``values`` bit-sliced starting at ``base_row``.
 
     Args:
-        processor: target MVP; either a single
-            :class:`~repro.mvp.processor.MVPProcessor` or a
-            :class:`~repro.mvp.batch.BatchedMVPProcessor`.
-        values: unsigned integers, one per crossbar column -- shape
-            (cols,) for a single processor, (batch, cols) for a batched
-            one (each logical array gets its own vector).
+        processor: target MVP, on a single crossbar or on a stack.
+        values: unsigned integers, one per crossbar column -- the shape
+            of the processor's result buffer: (cols,) on a crossbar,
+            (batch, cols) on a stack (each logical array gets its own
+            vector).
         bits: slice count; every value must fit.
         base_row: first row of the allocation.
 
     Returns:
         The created :class:`BitSliceVector` handle.
     """
-    batch = getattr(processor, "batch", None)
-    expected = ((processor.crossbar.cols,) if batch is None
-                else (batch, processor.crossbar.cols))
+    expected = processor.result.shape
     values = np.asarray(values, dtype=np.int64)
     if values.shape != expected:
         raise ValueError(
@@ -118,8 +115,8 @@ def read_unsigned(
 ) -> np.ndarray:
     """Read a bit-sliced vector back as integers (via row reads).
 
-    Returns a (cols,) array for a single processor and (batch, cols) for
-    a batched one.
+    Returns a (cols,) array on a single crossbar and (batch, cols) on a
+    stack.
     """
     total = None
     for k in range(layout.bits):

@@ -126,23 +126,19 @@ class AutomataProcessor:
 
     # -- execution ------------------------------------------------------------
 
-    def _symbol_vector(self, symbol) -> np.ndarray:
-        return self.ste_array.symbol_vector(symbol)
-
-    def _follow(self, active: np.ndarray) -> np.ndarray:
-        if self.backend == "crossbar":
-            if not active.any():
-                return np.zeros(self.n_states, dtype=bool)
-            return self._crossbar_routing.evaluate(active)
-        return self.routing.follow(active)
-
     def run(self, sequence, unanchored: bool = False) -> tuple[APTrace, RunCost]:
         """Process a stream; returns the trace and its hardware cost.
+
+        A batch of one on the "matrix" backend; the "crossbar" backend
+        steps it one electrical read at a time.
 
         Args:
             sequence: iterable of alphabet symbols.
             unanchored: re-arm start states every cycle (pattern search).
         """
+        if self.backend == "matrix":
+            traces, costs = self.run_batch([sequence], unanchored=unanchored)
+            return traces[0], costs[0]
         symbols = list(sequence)
         active = self.start.copy()
         trace = np.zeros((len(symbols) + 1, self.n_states), dtype=bool)
@@ -150,9 +146,11 @@ class AutomataProcessor:
         accepts = np.zeros(len(symbols), dtype=bool)
         for t, symbol in enumerate(symbols):
             source = active | self.start if unanchored else active
-            follow = self._follow(source)
-            s = self._symbol_vector(symbol)
-            active = follow & s
+            if source.any():
+                follow = self._crossbar_routing.evaluate(source)
+            else:
+                follow = np.zeros(self.n_states, dtype=bool)
+            active = follow & self.ste_array.symbol_vector(symbol)
             trace[t + 1] = active
             accepts[t] = bool((active & self.accept).any())
         ap_trace = APTrace(
@@ -179,12 +177,12 @@ class AutomataProcessor:
 
         The same ``run_batch`` contract as
         :meth:`repro.automata.generic_ap.GenericAPModel.run_batch`: every
-        per-stream trace is identical to a separate :meth:`run` call, and
+        per-stream trace is identical to stepping that stream alone, and
         stream lengths may differ.  The "matrix" backend steps all live
         streams through one (M, N) x (N, N) kernel per symbol -- the
         throughput mode hardware APs are built for; the electrical
-        "crossbar" backend evaluates streams sequentially (its per-read
-        circuit model is single-vector) behind the identical API.
+        "crossbar" backend evaluates streams one symbol at a time (its
+        per-read circuit model is single-vector) behind the identical API.
 
         Args:
             sequences: list of symbol sequences (lengths may differ).
@@ -201,8 +199,8 @@ class AutomataProcessor:
             results = [self.run(seq, unanchored=unanchored)
                        for seq in sequences]
             return [t for t, _ in results], [c for _, c in results]
-        # Two-level routing checks routability per follow() call; batch
-        # execution performs the identical check once up front.
+        # The fabric refuses an unroutable two-level configuration
+        # before the first symbol of any stream.
         if isinstance(self.routing, TwoLevelRouting):
             self.routing.ensure_routable()
         indices, lengths = encode_streams(self.alphabet, sequences)

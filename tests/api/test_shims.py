@@ -17,8 +17,7 @@ from repro.api.figures import FIGURES
 from repro.arch.sweep import run_fig4_sweep
 from repro.automata.generic_ap import GenericAPModel
 from repro.crossbar import Crossbar, CrossbarStack
-from repro.mvp.batch import BatchedMVPProcessor
-from repro.mvp.processor import MVPProcessor
+from repro.mvp import BatchedMVPProcessor, MVPProcessor
 from repro.rram_ap.processor import AutomataProcessor
 
 

@@ -1,15 +1,19 @@
-"""Property tests: batched AP execution == a loop of single-stream runs.
+"""Property tests: every AP stepping path equals the per-symbol oracle.
 
-Covers both batch engines behind the unified ``run_batch`` API:
-
-* :meth:`GenericAPModel.run_batch` -- traces *and* kernel counts must
-  equal M sequential :meth:`run` calls, including ragged stream lengths
-  and zero-length streams;
-* :meth:`AutomataProcessor.run_batch` -- traces and per-stream costs on
-  the matrix backend, plus an electrical-backend spot check.
+``batched_matrix_steps`` is the one stepping kernel in the package:
+``run_batch`` steps M streams through it and ``run`` is a batch of one,
+on :class:`GenericAPModel` and on the matrix backend of
+:class:`AutomataProcessor` alike.  The oracle (``scalar_ap.py``, the
+``scalar_ap`` fixture) steps each stream alone, one symbol at a time,
+through the model's ``next_active`` and ``accept_value``.  Both paths
+must reproduce its traces and kernel counts exactly, including ragged
+and zero-length streams and unanchored re-arming, and the processor's
+per-stream costs must price each stream's symbols.  The electrical
+"crossbar" backend keeps its own per-read loop and is checked against
+the oracle too.
 
 The property suites use a 2-symbol alphabet and automata of a few
-states; :class:`TestWorkloadScale` runs both engines at a benchmark
+states; :class:`TestWorkloadScale` runs both paths at a benchmark
 workload's size, where BLAS blocks the batched follow-vector product.
 """
 
@@ -22,6 +26,7 @@ from repro.automata import Alphabet, compile_regex, homogenize
 from repro.automata.generic_ap import GenericAPModel
 from repro.automata.paper_example import build_example_ap
 from repro.rram_ap import AutomataProcessor
+from repro.rram_ap.processor import RunCost
 
 AB = Alphabet("ab")
 PATTERNS = ["(a|b)*abb", "a(a|b)*b", "abab", "(ab)*a"]
@@ -32,99 +37,133 @@ streams = st.lists(
 )
 
 
-def _assert_traces_equal(batch_trace, single_trace):
-    assert batch_trace.accepted == single_trace.accepted
-    np.testing.assert_array_equal(batch_trace.active, single_trace.active)
-    np.testing.assert_array_equal(
-        batch_trace.accept_per_step, single_trace.accept_per_step
+def _assert_traces_equal(got, want):
+    assert got.accepted == want.accepted
+    np.testing.assert_array_equal(got.active, want.active)
+    np.testing.assert_array_equal(got.accept_per_step, want.accept_per_step)
+    assert got.match_ends == want.match_ends
+
+
+def _assert_generic_matches_oracle(scalar_ap, make_model, seqs,
+                                   unanchored=False):
+    """``run_batch`` over all streams and ``run`` per stream, each on a
+    fresh model, equal the oracle's traces and kernel counts."""
+    oracle = make_model()
+    wants = [scalar_ap.run(oracle, s, unanchored=unanchored) for s in seqs]
+    batched = make_model()
+    traces = batched.run_batch(seqs, unanchored=unanchored)
+    single = make_model()
+    singles = [single.run(s, unanchored=unanchored) for s in seqs]
+    assert len(traces) == len(seqs)
+    for got_batch, got_single, want in zip(traces, singles, wants):
+        _assert_traces_equal(got_batch, want)
+        _assert_traces_equal(got_single, want)
+    assert batched.counts == oracle.counts
+    assert single.counts == oracle.counts
+
+
+def _priced(proc, symbols):
+    """A stream's cost: every symbol one priced kernel cycle."""
+    chip = proc.chip_cost()
+    return RunCost(
+        symbols=symbols,
+        latency_seconds=symbols * chip.symbol_latency(),
+        pipelined_time_seconds=symbols * proc.kernel.delay_seconds,
+        energy_joules=symbols * chip.symbol_energy(),
     )
-    assert batch_trace.match_ends == single_trace.match_ends
+
+
+def _assert_processor_matches_oracle(scalar_ap, proc, seqs,
+                                     unanchored=False):
+    """``run_batch`` and per-stream ``run`` of a hardware processor
+    equal the oracle stepping the model the processor configures."""
+    traces, costs = proc.run_batch(seqs, unanchored=unanchored)
+    assert len(traces) == len(costs) == len(seqs)
+    model = scalar_ap.model_of(proc)
+    for seq, batch_trace, cost in zip(seqs, traces, costs):
+        want = scalar_ap.run(model, seq, unanchored=unanchored)
+        single_trace, single_cost = proc.run(seq, unanchored=unanchored)
+        _assert_traces_equal(batch_trace, want)
+        _assert_traces_equal(single_trace, want)
+        assert cost == single_cost == _priced(proc, len(seq))
 
 
 class TestGenericModelEquivalence:
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from(PATTERNS), streams, st.booleans())
-    def test_traces_and_counts(self, pattern, seqs, unanchored):
+    def test_traces_and_counts(self, scalar_ap, pattern, seqs, unanchored):
         automaton = homogenize(compile_regex(pattern, AB))
-        batched = GenericAPModel.from_homogeneous(automaton)
-        looped = GenericAPModel.from_homogeneous(automaton)
-
-        traces = batched.run_batch(seqs, unanchored=unanchored)
-        singles = [looped.run(s, unanchored=unanchored) for s in seqs]
-
-        for batch_trace, single_trace in zip(traces, singles):
-            _assert_traces_equal(batch_trace, single_trace)
-        assert batched.counts == looped.counts
+        _assert_generic_matches_oracle(
+            scalar_ap, lambda: GenericAPModel.from_homogeneous(automaton),
+            seqs, unanchored)
 
     def test_empty_batch(self):
         assert build_example_ap().run_batch([]) == []
 
-    def test_wide_fanin_does_not_overflow(self):
+    def test_wide_fanin_does_not_overflow(self, scalar_ap):
         """256 active predecessors must not wrap the matmul accumulator.
 
         Regression test: a narrow (uint8) accumulator in the batched
         follow-vector kernel wraps to zero at exactly 256 active
-        predecessor states, silently killing the transition that every
-        single-stream run takes.
+        predecessor states, silently killing the transition that the
+        per-symbol oracle takes.
         """
         n = 256
-        alphabet = Alphabet("a")
         model_args = dict(
             ste=np.ones((1, n), dtype=bool),
             routing=np.ones((n, n), dtype=bool),
             start=np.ones(n, dtype=bool),
             accept=np.eye(1, n, 0, dtype=bool)[0],
         )
-        batched = GenericAPModel(alphabet, **model_args)
-        looped = GenericAPModel(alphabet, **model_args)
-        traces = batched.run_batch(["aa", "a"])
-        for text, trace in zip(["aa", "a"], traces):
-            single = looped.run(text)
-            _assert_traces_equal(trace, single)
-            assert trace.accepted
+        _assert_generic_matches_oracle(
+            scalar_ap, lambda: GenericAPModel(Alphabet("a"), **model_args),
+            ["aa", "a"])
+        traces = GenericAPModel(Alphabet("a"), **model_args).run_batch(
+            ["aa", "a"])
+        assert all(trace.accepted for trace in traces)
 
-    def test_zero_length_stream_counts_one_accept_read(self):
-        batched = build_example_ap()
-        looped = build_example_ap()
-        traces = batched.run_batch([""])
-        single = looped.run("")
-        _assert_traces_equal(traces[0], single)
-        assert batched.counts == looped.counts
+    def test_zero_length_stream_counts_one_accept_read(self, scalar_ap):
+        _assert_generic_matches_oracle(scalar_ap, build_example_ap, [""])
+        model = build_example_ap()
+        model.run("")
+        assert model.counts.accept_reads == 1
+        assert model.counts.ste_reads == 0
 
 
 class TestHardwareProcessorEquivalence:
     @settings(max_examples=20, deadline=None)
     @given(st.sampled_from(PATTERNS), streams, st.booleans())
-    def test_matrix_backend(self, pattern, seqs, unanchored):
+    def test_matrix_backend(self, scalar_ap, pattern, seqs, unanchored):
         automaton = homogenize(compile_regex(pattern, AB))
-        proc = AutomataProcessor(automaton)
-        traces, costs = proc.run_batch(seqs, unanchored=unanchored)
-        assert len(traces) == len(costs) == len(seqs)
-        for seq, batch_trace, cost in zip(seqs, traces, costs):
-            single_trace, single_cost = proc.run(seq, unanchored=unanchored)
-            _assert_traces_equal(batch_trace, single_trace)
-            assert cost == single_cost
+        _assert_processor_matches_oracle(
+            scalar_ap, AutomataProcessor(automaton), seqs, unanchored)
 
     @settings(max_examples=10, deadline=None)
     @given(st.sampled_from(PATTERNS), streams)
-    def test_two_level_routing_backend(self, pattern, seqs):
+    def test_two_level_routing_backend(self, scalar_ap, pattern, seqs):
         automaton = homogenize(compile_regex(pattern, AB))
         proc = AutomataProcessor(automaton, routing_style="two-level",
                                  block_size=4, port_budget=8)
-        traces, _ = proc.run_batch(seqs)
-        for seq, batch_trace in zip(seqs, traces):
-            single_trace, _ = proc.run(seq)
-            _assert_traces_equal(batch_trace, single_trace)
+        _assert_processor_matches_oracle(scalar_ap, proc, seqs)
 
-    def test_crossbar_backend_same_api(self):
+    def test_crossbar_backend_same_api(self, scalar_ap):
         automaton = homogenize(compile_regex("abb", AB))
         proc = AutomataProcessor(automaton, backend="crossbar")
-        seqs = ["abb", "ab", ""]
-        traces, costs = proc.run_batch(seqs, unanchored=True)
-        assert len(traces) == len(costs) == len(seqs)
-        for seq, batch_trace in zip(seqs, traces):
-            single_trace, _ = proc.run(seq, unanchored=True)
-            _assert_traces_equal(batch_trace, single_trace)
+        _assert_processor_matches_oracle(
+            scalar_ap, proc, ["abb", "ab", ""], unanchored=True)
+
+    @pytest.mark.parametrize("seqs", [[""], ["ab"], ["", "abb"]])
+    def test_unroutable_two_level_raises_before_any_symbol(self, seqs):
+        """The fabric refuses an unroutable configuration up front, an
+        empty stream included, on ``run`` as on ``run_batch``."""
+        automaton = homogenize(compile_regex("(a|b)*abb", AB))
+        proc = AutomataProcessor(automaton, routing_style="two-level",
+                                 block_size=1, port_budget=1)
+        assert not proc.routing.check_routable().routable
+        with pytest.raises(RuntimeError, match="not routable"):
+            proc.run_batch(seqs)
+        with pytest.raises(RuntimeError, match="not routable"):
+            proc.run(seqs[0])
 
 
 #: The ``networking`` workload at the perfbench ``ap_scan`` shape: 8
@@ -149,29 +188,20 @@ def networking():
 
 class TestWorkloadScale:
     @pytest.mark.parametrize("unanchored", [False, True])
-    def test_hardware_processor(self, networking, unanchored):
+    def test_hardware_processor(self, scalar_ap, networking, unanchored):
         automaton, seqs = networking
         proc = AutomataProcessor(automaton)
-        traces, costs = proc.run_batch(seqs, unanchored=unanchored)
-        assert len(traces) == len(costs) == len(seqs)
-        for seq, batch_trace, cost in zip(seqs, traces, costs):
-            single_trace, single_cost = proc.run(seq, unanchored=unanchored)
-            _assert_traces_equal(batch_trace, single_trace)
-            assert cost == single_cost
+        _assert_processor_matches_oracle(scalar_ap, proc, seqs, unanchored)
         if unanchored:
+            traces, _ = proc.run_batch(seqs, unanchored=True)
             assert any(t.match_ends for t in traces)
 
     @pytest.mark.parametrize("unanchored", [False, True])
-    def test_generic_model(self, networking, unanchored):
+    def test_generic_model(self, scalar_ap, networking, unanchored):
         automaton, seqs = networking
-        batched = GenericAPModel.from_homogeneous(automaton)
-        looped = GenericAPModel.from_homogeneous(automaton)
-        traces = batched.run_batch(seqs, unanchored=unanchored)
-        assert len(traces) == len(seqs)
-        for seq, batch_trace in zip(seqs, traces):
-            single_trace = looped.run(seq, unanchored=unanchored)
-            _assert_traces_equal(batch_trace, single_trace)
-        assert batched.counts == looped.counts
+        _assert_generic_matches_oracle(
+            scalar_ap, lambda: GenericAPModel.from_homogeneous(automaton),
+            seqs, unanchored)
 
     def test_no_accepting_state(self, networking):
         """An all-False Accept Vector never fires Eq. 4, on any stream."""

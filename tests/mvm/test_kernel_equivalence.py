@@ -49,8 +49,17 @@ PRESET_WINDOWS = [entry.parameters for _, entry in DEVICES.items()]
 
 
 def ideal_read(tile, active_rows):
-    """A read's currents synthesized from the tile's intended program."""
-    return tile.ideal_currents(active_rows)
+    """A read's currents synthesized from the tile's intended program.
+
+    The operands and reduction order of ``Crossbar.column_currents`` on
+    the tile's ideal two-point conductances (white-box: the tile keeps
+    them for the kernel's reference path), so this is bit-for-bit the
+    ideal electrical read without touching (possibly nonideal) fabric
+    state.
+    """
+    conductance = tile._ideal_conductance[
+        np.asarray(active_rows, dtype=int), :]
+    return tile.crossbar.read_voltage * conductance.sum(axis=0)
 
 
 def fabric_read(tile, active_rows):

@@ -7,6 +7,12 @@ from repro.crossbar.nonideal import NonidealCrossbar, NonidealitySpec
 from repro.mvm.mapper import CrossbarTile, MVMConfig, map_matrix
 
 
+def ideal_bits(tile):
+    """The tile's intended 0/1 program (pre-fault, pre-spread), read
+    white-box: the matrix it programs into its crossbar."""
+    return tile._bit_matrix.copy()
+
+
 class TestMVMConfig:
     def test_defaults_validate(self):
         config = MVMConfig()
@@ -54,7 +60,7 @@ class TestCrossbarTile:
     def test_all_zero_tile_programs_nothing(self):
         tile = CrossbarTile(np.zeros((3, 4)), MVMConfig())
         assert tile.scale == 0.0
-        assert not tile.ideal_bits.any()
+        assert not ideal_bits(tile).any()
         codes = np.zeros(tile.physical_cols)
         assert np.array_equal(tile.combine(codes), np.zeros(3))
 
@@ -64,7 +70,7 @@ class TestCrossbarTile:
             1.0, 0.2, size=(1, 6)))
         config = MVMConfig(weight_bits=4, tile_rows=8, tile_cols=4)
         tile = CrossbarTile(block, config)
-        bits = tile.ideal_bits
+        bits = ideal_bits(tile)
         plus_cols = bits[:, 0::2]   # even physical columns hold G+
         minus_cols = bits[:, 1::2]
         assert not plus_cols.any()
@@ -82,7 +88,7 @@ class TestCrossbarTile:
         config = MVMConfig(weight_bits=2, tile_rows=4, tile_cols=4)
         tile = CrossbarTile(block, config)
         # weight 3 -> binary 11 in the + planes of row 0 / 1 / 2.
-        bits = tile.ideal_bits
+        bits = ideal_bits(tile)
         assert bits[0].tolist() == [1, 0, 1, 0]   # +3: plane0+, plane1+
         assert bits[1].tolist() == [0, 1, 0, 1]   # -3: plane0-, plane1-
         assert bits[2].tolist() == [0, 0, 0, 0]

@@ -61,10 +61,19 @@ class TestBasicExecution:
         ])
         assert out == [4]
 
-    def test_program_using_reserved_row_rejected(self):
+    @pytest.mark.parametrize("instr", [
+        Instruction.vread(3),
+        Instruction.vload(3, [0, 0, 0, 0, 0, 0, 0, 0]),
+        Instruction.vstore(3),
+    ], ids=["vread", "vload", "vstore"])
+    def test_program_using_reserved_row_rejected(self, instr):
         p = make_processor(rows=4)
-        with pytest.raises(ValueError):
-            p.execute([Instruction.vread(3)])  # row 3 is the ones row
+        with pytest.raises(ValueError, match="row 3 out of range"):
+            p.execute([instr])  # row 3 is the ones row
+        # Nothing ran: the ones row still inverts.
+        a = [1, 0, 1, 0, 0, 1, 1, 0]
+        p.execute([Instruction.vload(0, a), Instruction.vnot(0)])
+        np.testing.assert_array_equal(p.result, 1 - np.array(a))
 
     def test_needs_two_rows(self):
         with pytest.raises(ValueError):
