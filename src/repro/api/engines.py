@@ -538,7 +538,8 @@ class RRAMAPEngine(Engine):
                 f"unknown AP kernel {kernel_name!r}; "
                 f"choose from {sorted(_KERNELS)}"
             ) from None
-        automaton = adapter.build_automaton()
+        with span("automata.compile"):
+            automaton = adapter.build_automaton()
         processor = AutomataProcessor(automaton, kernel=kernel)
         nonideality = self.spec.nonideality
         if nonideality.is_default():
@@ -581,14 +582,19 @@ class RRAMAPEngine(Engine):
         return present[0]
 
     def execute_window(self, adapter):
+        # Stream generation is workload preparation, billed before the
+        # chip is configured rather than to the first kernel call.
+        with span("workload.prepare"):
+            streams = adapter.streams()
         with span("fabric.build"):
             processor = self.build_fabric(adapter)
         automaton = processor.automaton
         with span("window.execute"):
             traces, stream_costs = processor.run_batch(
-                adapter.streams(), unanchored=adapter.unanchored
+                streams, unanchored=adapter.unanchored
             )
-        outputs = adapter.check_ap(traces)
+        with span("workload.golden"):
+            outputs = adapter.check_ap(traces)
         outputs.setdefault("accepted", [t.accepted for t in traces])
         area = processor.chip_cost().area_mm2()
         item_costs = [cost_from_run_cost(c, area_mm2=area)

@@ -79,10 +79,12 @@ def batched_matrix_steps(
     the hardware model's matrix backend (``run`` of either is a batch of
     one): each step is one (M, N) x (N, N)
     product plus (M, N) bitwise ops, servicing every stream at once.
-    The product accumulates in float64 so that it runs as one BLAS call
-    per symbol (numpy never hands integer matmul to BLAS).  It is exact:
-    a Follow entry counts active predecessors, an integer <= N, and
-    float64 holds every integer up to 2**53, so its ``> 0`` test is the
+    The product runs in float32, one BLAS call per symbol (numpy never
+    hands bool or integer matmul to BLAS), and writes into buffers
+    allocated once per call.  It is exact: every partial sum of a
+    Follow entry counts active predecessors, an integer no larger than
+    N, and float32 holds every integer up to 2**24, so any BLAS
+    summation order gives the same count and its nonzero test is the
     OR of Eq. 2.  Eq. 4 is scored once, after the loop, over the accept
     columns only.
     Each row of the product and of the STE gather depends only on its
@@ -96,7 +98,9 @@ def batched_matrix_steps(
 
     Args:
         start: (N,) initial Active Vector.
-        routing: (N, N) boolean routing matrix R.
+        routing: (N, N) boolean routing matrix R.  Exactness needs
+            N < 2**24, which every matrix that fits in memory meets: a
+            boolean one with 2**24 states takes 2**48 bytes.
         ste: (|Sigma|, N) boolean STE matrix V.
         accept: (N,) boolean Accept Vector c.
         indices: (M, T_max) padded symbol-index matrix.
@@ -108,22 +112,31 @@ def batched_matrix_steps(
 
     Returns:
         ``(actives, accepts)``: (M, T_max + 1, N) Active Vector history
-        and (M, T_max) per-step Eq. 4 outputs.
+        (a view of the kernel's time-major buffer) and (M, T_max)
+        per-step Eq. 4 outputs.
     """
-    m = int(indices.shape[0])
-    t_max = int(indices.shape[1])
+    m, t_max = indices.shape
     n = start.shape[0]
-    active = np.tile(start, (m, 1))
-    actives = np.zeros((m, t_max + 1, n), dtype=bool)
-    actives[:, 0] = active
     # A wide accumulator: uint8 would wrap to 0 when a state has a
     # multiple of 256 active predecessors, silently dropping the edge.
-    # float64 counts them exactly (up to 2**53) and multiplies on BLAS.
-    routing_wide = routing.astype(np.float64)
+    # float32 counts them exactly (every partial sum is an integer
+    # <= N < 2**24) and multiplies on BLAS.
+    routing32 = routing.astype(np.float32)
+    # Time-major, so that each step reads and writes one contiguous
+    # (M, N) slab.
+    history = np.empty((t_max + 1, m, n), dtype=bool)
+    history[0] = start
+    source = np.empty((m, n), dtype=np.float32)
+    follow = np.empty((m, n), dtype=np.float32)
+    symbols = indices.T
     for t in range(t_max):
-        source = active | start if unanchored else active
-        active = (source @ routing_wide > 0) & ste[indices[:, t]]
-        actives[:, t + 1] = active
+        if unanchored:
+            np.logical_or(history[t], start, out=source)
+        else:
+            source[...] = history[t]
+        np.matmul(source, routing32, out=follow)
+        np.logical_and(follow, ste[symbols[t]], out=history[t + 1])
+    actives = history.transpose(1, 0, 2)
     accepts = actives[:, 1:, np.flatnonzero(accept)].any(axis=2)
     if counts is not None:
         # One read of each kind per symbol of each stream.
@@ -143,8 +156,10 @@ def assemble_traces(
 ) -> list[APTrace]:
     """Slice :func:`batched_matrix_steps` output into per-stream traces.
 
-    Each stream's history is cut to its true length; a zero-length
-    stream answers Eq. 4 on the start vector (``start_accepted``).
+    Each stream's history is cut to its true length and copied out of
+    the kernel's time-major buffer, so that no trace keeps the whole
+    batch's buffer alive; a zero-length stream answers Eq. 4 on the
+    start vector (``start_accepted``).
     """
     return [
         APTrace(

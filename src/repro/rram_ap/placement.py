@@ -85,8 +85,11 @@ def refine_blocks(
         improved = False
         for b1 in range(len(blocks)):
             for b2 in range(b1 + 1, len(blocks)):
-                for i, s1 in enumerate(blocks[b1]):
-                    for j, s2 in enumerate(blocks[b2]):
+                for i in range(len(blocks[b1])):
+                    for j in range(len(blocks[b2])):
+                        # Read both occupants at each trial: a kept
+                        # swap moves the state that sat in slot i.
+                        s1, s2 = blocks[b1][i], blocks[b2][j]
                         block_of[s1], block_of[s2] = b2, b1
                         cost = len(_distinct_pairs(routing, block_of))
                         if cost < best:

@@ -129,46 +129,14 @@ class AutomataProcessor:
     def run(self, sequence, unanchored: bool = False) -> tuple[APTrace, RunCost]:
         """Process a stream; returns the trace and its hardware cost.
 
-        A batch of one on the "matrix" backend; the "crossbar" backend
-        steps it one electrical read at a time.
+        A batch of one (see :meth:`run_batch`).
 
         Args:
             sequence: iterable of alphabet symbols.
             unanchored: re-arm start states every cycle (pattern search).
         """
-        if self.backend == "matrix":
-            traces, costs = self.run_batch([sequence], unanchored=unanchored)
-            return traces[0], costs[0]
-        symbols = list(sequence)
-        active = self.start.copy()
-        trace = np.zeros((len(symbols) + 1, self.n_states), dtype=bool)
-        trace[0] = active
-        accepts = np.zeros(len(symbols), dtype=bool)
-        for t, symbol in enumerate(symbols):
-            source = active | self.start if unanchored else active
-            if source.any():
-                follow = self._crossbar_routing.evaluate(source)
-            else:
-                follow = np.zeros(self.n_states, dtype=bool)
-            active = follow & self.ste_array.symbol_vector(symbol)
-            trace[t + 1] = active
-            accepts[t] = bool((active & self.accept).any())
-        ap_trace = APTrace(
-            active=trace,
-            accept_per_step=accepts,
-            accepted=bool(accepts[-1]) if symbols else
-            bool((self.start & self.accept).any()),
-        )
-        return ap_trace, self._stream_cost(len(symbols))
-
-    def _stream_cost(self, n_symbols: int) -> RunCost:
-        chip = self.chip_cost()
-        return RunCost(
-            symbols=n_symbols,
-            latency_seconds=n_symbols * chip.symbol_latency(),
-            pipelined_time_seconds=n_symbols * self.kernel.delay_seconds,
-            energy_joules=n_symbols * chip.symbol_energy(),
-        )
+        traces, costs = self.run_batch([sequence], unanchored=unanchored)
+        return traces[0], costs[0]
 
     def run_batch(
         self, sequences, unanchored: bool = False
@@ -183,6 +151,7 @@ class AutomataProcessor:
         throughput mode hardware APs are built for; the electrical
         "crossbar" backend evaluates streams one symbol at a time (its
         per-read circuit model is single-vector) behind the identical API.
+        Every stream is priced from one chip roll-up per call.
 
         Args:
             sequences: list of symbol sequences (lengths may differ).
@@ -196,22 +165,56 @@ class AutomataProcessor:
         if not sequences:
             return [], []
         if self.backend == "crossbar":
-            results = [self.run(seq, unanchored=unanchored)
-                       for seq in sequences]
-            return [t for t, _ in results], [c for _, c in results]
-        # The fabric refuses an unroutable two-level configuration
-        # before the first symbol of any stream.
-        if isinstance(self.routing, TwoLevelRouting):
-            self.routing.ensure_routable()
-        indices, lengths = encode_streams(self.alphabet, sequences)
-        actives, accepts = batched_matrix_steps(
-            self.start, self.routing.routing, self.ste_matrix,
-            self.accept, indices, lengths, unanchored=unanchored,
-        )
-        start_accepted = bool((self.start & self.accept).any())
-        traces = assemble_traces(actives, accepts, lengths, start_accepted)
-        costs = [self._stream_cost(int(n)) for n in lengths]
+            traces = [self._crossbar_trace(seq, unanchored)
+                      for seq in sequences]
+            lengths = [len(seq) for seq in sequences]
+        else:
+            # The fabric refuses an unroutable two-level configuration
+            # before the first symbol of any stream.
+            if isinstance(self.routing, TwoLevelRouting):
+                self.routing.ensure_routable()
+            indices, lengths = encode_streams(self.alphabet, sequences)
+            actives, accepts = batched_matrix_steps(
+                self.start, self.routing.routing, self.ste_matrix,
+                self.accept, indices, lengths, unanchored=unanchored,
+            )
+            start_accepted = bool((self.start & self.accept).any())
+            traces = assemble_traces(actives, accepts, lengths,
+                                     start_accepted)
+        chip = self.chip_cost()
+        latency, energy = chip.symbol_latency(), chip.symbol_energy()
+        costs = [
+            RunCost(
+                symbols=n,
+                latency_seconds=n * latency,
+                pipelined_time_seconds=n * self.kernel.delay_seconds,
+                energy_joules=n * energy,
+            )
+            for n in map(int, lengths)
+        ]
         return traces, costs
+
+    def _crossbar_trace(self, symbols: list, unanchored: bool) -> APTrace:
+        """Step one stream through the electrical reads, symbol by symbol."""
+        active = self.start.copy()
+        trace = np.zeros((len(symbols) + 1, self.n_states), dtype=bool)
+        trace[0] = active
+        accepts = np.zeros(len(symbols), dtype=bool)
+        for t, symbol in enumerate(symbols):
+            source = active | self.start if unanchored else active
+            if source.any():
+                follow = self._crossbar_routing.evaluate(source)
+            else:
+                follow = np.zeros(self.n_states, dtype=bool)
+            active = follow & self.ste_array.symbol_vector(symbol)
+            trace[t + 1] = active
+            accepts[t] = bool((active & self.accept).any())
+        return APTrace(
+            active=trace,
+            accept_per_step=accepts,
+            accepted=bool(accepts[-1]) if symbols else
+            bool((self.start & self.accept).any()),
+        )
 
     def find_matches(self, sequence) -> tuple[int, ...]:
         """1-based end positions of unanchored matches in ``sequence``."""

@@ -13,6 +13,11 @@ port-limited).  This module implements both:
   identical *when the automaton is routable*; the structure changes cost
   (two switch stages, fewer configurable bits) and adds a routability
   constraint that :meth:`TwoLevelRouting.check_routable` reports.
+
+Neither class evaluates Eq. 2 itself: the processor steps both styles
+through :func:`~repro.automata.generic_ap.batched_matrix_steps` over
+``routing``, after :meth:`TwoLevelRouting.ensure_routable` has refused an
+unroutable configuration.
 """
 
 from __future__ import annotations
@@ -20,8 +25,6 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-
-from repro.rram_ap.dot_product import NumpyDotProduct
 
 __all__ = ["FullCrossbarRouting", "TwoLevelRouting", "RoutabilityReport"]
 
@@ -40,15 +43,10 @@ class FullCrossbarRouting:
         if routing.ndim != 2 or routing.shape[0] != routing.shape[1]:
             raise ValueError("routing matrix must be square")
         self.routing = routing
-        self._operator = NumpyDotProduct(routing)
 
     @property
     def n_states(self) -> int:
         return self.routing.shape[0]
-
-    def follow(self, active: np.ndarray) -> np.ndarray:
-        """Eq. 2: f = a . R through one dot-product stage."""
-        return self._operator.evaluate(active)
 
     def columns_per_step(self) -> int:
         """Switch columns evaluated per symbol."""
@@ -109,7 +107,6 @@ class TwoLevelRouting:
         for b, members in enumerate(self.blocks):
             for s in members:
                 self._block_of[s] = b
-        self._operator = NumpyDotProduct(routing)
 
     @property
     def n_states(self) -> int:
@@ -178,16 +175,6 @@ class TwoLevelRouting:
                 "automaton is not routable on this fabric: "
                 + "; ".join(report.violations)
             )
-
-    def follow(self, active: np.ndarray) -> np.ndarray:
-        """Eq. 2 through the hierarchy.
-
-        Functionally identical to the full crossbar when routable; the
-        method refuses to run an unroutable configuration rather than
-        silently compute something the fabric could not.
-        """
-        self.ensure_routable()
-        return self._operator.evaluate(np.asarray(active, dtype=bool))
 
     def columns_per_step(self) -> int:
         """Local switches cover all states; global covers inter-block wires."""

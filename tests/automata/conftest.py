@@ -1,5 +1,9 @@
-"""Fixtures for the automata tests: the set-based compiler oracle and
-the per-symbol AP stepping oracle."""
+"""Fixtures for the automata tests: the set-based compiler oracle.
+
+The per-symbol AP stepping oracle, ``scalar_ap.py`` in this directory,
+is the session fixture ``scalar_ap`` of ``tests/conftest.py``, shared
+with the rram_ap tests.
+"""
 
 import importlib.util
 import sys
@@ -7,27 +11,14 @@ from pathlib import Path
 
 import pytest
 
-
-def _load(module_name: str, filename: str):
-    spec = importlib.util.spec_from_file_location(
-        module_name, Path(__file__).with_name(filename))
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-_set_compiler = _load("automata_set_compiler", "set_compiler.py")
-_scalar_ap = _load("automata_scalar_ap", "scalar_ap.py")
+_spec = importlib.util.spec_from_file_location(
+    "automata_set_compiler", Path(__file__).with_name("set_compiler.py"))
+_set_compiler = importlib.util.module_from_spec(_spec)
+sys.modules[_spec.name] = _set_compiler
+_spec.loader.exec_module(_set_compiler)
 
 
 @pytest.fixture(scope="session")
 def oracle():
     """The set-based compiler (``set_compiler.py``)."""
     return _set_compiler
-
-
-@pytest.fixture(scope="session")
-def scalar_ap():
-    """The per-symbol AP loop (``scalar_ap.py``)."""
-    return _scalar_ap

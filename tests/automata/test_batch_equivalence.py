@@ -13,8 +13,9 @@ per-stream costs must price each stream's symbols.  The electrical
 the oracle too.
 
 The property suites use a 2-symbol alphabet and automata of a few
-states; :class:`TestWorkloadScale` runs both paths at a benchmark
-workload's size, where BLAS blocks the batched follow-vector product.
+states; :class:`TestWorkloadScale` runs both paths on each of the four
+AP workloads, anchored and unanchored, networking at the benchmark's
+size, where BLAS blocks the batched follow-vector product.
 """
 
 import numpy as np
@@ -166,18 +167,28 @@ class TestHardwareProcessorEquivalence:
             proc.run(seqs[0])
 
 
-#: The ``networking`` workload at the perfbench ``ap_scan`` shape: 8
-#: merged IDS rules (about 200 states, |Sigma| = 42) scanning 16
-#: payloads of 256 symbols.
-NETWORKING = ScenarioSpec(engine="rram_ap", workload="networking",
-                          size=256, items=8, batch=16, seed=7)
+#: The four AP workloads: ``networking`` at the perfbench ``ap_scan``
+#: shape (8 merged IDS rules, about 200 states, |Sigma| = 42, 16
+#: payloads of 256 symbols), the others at their CLI presets' shapes.
+SCALE_SPECS = {
+    "networking": ScenarioSpec(engine="rram_ap", workload="networking",
+                               size=256, items=8, batch=16, seed=7),
+    "strings": ScenarioSpec(engine="rram_ap", workload="strings",
+                            size=256, items=4, batch=4, seed=7),
+    "dna": ScenarioSpec(engine="rram_ap", workload="dna", size=2000,
+                        items=8, batch=4, seed=7),
+    "datamining": ScenarioSpec(engine="rram_ap", workload="datamining",
+                               size=48, items=4, batch=16, seed=7),
+}
 
 
-@pytest.fixture(scope="module")
-def networking():
-    """The merged automaton and its 16 streams cut to ragged lengths:
-    the first to 0 symbols, the second kept whole, the rest at random."""
-    adapter = adapter_for(NETWORKING, "rram_ap")
+@pytest.fixture(scope="module", params=SCALE_SPECS.values(),
+                ids=SCALE_SPECS)
+def workload(request):
+    """A workload's merged automaton and its streams cut to ragged
+    lengths: the first to 0 symbols, the second kept whole, the rest at
+    random."""
+    adapter = adapter_for(request.param, "rram_ap")
     streams = adapter.streams()
     rng = np.random.default_rng(11)
     cuts = [0, len(streams[1])] + [
@@ -188,8 +199,8 @@ def networking():
 
 class TestWorkloadScale:
     @pytest.mark.parametrize("unanchored", [False, True])
-    def test_hardware_processor(self, scalar_ap, networking, unanchored):
-        automaton, seqs = networking
+    def test_hardware_processor(self, scalar_ap, workload, unanchored):
+        automaton, seqs = workload
         proc = AutomataProcessor(automaton)
         _assert_processor_matches_oracle(scalar_ap, proc, seqs, unanchored)
         if unanchored:
@@ -197,15 +208,15 @@ class TestWorkloadScale:
             assert any(t.match_ends for t in traces)
 
     @pytest.mark.parametrize("unanchored", [False, True])
-    def test_generic_model(self, scalar_ap, networking, unanchored):
-        automaton, seqs = networking
+    def test_generic_model(self, scalar_ap, workload, unanchored):
+        automaton, seqs = workload
         _assert_generic_matches_oracle(
             scalar_ap, lambda: GenericAPModel.from_homogeneous(automaton),
             seqs, unanchored)
 
-    def test_no_accepting_state(self, networking):
+    def test_no_accepting_state(self, workload):
         """An all-False Accept Vector never fires Eq. 4, on any stream."""
-        automaton, seqs = networking
+        automaton, seqs = workload
         model = GenericAPModel(
             automaton.alphabet,
             ste=automaton.ste_matrix(),

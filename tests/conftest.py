@@ -3,8 +3,17 @@
 Hypothesis is derandomized so the suite gives identical verdicts on every
 run (important for an offline reproduction repo: a red test means a real
 regression, never sampling noise).
+
+The per-symbol AP stepping oracle (``automata/scalar_ap.py``) is loaded
+here, as the ``scalar_ap`` fixture, because both the automata and the
+rram_ap suites check the one stepping kernel against it.
 """
 
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
 from hypothesis import HealthCheck, settings
 
 settings.register_profile(
@@ -14,3 +23,16 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("repro")
+
+_spec = importlib.util.spec_from_file_location(
+    "automata_scalar_ap",
+    Path(__file__).parent / "automata" / "scalar_ap.py")
+_scalar_ap = importlib.util.module_from_spec(_spec)
+sys.modules[_spec.name] = _scalar_ap
+_spec.loader.exec_module(_scalar_ap)
+
+
+@pytest.fixture(scope="session")
+def scalar_ap():
+    """The per-symbol AP loop (``automata/scalar_ap.py``)."""
+    return _scalar_ap

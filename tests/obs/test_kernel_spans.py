@@ -5,13 +5,20 @@ Chrome trace, the MVM stage spans (DAC slicing, bit-plane accumulate,
 ADC quantize, shift-and-add, ledger) must sum to >= 90% of the
 enclosing ``mvm.kernel`` span -- i.e. the profile accounts for the
 kernel, it does not just decorate it.
+
+The ``rram_ap`` engine's stages (stream generation, fabric build with
+its automaton compile, the kernel window and the golden check) must
+likewise cover >= 90% of ``engine.run``, and a slow stream generator
+must show up under ``workload.prepare``.
 """
+
+import time
 
 import pytest
 
-from repro.api import Engine, ScenarioSpec
+from repro.api import Engine, ScenarioSpec, adapter_for
 from repro.obs.export import read_spans, write_chrome_trace
-from repro.obs.trace import deactivate_tracer, traced
+from repro.obs.trace import active_tracer, deactivate_tracer, traced
 
 #: Stage spans recorded inside MVMKernel.execute.
 KERNEL_STAGES = {"mvm.dac", "mvm.accumulate", "mvm.adc",
@@ -126,3 +133,85 @@ def test_benchmark_batches_run_as_one_chunk(spec):
               if rec.name == "mvm.accumulate"
               and rec.parent_id in kernel_ids]
     assert kernel_ids and len(chunks) == len(kernel_ids)
+
+
+#: The AP engine's workloads, at the benchmark's ap_scan shape for
+#: networking and at the CLI presets' shapes for the rest.
+AP_SPECS = {
+    "networking": ScenarioSpec(engine="rram_ap", workload="networking",
+                               size=256, items=8, batch=16, seed=1),
+    "strings": ScenarioSpec(engine="rram_ap", workload="strings",
+                            size=256, items=4, batch=4, seed=1),
+    "dna": ScenarioSpec(engine="rram_ap", workload="dna", size=2000,
+                        items=8, batch=4, seed=1),
+    "datamining": ScenarioSpec(engine="rram_ap", workload="datamining",
+                               size=48, items=4, batch=16, seed=1),
+}
+
+#: Seconds a deliberately slow stream generator sleeps.
+SLOW_STREAMS_SECONDS = 0.05
+
+
+def _run_children(records):
+    """The ``engine.run`` record and its direct children, by start."""
+    (root,) = [rec for rec in records if rec.name == "engine.run"]
+    children = sorted(
+        (rec for rec in records if rec.parent_id == root.span_id),
+        key=lambda rec: rec.start_seconds)
+    return root, children
+
+
+def _covered(root, children):
+    return sum(rec.duration_seconds for rec in children) \
+        / root.duration_seconds
+
+
+@pytest.mark.parametrize("spec", AP_SPECS.values(), ids=AP_SPECS)
+def test_slow_ap_streams_bill_workload_prepare(spec, monkeypatch):
+    """A slow stream generator is billed to ``workload.prepare``, which
+    runs before the fabric build, and not to the build or the kernel."""
+    adapter_cls = type(adapter_for(spec, "rram_ap"))
+    streams = adapter_cls.streams
+    slept = []
+
+    def slow_streams(self):
+        tracer = active_tracer()
+        begin = tracer.now()
+        time.sleep(SLOW_STREAMS_SECONDS)
+        slept.append((begin, tracer.now()))
+        return streams(self)
+
+    monkeypatch.setattr(adapter_cls, "streams", slow_streams)
+    with traced() as tracer:
+        Engine.from_spec(spec).run()
+    root, children = _run_children(tracer.records())
+    assert [rec.name for rec in children] == [
+        "spec.resolve", "workload.prepare", "fabric.build",
+        "window.execute", "workload.golden"]
+    [(begin, end)] = slept
+    by_name = {rec.name: rec for rec in children}
+    prepare = by_name["workload.prepare"]
+    assert prepare.start_seconds <= begin
+    assert end <= prepare.start_seconds + prepare.duration_seconds
+    for name in ("fabric.build", "window.execute"):
+        assert by_name[name].start_seconds >= end, name
+    compiles = [rec for rec in tracer.records()
+                if rec.name == "automata.compile"]
+    assert [rec.parent_id for rec in compiles] == [
+        by_name["fabric.build"].span_id]
+    assert _covered(root, children) >= 0.90
+
+
+@pytest.mark.parametrize("spec", AP_SPECS.values(), ids=AP_SPECS)
+def test_ap_stage_spans_cover_90pct_of_run(spec):
+    """Without any slowdown, the AP run's stage spans still explain it.
+
+    Best of three runs, for the reason :func:`kernel_trace` gives.
+    """
+    best = 0.0
+    for _ in range(3):
+        with traced() as tracer:
+            Engine.from_spec(spec).run()
+        best = max(best, _covered(*_run_children(tracer.records())))
+    assert best >= 0.90, (
+        f"engine.run's direct children cover {best:.1%} of it")

@@ -1,10 +1,20 @@
-"""Tests for routing fabrics and placement."""
+"""Tests for routing fabrics and placement.
+
+The routing classes hold the matrix and price it; Eq. 2 itself runs in
+the one stepping kernel, ``batched_matrix_steps``.  The Follow-vector
+checks below step that kernel once from a chosen Active Vector with
+every STE bit set, so the step's result is the Follow Vector, and
+compare it with the per-symbol oracle (the ``scalar_ap`` fixture).
+"""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.automata import Alphabet, compile_regex, homogenize
+from repro.automata.generic_ap import GenericAPModel, batched_matrix_steps
 from repro.rram_ap import (
+    AutomataProcessor,
     FullCrossbarRouting,
     TwoLevelRouting,
     bfs_blocks,
@@ -13,19 +23,43 @@ from repro.rram_ap import (
 )
 
 AB = Alphabet("ab")
+#: One symbol whose STE row is all ones: a step is Eq. 2 alone.
+ONE = Alphabet("x")
 
 
 def example_automaton(pattern="(a|b)*abb"):
     return homogenize(compile_regex(pattern, AB))
 
 
+def kernel_follow(routing, active):
+    """The Follow Vector of ``active``: one kernel step, every STE bit set."""
+    n = routing.shape[0]
+    actives, _ = batched_matrix_steps(
+        active, routing, np.ones((1, n), dtype=bool),
+        np.zeros(n, dtype=bool), np.zeros((1, 1), dtype=np.int64),
+        np.ones(1, dtype=np.int64))
+    return actives[0, 1]
+
+
+def oracle_follow(scalar_ap, routing, active):
+    """The same step through the per-symbol oracle's matrix OR."""
+    n = routing.shape[0]
+    model = GenericAPModel(ONE, ste=np.ones((1, n), dtype=bool),
+                           routing=routing, start=active,
+                           accept=np.zeros(n, dtype=bool))
+    return scalar_ap.run(model, "x").active[1]
+
+
 class TestFullCrossbarRouting:
-    def test_follow_matches_matrix_or(self):
+    def test_step_matches_matrix_or(self, scalar_ap):
         r = np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]], dtype=bool)
         routing = FullCrossbarRouting(r)
         a = np.array([1, 0, 1], dtype=bool)
         expected = (a[:, None] & r).any(axis=0)
-        np.testing.assert_array_equal(routing.follow(a), expected)
+        np.testing.assert_array_equal(
+            kernel_follow(routing.routing, a), expected)
+        np.testing.assert_array_equal(
+            oracle_follow(scalar_ap, routing.routing, a), expected)
 
     def test_costs(self):
         routing = FullCrossbarRouting(np.zeros((5, 5), dtype=bool))
@@ -45,14 +79,17 @@ class TestTwoLevelRouting:
         return ha, TwoLevelRouting(ha.routing_matrix(), blocks,
                                    port_budget=budget)
 
-    def test_follow_equals_full_crossbar(self):
+    def test_step_equals_full_crossbar(self, scalar_ap):
+        """The kernel over a two-level fabric's matrix steps as the
+        oracle does over the full crossbar's."""
         ha, two_level = self.make()
         full = FullCrossbarRouting(ha.routing_matrix())
         rng = np.random.default_rng(3)
         for _ in range(20):
             a = rng.integers(0, 2, ha.n_states).astype(bool)
             np.testing.assert_array_equal(
-                two_level.follow(a), full.follow(a)
+                kernel_follow(two_level.routing, a),
+                oracle_follow(scalar_ap, full.routing, a),
             )
 
     def test_edge_partition_accounting(self):
@@ -71,12 +108,9 @@ class TestTwoLevelRouting:
         blocks = bfs_blocks(ha, 2)
         two_level = TwoLevelRouting(ha.routing_matrix(), blocks,
                                     port_budget=1)
-        report = two_level.check_routable()
-        if not report.routable:
-            with pytest.raises(RuntimeError, match="not routable"):
-                two_level.follow(np.zeros(ha.n_states, dtype=bool))
-        else:
-            pytest.skip("placement made this routable; acceptable")
+        assert not two_level.check_routable().routable
+        with pytest.raises(RuntimeError, match="not routable"):
+            two_level.ensure_routable()
 
     def test_partition_validation(self):
         r = np.zeros((4, 4), dtype=bool)
@@ -132,3 +166,36 @@ class TestPlacement:
         refined = refine_blocks(ha, bfs_blocks(ha, 3))
         flat = sorted(s for b in refined for s in b)
         assert flat == list(range(ha.n_states))
+
+    def test_kept_swap_moves_the_scanned_state(self, scalar_ap):
+        """Regression: after a kept swap the refinement scanned on with
+        the state it had just moved out of the block, so a later swap
+        wrote state 12 into two slots and dropped state 6, and a
+        two-level processor over that placement refused to build."""
+        ha = example_automaton("a(a|b)*b")
+        blocks = place(ha, 2)
+        flat = sorted(s for b in blocks for s in b)
+        assert flat == list(range(ha.n_states))
+        proc = AutomataProcessor(ha, routing_style="two-level",
+                                 block_size=2, port_budget=64)
+        model = scalar_ap.model_of(proc)
+        traces, _ = proc.run_batch(["abab", "aab"])
+        for seq, trace in zip(["abab", "aab"], traces):
+            np.testing.assert_array_equal(
+                trace.active, scalar_ap.run(model, seq).active)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from([
+            "(a|b)*abb", "a(a|b)*b", "abab", "(ab)*a",
+            "(a|b)*a(a|b)(a|b)", "(a|b)*abb(ab)*", "(a|b)*abb(a|b)*ab",
+        ]),
+        st.integers(min_value=2, max_value=5),
+    )
+    def test_place_returns_exact_partition(self, pattern, block_size):
+        ha = example_automaton(pattern)
+        blocks = place(ha, block_size)
+        flat = sorted(s for b in blocks for s in b)
+        assert flat == list(range(ha.n_states))
+        assert [len(b) for b in blocks] == [
+            len(b) for b in bfs_blocks(ha, block_size)]
