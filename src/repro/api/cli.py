@@ -158,7 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_parallel(p: argparse.ArgumentParser) -> None:
         p.add_argument("--workers", type=int, default=1,
-                       help="worker processes (default 1: in-process)")
+                       help="most worker processes, capped at the "
+                            "CPUs (default 1: in-process)")
         p.add_argument("--cache", type=Path, default=None, metavar="DIR",
                        help="content-addressed result cache directory")
 

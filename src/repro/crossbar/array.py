@@ -39,7 +39,13 @@ def as_bits(bits, copy: bool = False) -> np.ndarray:
         ValueError: if any value is not 0 or 1.
     """
     raw = np.asarray(bits)
-    if raw.dtype != np.bool_ and not ((raw == 0) | (raw == 1)).all():
+    if raw.dtype in (np.int8, np.uint8):
+        # One pass: viewed as uint8, exactly 0 and 1 are <= 1
+        # (int8 -1 reads 255, -128 reads 128).
+        valid = raw.size == 0 or raw.view(np.uint8).max() <= 1
+    else:
+        valid = raw.dtype == np.bool_ or ((raw == 0) | (raw == 1)).all()
+    if not valid:
         raise ValueError("bits must be 0 or 1")
     return raw.astype(np.int8, copy=copy)
 
@@ -358,6 +364,9 @@ class CrossbarStack:
 
     Stacks model ideal two-point resistances only: variability and
     stuck-fault injection remain features of the single :class:`Crossbar`.
+    So a stack stores bits and wear alone; each cell's resistance is
+    ``r_on`` or ``r_off`` by its bit, and a read looks its conductance
+    up by bit, the same float a stored ``1.0 / resistance`` would give.
 
     Args:
         batch: number of logical arrays B.
@@ -368,7 +377,6 @@ class CrossbarStack:
 
     Attributes:
         bits: stored logic values, int8 (batch, rows, cols).
-        resistances: programmed resistances in ohms, same shape.
         program_cycles: per-cell programming-event counts, same shape.
     """
 
@@ -399,14 +407,26 @@ class CrossbarStack:
         self.cols = cols
         self.read_voltage = read_voltage_volts
         self.bits = np.zeros((batch, rows, cols), dtype=np.int8)
-        self.resistances = np.full(
-            (batch, rows, cols), float(self.params.r_off)
-        )
         self.program_cycles = np.zeros((batch, rows, cols), dtype=np.int64)
+        # Indexed by a stored bit: 1 / r_off for a 0, 1 / r_on for a 1.
+        self._conductance = 1.0 / np.array(
+            [self.params.r_off, self.params.r_on], dtype=np.float64)
 
     @property
     def shape(self) -> tuple[int, int, int]:
         return self.batch, self.rows, self.cols
+
+    @property
+    def resistances(self) -> np.ndarray:
+        """Programmed resistances in ohms, derived from the bits.
+
+        A read-only float64 (batch, rows, cols) array: ``r_on`` where a
+        cell stores 1, ``r_off`` where it stores 0.
+        """
+        r = np.where(self.bits, np.float64(self.params.r_on),
+                     np.float64(self.params.r_off))
+        r.setflags(write=False)
+        return r
 
     def _check_row(self, row: int) -> None:
         if not 0 <= row < self.rows:
@@ -427,8 +447,6 @@ class CrossbarStack:
         changed = self.bits[:, row, :] != new_bits
         self.bits[:, row, :] = new_bits
         self.program_cycles[:, row, :] += changed
-        self.resistances[:, row, :] = np.where(
-            new_bits, self.params.r_on, self.params.r_off)
 
     def load_tensor(self, bits: np.ndarray) -> None:
         """Program the whole stack from a (batch, rows, cols) 0/1 tensor."""
@@ -446,13 +464,14 @@ class CrossbarStack:
         Same contract as :meth:`Crossbar.column_currents`, vectorized over
         the batch axis: selecting the activated rows then reducing over
         the row axis keeps each item's float arithmetic identical to a
-        single-array read.
+        single-array read.  Each cell's conductance is looked up by its
+        bit, the very float ``1.0 / resistance`` gives.
 
         Returns:
             (batch, cols) currents.
         """
         rows = _validated_activation_rows(active_rows, self.rows)
-        conductance = 1.0 / self.resistances[:, rows, :]
+        conductance = np.take(self._conductance, self.bits[:, rows, :])
         return self.read_voltage * conductance.sum(axis=1)
 
     def read_row(self, row: int) -> np.ndarray:

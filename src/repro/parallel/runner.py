@@ -10,8 +10,11 @@ results bit-identically to the single-process run
 
 A call that has work to fan out runs on the pool passed as
 ``executor=``, or on the runner's own pool, kept warm from its first
-fan-out until the runner is dropped.  Every other call runs in-process,
-so ``workers=1`` never forks.
+fan-out until the runner is dropped.  The own pool is never wider than
+the CPUs this process may run on (:func:`~repro.bench.available_cpus`):
+``workers`` is an upper bound, and a runner left one process wide --
+``workers=1``, or any ``workers`` on one CPU -- runs every call
+in-process and never forks.
 
 A :class:`~repro.parallel.cache.ResultCache` can be attached; cache
 lookups happen before any task is submitted, so a warm cache serves
@@ -28,6 +31,7 @@ from typing import Any, Mapping, Sequence
 from repro.api.engines import Engine
 from repro.api.result import RunResult
 from repro.api.spec import ScenarioSpec
+from repro.bench import available_cpus
 from repro.parallel.cache import ResultCache
 from repro.parallel.pool import POOL_MODES, WorkerPool
 from repro.parallel.sharding import plan_shards
@@ -39,7 +43,11 @@ class ParallelRunner:
     """Run scenarios across worker processes, with optional caching.
 
     Args:
-        workers: worker process count (1 = plain in-process execution).
+        workers: the most worker processes to fan out to.  The runner's
+            own process pool starts ``min(workers, available_cpus())``
+            of them, and at one it runs in-process: more processes than
+            CPUs only time-slice the same work.  An ``"inline"`` pool
+            plans ``workers`` windows whatever the CPU count.
         cache: a :class:`ResultCache`, a cache directory path, or None.
         pool: start method of the runner's pool -- "auto" (fork where
             available, else spawn), "fork", "forkserver", "spawn", or
@@ -102,9 +110,7 @@ class ParallelRunner:
             if cached is not None:
                 return cached
         engine = Engine.from_spec(spec)
-        workers = self.workers if self.executor is None \
-            else self.executor.workers
-        shards = plan_shards(spec.batch, workers)
+        shards = plan_shards(spec.batch, self._width())
         if engine.shardable and len(shards) > 1:
             result = self._worker_pool().run(spec)
         else:
@@ -138,7 +144,7 @@ class ParallelRunner:
                 misses.append(i)
         missing = [resolved[i] for i in misses]
         if len(missing) > 1 and (self.executor is not None
-                                 or self.workers > 1):
+                                 or self._width() > 1):
             fresh = self._worker_pool().run_many(missing)
         else:
             fresh = [Engine.from_spec(spec).run() for spec in missing]
@@ -148,13 +154,22 @@ class ParallelRunner:
             results[i] = result
         return results  # type: ignore[return-value]
 
+    def _width(self) -> int:
+        """Workers a call fans out to: an attached executor's or an
+        inline pool's own count, else ``workers`` capped at the CPUs."""
+        if self.executor is not None:
+            return self.executor.workers
+        if self.pool == "inline":
+            return self.workers
+        return min(self.workers, available_cpus())
+
     def _worker_pool(self) -> WorkerPool:
         """The attached executor, or the runner's kept pool."""
         if self.executor is not None:
             return self.executor
         with self._pool_lock:
             if self._pool is None or self._pool_pid != os.getpid():
-                pool = WorkerPool(self.workers, mode=self.pool).start()
+                pool = WorkerPool(self._width(), mode=self.pool).start()
                 self._pool, self._pool_pid = pool, os.getpid()
                 weakref.finalize(self, _stop_pool, pool, os.getpid())
             return self._pool

@@ -142,7 +142,8 @@ class SweepRunner:
     when the sweep runner is dropped.
 
     Args:
-        workers: worker process count for the spec-level fan-out.
+        workers: the most worker processes for the spec-level fan-out;
+            never more than the CPUs, as in :class:`ParallelRunner`.
         cache: a :class:`ResultCache`, a cache directory path, or None.
         pool: start method, as in :class:`ParallelRunner`.
     """

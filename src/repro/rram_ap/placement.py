@@ -49,17 +49,6 @@ def bfs_blocks(
     return [order[i:i + block_size] for i in range(0, n, block_size)]
 
 
-def _distinct_pairs(
-    routing: np.ndarray, block_of: np.ndarray
-) -> set[tuple[int, int]]:
-    src, dst = np.nonzero(routing)
-    return {
-        (int(block_of[s]), int(block_of[d]))
-        for s, d in zip(src, dst)
-        if block_of[s] != block_of[d]
-    }
-
-
 def refine_blocks(
     automaton: HomogeneousAutomaton,
     blocks: list[list[int]],
@@ -71,15 +60,45 @@ def refine_blocks(
     keeps a swap when it strictly reduces the distinct inter-block pair
     count.  Block sizes are preserved.  A few passes suffice on
     regex-shaped automata.
+
+    The pair count is kept incrementally: an edge count per (source
+    block, target block) pair, of which the nonzero off-diagonal
+    entries are the distinct pairs.  A trial moves only the edges of
+    its two states, and a rejected trial moves them back.
     """
     routing = automaton.routing_matrix()
     blocks = [list(b) for b in blocks]
     n = automaton.n_states
-    block_of = np.empty(n, dtype=int)
+    block_of = [0] * n
     for b, members in enumerate(blocks):
         for s in members:
             block_of[s] = b
-    best = len(_distinct_pairs(routing, block_of))
+    src, dst = np.nonzero(routing)
+    edges = list(zip(src.tolist(), dst.tolist()))
+    touching: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for u, v in edges:
+        touching[u].append((u, v))
+        if v != u:
+            touching[v].append((u, v))
+    counts = [[0] * len(blocks) for _ in blocks]
+    distinct = 0
+
+    def shift(moved: list[tuple[int, int]], step: int) -> None:
+        """Add ``step`` to the pair count of every edge in ``moved``."""
+        nonlocal distinct
+        for u, v in moved:
+            a, b = block_of[u], block_of[v]
+            if a != b:
+                row = counts[a]
+                before = row[b]
+                row[b] = before + step
+                if before == 0:
+                    distinct += 1
+                elif before + step == 0:
+                    distinct -= 1
+
+    shift(edges, 1)
+    best = distinct
 
     for _ in range(max_passes):
         improved = False
@@ -90,14 +109,19 @@ def refine_blocks(
                         # Read both occupants at each trial: a kept
                         # swap moves the state that sat in slot i.
                         s1, s2 = blocks[b1][i], blocks[b2][j]
+                        moved = touching[s1] + [
+                            e for e in touching[s2] if s1 not in e]
+                        shift(moved, -1)
                         block_of[s1], block_of[s2] = b2, b1
-                        cost = len(_distinct_pairs(routing, block_of))
-                        if cost < best:
-                            best = cost
+                        shift(moved, 1)
+                        if distinct < best:
+                            best = distinct
                             blocks[b1][i], blocks[b2][j] = s2, s1
                             improved = True
                         else:
+                            shift(moved, -1)
                             block_of[s1], block_of[s2] = b1, b2
+                            shift(moved, 1)
         if not improved:
             break
     return blocks

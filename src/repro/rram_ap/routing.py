@@ -73,8 +73,23 @@ class RoutabilityReport:
     violations: tuple[str, ...]
 
 
+def _inter_block_pairs(
+    routing: np.ndarray, block_of: np.ndarray
+) -> frozenset[tuple[int, int]]:
+    """Distinct (src block, dst block) pairs of the inter-block edges."""
+    src, dst = np.nonzero(routing)
+    src_block, dst_block = block_of[src], block_of[dst]
+    cross = src_block != dst_block
+    return frozenset(zip(src_block[cross].tolist(),
+                         dst_block[cross].tolist()))
+
+
 class TwoLevelRouting:
     """Global/local hierarchical routing (SRAM-AP style).
+
+    The routing matrix and the blocks are read-only copies, so the
+    inter-block pairs that routability and cost read are found once,
+    at construction.
 
     Args:
         routing: boolean (N, N) reachability matrix R.
@@ -91,7 +106,7 @@ class TwoLevelRouting:
         blocks: list[list[int]],
         port_budget: int = 8,
     ) -> None:
-        routing = np.asarray(routing, dtype=bool)
+        routing = np.array(routing, dtype=bool)
         n = routing.shape[0]
         if routing.ndim != 2 or routing.shape != (n, n):
             raise ValueError("routing matrix must be square")
@@ -100,13 +115,15 @@ class TwoLevelRouting:
             raise ValueError("blocks must partition the state set exactly")
         if port_budget < 1:
             raise ValueError("port_budget must be positive")
+        routing.setflags(write=False)
         self.routing = routing
-        self.blocks = [list(b) for b in blocks]
+        self.blocks = tuple(tuple(b) for b in blocks)
         self.port_budget = port_budget
         self._block_of = np.empty(n, dtype=int)
         for b, members in enumerate(self.blocks):
-            for s in members:
-                self._block_of[s] = b
+            self._block_of[list(members)] = b
+        self._block_of.setflags(write=False)
+        self._pairs = _inter_block_pairs(routing, self._block_of)
 
     @property
     def n_states(self) -> int:
@@ -129,21 +146,15 @@ class TwoLevelRouting:
         src, dst = np.nonzero(self.routing)
         return int((self._block_of[src] != self._block_of[dst]).sum())
 
-    def block_pairs(self) -> set[tuple[int, int]]:
+    def block_pairs(self) -> frozenset[tuple[int, int]]:
         """Distinct (src block, dst block) pairs with inter-block edges."""
-        src, dst = np.nonzero(self.routing)
-        pairs = set()
-        for s, d in zip(self._block_of[src], self._block_of[dst]):
-            if s != d:
-                pairs.add((int(s), int(d)))
-        return pairs
+        return self._pairs
 
     def check_routable(self) -> RoutabilityReport:
         """Verify every block's global-port budget in both directions."""
-        pairs = self.block_pairs()
         out_ports = [0] * self.n_blocks
         in_ports = [0] * self.n_blocks
-        for s, d in pairs:
+        for s, d in self._pairs:
             out_ports[s] += 1
             in_ports[d] += 1
         violations = []
@@ -178,7 +189,7 @@ class TwoLevelRouting:
 
     def columns_per_step(self) -> int:
         """Local switches cover all states; global covers inter-block wires."""
-        return self.n_states + len(self.block_pairs())
+        return self.n_states + len(self._pairs)
 
     def configurable_bits(self) -> int:
         """Local switch bits + global switch bits (port-granular)."""

@@ -6,7 +6,9 @@ regression, never sampling noise).
 
 The per-symbol AP stepping oracle (``automata/scalar_ap.py``) is loaded
 here, as the ``scalar_ap`` fixture, because both the automata and the
-rram_ap suites check the one stepping kernel against it.
+rram_ap suites check the one stepping kernel against it.  So is the
+``two_cpus`` fixture, which the parallel and obs suites' process-pool
+tests share.
 """
 
 import importlib.util
@@ -36,3 +38,15 @@ _spec.loader.exec_module(_scalar_ap)
 def scalar_ap():
     """The per-symbol AP loop (``automata/scalar_ap.py``)."""
     return _scalar_ap
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Runners see two CPUs, whatever the host has.
+
+    A :class:`~repro.parallel.ParallelRunner` never fans out wider than
+    the CPUs it may run on, and on one CPU it runs in-process.  Tests
+    that exist to drive its process pool with ``workers=2`` use this
+    fixture, so that they fork two workers on a one-CPU host too.
+    """
+    monkeypatch.setattr("repro.parallel.runner.available_cpus", lambda: 2)

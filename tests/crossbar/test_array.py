@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.crossbar import Crossbar, CrossbarStack
 from repro.crossbar.array import as_bits
@@ -11,7 +13,10 @@ PARAMS = DeviceParameters()
 
 #: Values an int8 cast would wrap or truncate into a valid-looking bit
 #: (256 -> 0, 257 -> 1, 0.5 -> 0); every write path must reject them.
-NOT_BITS = [2, -1, 256, 257, 0.5, np.nan]
+#: The int8 and uint8 ones build words of their own dtype, which the
+#: one-pass check reads as uint8 (int8 -1 as 255, -128 as 128).
+NOT_BITS = [2, -1, 256, 257, 0.5, np.nan,
+            np.int8(-1), np.int8(-128), np.int8(2), np.uint8(255)]
 
 
 def make(rows=4, cols=8, **kwargs):
@@ -284,12 +289,51 @@ class TestCrossbarStack:
             stack.column_currents([5])
 
 
+class TestBitsOnlyStack:
+    """An ideal stack stores bits alone; resistances and reads derive
+    from them, the same floats a stored resistance array gives."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_reads_equal_the_derived_resistance_sum(self, data):
+        batch = data.draw(st.integers(1, 3), label="batch")
+        rows = data.draw(st.integers(1, 7), label="rows")
+        cols = data.draw(st.integers(1, 9), label="cols")
+        r_on = data.draw(st.floats(10.0, 1e6), label="r_on")
+        ratio = data.draw(st.floats(1.01, 1e4), label="r_off / r_on")
+        params = DeviceParameters(r_on=r_on, r_off=r_on * ratio)
+        tensors = arrays(np.int8, (batch, rows, cols),
+                         elements=st.integers(0, 1))
+        stack = CrossbarStack(batch, rows, cols, params=params)
+        stack.load_tensor(data.draw(tensors, label="first bits"))
+        bits = data.draw(tensors, label="bits")
+        stack.load_tensor(bits)  # a rewrite flips some cells back
+        derived = np.where(bits, params.r_on, params.r_off)
+        order = data.draw(st.permutations(range(rows)), label="order")
+        active = order[:data.draw(st.integers(1, min(5, rows)))]
+
+        currents = stack.column_currents(active)
+        expected = stack.read_voltage * (
+            (1.0 / derived)[:, active, :].sum(axis=1))
+        assert currents.dtype == np.float64
+        assert currents.tobytes() == expected.tobytes()
+
+        resistances = stack.resistances
+        assert resistances.dtype == np.float64
+        assert resistances.tobytes() == derived.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            resistances[0, 0, 0] = params.r_on
+        with pytest.raises(AttributeError):
+            stack.resistances = derived
+
+
 class TestBitValueChecks:
     """Values are checked before the int8 cast, on every write path."""
 
     @staticmethod
     def word(bad, cols=8):
-        return np.array([0, 1] * (cols // 2 - 1) + [1, bad])
+        return np.array([0, 1] * (cols // 2 - 1) + [1, bad],
+                        dtype=np.asarray(bad).dtype)
 
     @pytest.mark.parametrize("bad", NOT_BITS)
     def test_write_row_rejects(self, bad):
@@ -304,8 +348,10 @@ class TestBitValueChecks:
     @pytest.mark.parametrize("bad", NOT_BITS)
     def test_write_rows_rejects(self, bad):
         xb = make()
+        bad_word = self.word(bad)
+        block = np.stack([np.zeros_like(bad_word), bad_word])
         with pytest.raises(ValueError, match="0 or 1"):
-            xb.write_rows([0, 1], np.stack([self.word(0), self.word(bad)]))
+            xb.write_rows([0, 1], block)
         assert not xb.bits.any()
 
     @pytest.mark.parametrize("bad", NOT_BITS)
@@ -313,7 +359,9 @@ class TestBitValueChecks:
         stack = CrossbarStack(3, 2, 8, params=PARAMS)
         with pytest.raises(ValueError, match="0 or 1"):
             stack.write_row(0, self.word(bad))  # broadcast form
-        per_item = np.stack([self.word(0), self.word(1), self.word(bad)])
+        bad_word = self.word(bad)
+        per_item = np.stack(
+            [np.zeros_like(bad_word), np.ones_like(bad_word), bad_word])
         with pytest.raises(ValueError, match="0 or 1"):
             stack.write_row(0, per_item)
         assert not stack.bits.any()

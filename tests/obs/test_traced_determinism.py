@@ -48,6 +48,7 @@ class TestTracedDeterminism:
         ("analog_mvm", "mlp_inference"),
         ("mvp_batched", "database"),
     ])
+    @pytest.mark.usefixtures("two_cpus")
     def test_sharded_traced_matches_serial_untraced(self, engine,
                                                     workload):
         spec = SPEC.replaced(engine=engine, workload=workload)
@@ -60,6 +61,7 @@ class TestTracedDeterminism:
         assert "shards.dispatch" in names
         assert "shard.window" in names
 
+    @pytest.mark.usefixtures("two_cpus")
     def test_fanned_sweep_traced_matches_serial_untraced(self):
         specs = [SPEC.replaced(seed=seed) for seed in range(3)]
         serial = SweepRunner(workers=1).run(specs)

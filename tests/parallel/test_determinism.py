@@ -69,6 +69,7 @@ class TestShardedEqualsPlain:
 
     @pytest.mark.parametrize("spec", [SHARDABLE_CASES[0],
                                       SHARDABLE_CASES[1]], ids=_IDS)
+    @pytest.mark.usefixtures("two_cpus")
     def test_process_pool_is_bit_identical(self, spec):
         """The real multiprocessing pool adds only transport, no drift."""
         plain = Engine.from_spec(spec).run()

@@ -4,7 +4,8 @@
 first fan-out and runs every later call on it; the pool stops when the
 runner is dropped, and only in the process that started it.  Results
 stay bit-identical to ``workers=1`` through crashes, failed calls and
-forks.
+forks.  The pool is never wider than the CPUs the runner may use, and
+a runner one CPU wide forks nothing.
 """
 
 import gc
@@ -19,7 +20,7 @@ import time
 import pytest
 
 from repro.api import ScenarioSpec
-from repro.parallel import ParallelRunner, SweepRunner
+from repro.parallel import ParallelRunner, SweepRunner, WorkerPool
 from repro.parallel import pool as pool_module
 
 SPECS = [ScenarioSpec(engine="mvp_batched", workload="database", size=96,
@@ -55,6 +56,7 @@ def starts(monkeypatch):
     return started
 
 
+@pytest.mark.usefixtures("two_cpus")
 def test_second_fan_out_starts_no_process(starts):
     runner = SweepRunner(workers=2)
     first = [comparable(r) for r in runner.run(SPECS)]
@@ -84,6 +86,7 @@ def test_an_inline_runner_keeps_its_pool(monkeypatch, starts):
     assert first == second == expected
 
 
+@pytest.mark.usefixtures("two_cpus")
 def test_dropping_the_runner_stops_its_workers(starts):
     runner = ParallelRunner(workers=2)
     runner.run_many(SPECS)
@@ -96,6 +99,7 @@ def test_dropping_the_runner_stops_its_workers(starts):
     assert [worker.exitcode for worker in workers] == [0, 0]
 
 
+@pytest.mark.usefixtures("two_cpus")
 def test_worker_killed_in_a_kept_pool_is_retried(monkeypatch, tmp_path,
                                                  starts):
     """A cell whose worker is SIGKILLed mid-task in the kept pool's
@@ -129,6 +133,7 @@ def test_worker_killed_in_a_kept_pool_is_retried(monkeypatch, tmp_path,
     assert fanned == serial()
 
 
+@pytest.mark.usefixtures("two_cpus")
 def test_a_call_that_raised_leaves_the_runner_usable(monkeypatch, starts):
     real = pool_module._execute_task
 
@@ -161,6 +166,7 @@ def _read_all(fd: int, timeout: float) -> bytes:
         chunks.append(chunk)
 
 
+@pytest.mark.usefixtures("two_cpus")
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_forked_child_runs_on_its_own_pool(starts):
     """A call in an ``os.fork`` child starts the child's own pool (the
@@ -204,3 +210,56 @@ def test_a_forked_child_runs_on_its_own_pool(starts):
     assert results == expected
     assert [comparable(r) for r in runner.run(SPECS)] == expected
     assert len(starts) == 2
+
+
+def test_one_cpu_runs_a_wide_runner_in_process(monkeypatch, starts):
+    """On one CPU ``workers=4`` starts no process: ``run`` and
+    ``run_many`` equal a ``workers=1`` runner's, with nothing sharded."""
+    monkeypatch.setattr("repro.parallel.runner.available_cpus", lambda: 1)
+    runner = ParallelRunner(workers=4)
+    single = ParallelRunner(workers=1)
+    ran = runner.run(SPECS[0])
+    assert "parallel" not in ran.provenance
+    assert comparable(ran) == comparable(single.run(SPECS[0]))
+    assert [comparable(r) for r in runner.run_many(SPECS)] == serial()
+    assert starts == []
+
+
+@pytest.mark.usefixtures("two_cpus")
+def test_two_cpus_cap_a_wider_runner(starts):
+    """On two CPUs ``workers=4`` starts two processes and plans two
+    windows, bit-identical to ``workers=1``."""
+    runner = ParallelRunner(workers=4)
+    sharded = runner.run(SPECS[0])
+    assert len(starts) == 2
+    parallel = sharded.provenance["parallel"]
+    assert parallel["workers"] == 2
+    assert len(parallel["shards"]) == 2
+    plain = ParallelRunner(workers=1).run(SPECS[0])
+    assert comparable(sharded) == comparable(plain)
+    assert sharded.cost == plain.cost
+    assert sharded.item_costs == plain.item_costs
+    assert [comparable(r) for r in runner.run_many(SPECS)] == serial()
+    assert len(starts) == 2
+
+
+def test_inline_and_executor_pools_keep_their_width(monkeypatch, starts):
+    """The cap is on the runner's own processes: on one CPU an inline
+    runner still plans ``workers`` windows, and an attached executor
+    runs at its own width."""
+    monkeypatch.setattr("repro.parallel.runner.available_cpus", lambda: 1)
+    inline = ParallelRunner(workers=4, pool="inline").run(SPECS[0])
+    assert inline.provenance["parallel"]["workers"] == 4
+    assert len(inline.provenance["parallel"]["shards"]) == 4
+    assert starts == []
+    with WorkerPool(workers=2, mode="fork") as pool:
+        runner = ParallelRunner(workers=1, executor=pool)
+        delegated = runner.run(SPECS[0])
+        fanned = [comparable(r) for r in runner.run_many(SPECS)]
+        done = pool.metrics()["counters"]["pool_tasks_done_total"]
+    assert len(starts) == 2  # the executor's own workers, nothing else
+    assert delegated.provenance["parallel"]["workers"] == 2
+    assert len(delegated.provenance["parallel"]["shards"]) == 2
+    assert done == 2 + len(SPECS)
+    assert comparable(delegated) == comparable(inline)
+    assert fanned == serial()

@@ -46,6 +46,7 @@ class TestShardedEqualsPlain:
         assert sharded.accuracy == plain.accuracy
         assert sharded.fidelity == plain.fidelity
 
+    @pytest.mark.usefixtures("two_cpus")
     def test_process_pool_is_bit_identical(self):
         plain = Engine.from_spec(FAULTY).run()
         sharded = ParallelRunner(workers=2).run(FAULTY)

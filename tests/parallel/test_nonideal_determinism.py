@@ -45,6 +45,7 @@ class TestWorkerDeterminism:
         assert sharded.fidelity.stuck_faults > 0
         assert sharded.fidelity.verify_retries >= 0
 
+    @pytest.mark.usefixtures("two_cpus")
     def test_real_process_pool_matches_inline(self):
         inline = ParallelRunner(workers=2, pool="inline").run(BATCHED)
         pooled = ParallelRunner(workers=2).run(BATCHED)

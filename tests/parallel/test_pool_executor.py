@@ -79,6 +79,7 @@ def test_executor_validation():
         ParallelRunner(executor="warm")
 
 
+@pytest.mark.usefixtures("two_cpus")
 def test_sweep_recovers_from_a_worker_crash(monkeypatch, tmp_path):
     """A cell whose worker dies on its first attempt is retried on a
     fresh worker; the sweep still equals the in-process one."""

@@ -21,8 +21,16 @@ from repro.rram_ap import (
     place,
     refine_blocks,
 )
+from repro.rram_ap import routing as routing_module
+from repro.rram_ap.cost import APChipCost
+from repro.rram_ap.processor import RunCost
 
 AB = Alphabet("ab")
+#: The placement corpus: each pattern at block sizes 2-5.
+PLACEMENT_PATTERNS = [
+    "(a|b)*abb", "a(a|b)*b", "abab", "(ab)*a",
+    "(a|b)*a(a|b)(a|b)", "(a|b)*abb(ab)*", "(a|b)*abb(a|b)*ab",
+]
 #: One symbol whose STE row is all ones: a step is Eq. 2 alone.
 ONE = Alphabet("x")
 
@@ -112,6 +120,62 @@ class TestTwoLevelRouting:
         with pytest.raises(RuntimeError, match="not routable"):
             two_level.ensure_routable()
 
+    def test_pairs_are_found_once_for_every_run(self, scalar_ap,
+                                                monkeypatch):
+        """The routing and blocks never change after construction, so
+        five ``run_batch`` calls find the inter-block pairs once, and
+        traces and costs still equal the oracle's."""
+        calls = []
+        real = routing_module._inter_block_pairs
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(routing_module, "_inter_block_pairs", counting)
+        ha = example_automaton("(a|b)*abb(a|b)*ab")
+        proc = AutomataProcessor(ha, routing_style="two-level",
+                                 block_size=3, port_budget=64)
+        block_of = {s: b for b, members in enumerate(proc.routing.blocks)
+                    for s in members}
+        src, dst = np.nonzero(ha.routing_matrix())
+        pairs = {(block_of[s], block_of[d])
+                 for s, d in zip(src.tolist(), dst.tolist())
+                 if block_of[s] != block_of[d]}
+        assert pairs and proc.routing.block_pairs() == pairs
+        chip = APChipCost(kernel=proc.kernel, n_states=ha.n_states,
+                          wordlines=AB.wordline_count,
+                          routing_columns=ha.n_states + len(pairs),
+                          routing_stages=2)
+        model = scalar_ap.model_of(proc)
+        seqs = ["abbab", "ab", "", "babbaabab"]
+        for _ in range(5):
+            traces, costs = proc.run_batch(seqs, unanchored=True)
+            for seq, trace, cost in zip(seqs, traces, costs):
+                want = scalar_ap.run(model, seq, unanchored=True)
+                np.testing.assert_array_equal(trace.active, want.active)
+                assert trace.accepted == want.accepted
+                n = len(seq)
+                assert cost == RunCost(
+                    symbols=n,
+                    latency_seconds=n * chip.symbol_latency(),
+                    pipelined_time_seconds=n * proc.kernel.delay_seconds,
+                    energy_joules=n * chip.symbol_energy(),
+                )
+        assert len(calls) == 1
+
+    def test_routing_and_blocks_are_read_only_copies(self):
+        ha = example_automaton()
+        matrix = ha.routing_matrix()
+        blocks = place(ha, 3)
+        two_level = TwoLevelRouting(matrix, blocks)
+        matrix[:] = False
+        blocks[0].append(99)
+        assert two_level.routing.any()
+        assert 99 not in two_level.blocks[0]
+        with pytest.raises(ValueError):
+            two_level.routing[0, 0] = True
+
     def test_partition_validation(self):
         r = np.zeros((4, 4), dtype=bool)
         with pytest.raises(ValueError):
@@ -186,10 +250,7 @@ class TestPlacement:
 
     @settings(max_examples=30, deadline=None)
     @given(
-        st.sampled_from([
-            "(a|b)*abb", "a(a|b)*b", "abab", "(ab)*a",
-            "(a|b)*a(a|b)(a|b)", "(a|b)*abb(ab)*", "(a|b)*abb(a|b)*ab",
-        ]),
+        st.sampled_from(PLACEMENT_PATTERNS),
         st.integers(min_value=2, max_value=5),
     )
     def test_place_returns_exact_partition(self, pattern, block_size):
@@ -199,3 +260,16 @@ class TestPlacement:
         assert flat == list(range(ha.n_states))
         assert [len(b) for b in blocks] == [
             len(b) for b in bfs_blocks(ha, block_size)]
+
+    @pytest.mark.parametrize("block_size", [2, 3, 4, 5])
+    @pytest.mark.parametrize("pattern", PLACEMENT_PATTERNS)
+    def test_refinement_equals_the_rescanning_oracle(
+            self, scan_refine, pattern, block_size):
+        """Incremental pair counts accept and reject exactly the swaps a
+        full recount per trial does, over the whole placement corpus."""
+        ha = example_automaton(pattern)
+        initial = bfs_blocks(ha, block_size)
+        assert refine_blocks(ha, initial) == \
+            scan_refine.refine_blocks(ha, initial)
+        assert refine_blocks(ha, initial, max_passes=1) == \
+            scan_refine.refine_blocks(ha, initial, max_passes=1)
