@@ -477,20 +477,29 @@ class BatchedMVPEngine(Engine):
     })
 
     def build_fabric(self, adapter):
-        return self._crossbar_fabric(adapter)
+        """A :class:`BatchedMVPProcessor` on the window's stack.
+
+        The processor programs its reserved all-ones row as it is
+        built, so that write is fabric setup too.
+        """
+        stack = self._crossbar_fabric(adapter)
+        return BatchedMVPProcessor(
+            stack, energy_model=energy_model_for(stack.params))
 
     def execute_window(self, adapter):
+        # Lowering the queries is workload preparation, billed before
+        # the stack is built rather than to the first geometry query.
+        with span("workload.prepare"):
+            adapter.mvp_programs()
         with span("fabric.build"):
-            stack = self.build_fabric(adapter)
-        processor = BatchedMVPProcessor(
-            stack, energy_model=energy_model_for(stack.params))
+            processor = self.build_fabric(adapter)
         with span("window.execute"):
             outputs = adapter.run_mvp_batched(processor)
         item_costs = [
             cost_from_mvp_stats(processor.stats_for(i))
             for i in range(processor.batch)
         ]
-        self._probe_fabric(stack)
+        self._probe_fabric(processor.crossbar)
         return outputs, CostSummary(), item_costs
 
     @staticmethod

@@ -345,6 +345,12 @@ class WorkloadAdapter:
             f"workload {self.name!r} has no MVP lowering"
         )
 
+    def mvp_programs(self) -> list[list[Instruction]]:
+        """The lowered MVP programs the batched engine executes."""
+        raise ScenarioError(
+            f"workload {self.name!r} has no batched MVP lowering"
+        )
+
     def run_mvp(self, processor: "MVPProcessor") -> dict[str, Any]:
         """Execute on a single-item MVP; returns the outputs dict."""
         raise ScenarioError(

@@ -14,7 +14,6 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-import scipy.linalg
 
 from repro.circuits.mna import Circuit, assemble_matrix, assemble_rhs
 
@@ -105,6 +104,10 @@ def simulate(
     Returns:
         Sampled :class:`TransientResult` including the initial point.
     """
+    # Imported here: only the transient studies need SciPy, and it is
+    # slow to load.
+    import scipy.linalg
+
     if dt <= 0 or t_stop <= t_start:
         raise ValueError("need dt > 0 and t_stop > t_start")
     steps = int(round((t_stop - t_start) / dt))

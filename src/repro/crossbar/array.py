@@ -365,8 +365,10 @@ class CrossbarStack:
     Stacks model ideal two-point resistances only: variability and
     stuck-fault injection remain features of the single :class:`Crossbar`.
     So a stack stores bits and wear alone; each cell's resistance is
-    ``r_on`` or ``r_off`` by its bit, and a read looks its conductance
-    up by bit, the same float a stored ``1.0 / resistance`` would give.
+    ``r_on`` or ``r_off`` by its bit.  A read therefore depends only on
+    each column's bit pattern across the activated rows, and looks its
+    current up by that pattern (see :meth:`column_currents`).  Wear is
+    kept word-line-major, so a write updates one contiguous block.
 
     Args:
         batch: number of logical arrays B.
@@ -377,8 +379,13 @@ class CrossbarStack:
 
     Attributes:
         bits: stored logic values, int8 (batch, rows, cols).
-        program_cycles: per-cell programming-event counts, same shape.
+        program_cycles: per-cell programming-event counts, int64, same
+            shape (a read-only view of the word-line-major wear).
     """
+
+    #: Activated rows whose bits index the read table; each row past
+    #: them folds on with one add.
+    _TABLE_BITS = 8
 
     def __init__(
         self,
@@ -407,14 +414,38 @@ class CrossbarStack:
         self.cols = cols
         self.read_voltage = read_voltage_volts
         self.bits = np.zeros((batch, rows, cols), dtype=np.int8)
-        self.program_cycles = np.zeros((batch, rows, cols), dtype=np.int64)
+        # Wear, word line first: (rows, batch, cols).
+        self._wear = np.zeros((rows, batch, cols), dtype=np.int64)
         # Indexed by a stored bit: 1 / r_off for a 0, 1 / r_on for a 1.
         self._conductance = 1.0 / np.array(
             [self.params.r_off, self.params.r_on], dtype=np.float64)
+        # _folds[k - 1][p]: the conductance sum of k activated rows
+        # whose bits, in activation order, are the bits of p from the
+        # lowest up -- the left fold g[b0] + g[b1] + ... (the new top
+        # bit's conductance is added last).  _currents holds the same
+        # sums times the read voltage.
+        folds = [np.zeros(1)]
+        for _ in range(min(self._TABLE_BITS, rows)):
+            folds.append(np.concatenate(
+                [folds[-1] + self._conductance[0],
+                 folds[-1] + self._conductance[1]]))
+        self._folds = folds[1:]
+        self._currents = [self.read_voltage * f for f in self._folds]
 
     @property
     def shape(self) -> tuple[int, int, int]:
         return self.batch, self.rows, self.cols
+
+    @property
+    def program_cycles(self) -> np.ndarray:
+        """Per-cell programming-event counts, int64 (batch, rows, cols).
+
+        A read-only view of the (rows, batch, cols) wear buffer, in
+        which one word-line write updates one contiguous block.
+        """
+        cycles = self._wear.transpose(1, 0, 2)
+        cycles.setflags(write=False)
+        return cycles
 
     @property
     def resistances(self) -> np.ndarray:
@@ -444,9 +475,9 @@ class CrossbarStack:
         """
         self._check_row(row)
         new_bits = _stack_word(bits, self.batch, self.cols)
-        changed = self.bits[:, row, :] != new_bits
-        self.bits[:, row, :] = new_bits
-        self.program_cycles[:, row, :] += changed
+        stored = self.bits[:, row, :]
+        self._wear[row] += stored != new_bits
+        stored[...] = new_bits
 
     def load_tensor(self, bits: np.ndarray) -> None:
         """Program the whole stack from a (batch, rows, cols) 0/1 tensor."""
@@ -462,17 +493,34 @@ class CrossbarStack:
         """Bit-line currents of every logical array for one activation set.
 
         Same contract as :meth:`Crossbar.column_currents`, vectorized over
-        the batch axis: selecting the activated rows then reducing over
-        the row axis keeps each item's float arithmetic identical to a
-        single-array read.  Each cell's conductance is looked up by its
-        bit, the very float ``1.0 / resistance`` gives.
+        the batch axis.  A column's current is ``Vr`` times the left fold
+        of its activated cells' conductances in activation order, and
+        depends only on their bits: the bits of the first
+        ``_TABLE_BITS`` activated rows form one integer per (item,
+        column), which indexes a table of every such sum.  Each row
+        past the table's width folds on with one add.  These are the
+        floats that adding each activated cell's ``1.0 / resistance``
+        in activation order gives; :meth:`Crossbar.column_currents`
+        gives them too, except on a single column with 8 or more
+        activated rows, where numpy's axis sum adds pairwise.
 
         Returns:
             (batch, cols) currents.
         """
         rows = _validated_activation_rows(active_rows, self.rows)
-        conductance = np.take(self._conductance, self.bits[:, rows, :])
-        return self.read_voltage * conductance.sum(axis=1)
+        head, tail = rows[:self._TABLE_BITS], rows[self._TABLE_BITS:]
+        bits = self.bits.view(np.uint8)
+        pattern = bits[:, head[0], :].copy()
+        for shift, row in enumerate(head[1:], 1):
+            pattern |= bits[:, row, :] << shift
+        pattern = pattern.astype(np.intp)
+        if not tail:
+            return np.take(self._currents[len(head) - 1], pattern)
+        summed = np.take(self._folds[-1], pattern)
+        for row in tail:
+            summed += np.take(self._conductance,
+                              bits[:, row, :].astype(np.intp))
+        return self.read_voltage * summed
 
     def read_row(self, row: int) -> np.ndarray:
         """Single-row memory read of every logical array, returning bits."""
@@ -487,7 +535,7 @@ class CrossbarStack:
 
     def max_program_cycles(self) -> int:
         """Worst-case per-cell programming count over the whole stack."""
-        return int(self.program_cycles.max())
+        return int(self._wear.max())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

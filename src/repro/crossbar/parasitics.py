@@ -22,8 +22,6 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 from repro.crossbar.array import Crossbar
 
@@ -64,6 +62,10 @@ def ir_drop_column_currents(
     Returns:
         Array of shape (cols,): current into each column's sense amplifier.
     """
+    # Imported here: no other read needs SciPy, and it is slow to load.
+    import scipy.sparse
+    import scipy.sparse.linalg
+
     wires = wires or WireParameters()
     rows, cols = crossbar.shape
     active = sorted(set(active_rows))

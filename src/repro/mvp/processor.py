@@ -112,7 +112,8 @@ class MVPProcessor:
         self.energy_model = energy_model or ScoutingEnergyModel()
         self.activation_latency_seconds = activation_latency_seconds
         self._ones_row = crossbar.rows - 1
-        crossbar.write_row(self._ones_row, np.ones(crossbar.cols, dtype=int))
+        crossbar.write_row(self._ones_row,
+                           np.ones(crossbar.cols, dtype=np.int8))
         items = () if self.batch is None else (self.batch,)
         self.result = np.zeros(items + (crossbar.cols,), dtype=np.int8)
         # Shared counters (identical across items by construction) ...

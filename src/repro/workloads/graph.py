@@ -11,12 +11,15 @@ lowers BFS levels to MVP programs.
 from __future__ import annotations
 
 import dataclasses
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from repro.mvp.isa import Instruction
 from repro.mvp.processor import MVPProcessor
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "random_graph",
@@ -31,6 +34,8 @@ def random_graph(
     rng: np.random.Generator, n_vertices: int, avg_degree: float
 ) -> nx.DiGraph:
     """A random directed graph with the given expected out-degree."""
+    import networkx as nx
+
     if n_vertices < 2:
         raise ValueError("need at least two vertices")
     p = min(1.0, avg_degree / (n_vertices - 1))
@@ -49,6 +54,8 @@ def adjacency_bits(graph: nx.DiGraph) -> np.ndarray:
 
 def bfs_levels_golden(graph: nx.DiGraph, source: int) -> dict[int, int]:
     """networkx ground truth: vertex -> BFS level."""
+    import networkx as nx
+
     return nx.single_source_shortest_path_length(graph, source)
 
 

@@ -293,11 +293,13 @@ class TestBitsOnlyStack:
     """An ideal stack stores bits alone; resistances and reads derive
     from them, the same floats a stored resistance array gives."""
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(data=st.data())
     def test_reads_equal_the_derived_resistance_sum(self, data):
+        # Up to 12 rows, so activations cross the read table's
+        # 8-row width and fold the rest on.
         batch = data.draw(st.integers(1, 3), label="batch")
-        rows = data.draw(st.integers(1, 7), label="rows")
+        rows = data.draw(st.integers(1, 12), label="rows")
         cols = data.draw(st.integers(1, 9), label="cols")
         r_on = data.draw(st.floats(10.0, 1e6), label="r_on")
         ratio = data.draw(st.floats(1.01, 1e4), label="r_off / r_on")
@@ -310,13 +312,21 @@ class TestBitsOnlyStack:
         stack.load_tensor(bits)  # a rewrite flips some cells back
         derived = np.where(bits, params.r_on, params.r_off)
         order = data.draw(st.permutations(range(rows)), label="order")
-        active = order[:data.draw(st.integers(1, min(5, rows)))]
+        active = order[:data.draw(st.integers(1, rows))]
 
         currents = stack.column_currents(active)
-        expected = stack.read_voltage * (
-            (1.0 / derived)[:, active, :].sum(axis=1))
+        gathered = (1.0 / derived)[:, active, :]
+        folded = gathered[:, 0, :]
+        for k in range(1, len(active)):
+            folded = folded + gathered[:, k, :]
         assert currents.dtype == np.float64
-        assert currents.tobytes() == expected.tobytes()
+        assert currents.tobytes() == (
+            stack.read_voltage * folded).tobytes()
+        if cols > 1 or len(active) < 8:
+            # The old gather-and-sum: numpy's axis sum folds left here.
+            # (On one column it sums eight or more rows pairwise.)
+            expected = stack.read_voltage * gathered.sum(axis=1)
+            assert currents.tobytes() == expected.tobytes()
 
         resistances = stack.resistances
         assert resistances.dtype == np.float64
@@ -325,6 +335,41 @@ class TestBitsOnlyStack:
             resistances[0, 0, 0] = params.r_on
         with pytest.raises(AttributeError):
             stack.resistances = derived
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_wear_counts_every_changed_cell(self, data):
+        batch = data.draw(st.integers(1, 3), label="batch")
+        rows = data.draw(st.integers(1, 12), label="rows")
+        cols = data.draw(st.integers(1, 9), label="cols")
+        stack = CrossbarStack(batch, rows, cols, params=PARAMS)
+        stored = np.zeros((batch, rows, cols), dtype=int)
+        wear = np.zeros((batch, rows, cols), dtype=int)
+        for _ in range(data.draw(st.integers(0, 16), label="writes")):
+            row = data.draw(st.integers(0, rows - 1), label="row")
+            shape = data.draw(st.sampled_from([(cols,), (batch, cols)]),
+                              label="word shape")
+            word = data.draw(arrays(np.int8, shape,
+                                    elements=st.integers(0, 1)),
+                             label="word")
+            stack.write_row(row, word)
+            for b in range(batch):
+                new = word if word.ndim == 1 else word[b]
+                for c in range(cols):
+                    if stored[b, row, c] != new[c]:
+                        stored[b, row, c] = new[c]
+                        wear[b, row, c] += 1
+
+        cycles = stack.program_cycles
+        assert cycles.shape == (batch, rows, cols)
+        assert cycles.dtype == np.int64
+        np.testing.assert_array_equal(cycles, wear)
+        np.testing.assert_array_equal(stack.bits, stored)
+        assert stack.max_program_cycles() == wear.max()
+        with pytest.raises(ValueError, match="read-only"):
+            cycles[0, 0, 0] = 0
+        with pytest.raises(AttributeError):
+            stack.program_cycles = wear
 
 
 class TestBitValueChecks:
