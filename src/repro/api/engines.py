@@ -755,12 +755,17 @@ class AnalogMVMEngine(Engine):
         return accelerators
 
     def execute_window(self, adapter):
+        # Building the weight matrices (MLP training, temporal event
+        # histories) is workload preparation, billed before the tiles
+        # are mapped rather than to the first item's mapping.
+        with span("workload.prepare"):
+            for index in adapter.batch_indices:
+                adapter.mvm_layers(index)
         with span("fabric.build"):
             accelerators = self.build_fabric(adapter)
-        # The window hook lets the adapter fuse same-geometry items
-        # into grouped kernel dispatches; each item's ledger lives on
-        # its own accelerator either way, so the per-item costs read
-        # identically to the looped per-item path.
+        # The adapter runs the window's items as one group through the
+        # kernel; each item's ledger lives on its own accelerator, so
+        # the per-item costs read as if each item ran alone.
         with span("window.execute"):
             results = adapter.run_analog_window(
                 list(adapter.batch_indices), accelerators)

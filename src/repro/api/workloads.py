@@ -13,8 +13,10 @@ through the surfaces the engines consume:
   score the traces against an exact software golden reference;
 * **analog MVM surface** -- ``mvm_layers()`` supplies the weight
   matrices the ``analog_mvm`` engine maps to crossbar tiles, and
-  ``run_analog()`` drives the per-item evaluation through the fabric,
-  scoring it against the workload's float reference into an
+  ``run_analog_window()`` drives a window's evaluation through its
+  per-item fabrics as one :class:`~repro.mvm.analog.
+  AnalogAcceleratorGroup` (one item is a group of one), scoring each
+  item against the workload's float reference into an
   :class:`~repro.mvm.accuracy.AccuracySummary`;
 * **arch surface** -- ``arch_workload()`` summarizes the domain as the
   Fig. 4 offload mix.
@@ -399,51 +401,32 @@ class WorkloadAdapter:
             f"workload {self.name!r} has no analog MVM form"
         )
 
-    def run_analog(
-        self, index: int, accelerator
-    ) -> tuple[dict[str, Any], AccuracySummary]:
-        """Run item ``index``'s evaluation through an analog fabric.
-
-        Args:
-            index: absolute batch index.
-            accelerator: the item's programmed
-                :class:`~repro.mvm.analog.AnalogAccelerator`.
-
-        Returns:
-            ``(outputs, accuracy)``: a per-item outputs dict (item-axis
-            keys as one-entry lists, mergeable by
-            ``merge_shard_outputs``) and the item's
-            :class:`~repro.mvm.accuracy.AccuracySummary`.
-        """
-        raise ScenarioError(
-            f"workload {self.name!r} has no analog MVM form"
-        )
-
     def run_analog_window(
         self, indexes, accelerators
     ) -> list[tuple[dict[str, Any], AccuracySummary]]:
         """Run a window of items through their per-item fabrics.
 
-        The entry point the ``analog_mvm`` engine always uses.  The
-        default loops :meth:`run_analog` item by item; adapters whose
-        per-item evaluations share tile geometry override it to fuse
-        the whole window's matvecs into grouped kernel dispatches via
-        :class:`~repro.mvm.analog.AnalogAcceleratorGroup`.  Either way
-        each item's outputs, accuracy and ledger are bit-identical to
-        a solo :meth:`run_analog` call, so window composition (and
-        hence sharding) never changes results.
+        The ``analog_mvm`` engine's one analog entry point.  The
+        window's accelerators run as one
+        :class:`~repro.mvm.analog.AnalogAcceleratorGroup`, a 1-item
+        window as a group of one, and each item's outputs, accuracy
+        and ledger are bit-identical whatever window it runs in, so
+        window composition (and hence sharding) never changes results.
 
         Args:
             indexes: absolute batch indexes, in window order.
-            accelerators: the matching per-item accelerators.
+            accelerators: the matching per-item
+                :class:`~repro.mvm.analog.AnalogAccelerator` objects.
 
         Returns:
-            One ``(outputs, accuracy)`` pair per item, in window order.
+            One ``(outputs, accuracy)`` pair per item, in window order:
+            a per-item outputs dict (item-axis keys as one-entry lists,
+            mergeable by ``merge_shard_outputs``) and the item's
+            :class:`~repro.mvm.accuracy.AccuracySummary`.
         """
-        return [
-            self.run_analog(index, accelerator)
-            for index, accelerator in zip(indexes, accelerators)
-        ]
+        raise ScenarioError(
+            f"workload {self.name!r} has no analog MVM form"
+        )
 
     # -- arch surface ------------------------------------------------------------
 
@@ -1065,32 +1048,14 @@ class MLPInferenceAdapter(WorkloadAdapter):
     def mvm_layers(self, index: int) -> list[np.ndarray]:
         return self._model.layers
 
-    def run_analog(self, index, accelerator):
-        samples, labels = self._testset(index)
-        # One batched kernel dispatch per layer; per-sample outputs and
-        # ledgers are bit-identical to the per-sample matvec loop.
-        hidden = np.maximum(accelerator.matvec_batch(0, samples), 0.0)
-        analog_logits = accelerator.matvec_batch(1, hidden)
-        ref_hidden = np.maximum(
-            accelerator.reference_matvec_batch(0, samples), 0.0)
-        reference_logits = accelerator.reference_matvec_batch(
-            1, ref_hidden)
-        return self._score_item(accelerator, samples, labels,
-                                analog_logits, reference_logits)
-
     def run_analog_window(self, indexes, accelerators):
-        """Fused window: every item's evaluation in grouped dispatches.
+        """Every item's evaluation in grouped dispatches.
 
-        All items share the trained model, so their accelerators always
-        share tile geometry; the whole window's samples stack along the
-        member axis and each layer pass is a single kernel call instead
-        of one per item (4 dispatches per window instead of 4 per
-        item).  Per-item results and ledgers stay bit-identical to the
-        per-item path.
+        All items share the trained model, so their accelerators share
+        tile geometry; the whole window's samples stack along the
+        member axis and each layer pass is a single kernel call (4
+        dispatches per window).
         """
-        if len(accelerators) < 2 \
-                or not AnalogAcceleratorGroup.compatible(accelerators):
-            return super().run_analog_window(indexes, accelerators)
         testsets = [self._testset(index) for index in indexes]
         samples = np.stack([s for s, _ in testsets])
         group = AnalogAcceleratorGroup(accelerators)
@@ -1204,32 +1169,27 @@ class TemporalCorrelationAdapter(WorkloadAdapter):
             )
         return self._dataset_cache[index]
 
+    @cached_property
+    def _layer_cache(self) -> dict:
+        return {}
+
     def mvm_layers(self, index: int) -> list[np.ndarray]:
         # One layer: the (processes, steps) history matrix, so the
         # matvec against the activity vector scores every process.
-        return [self._dataset(index).events.T.astype(float)]
-
-    def run_analog(self, index, accelerator):
-        dataset = self._dataset(index)
-        activity = dataset.events.sum(axis=1).astype(float)
-        analog_scores = accelerator.matvec(0, activity)
-        reference_scores = accelerator.reference_matvec(0, activity)
-        return self._score_item(accelerator, dataset, analog_scores,
-                                reference_scores)
+        # Built once per item: the engine prepares it, then maps it.
+        if index not in self._layer_cache:
+            self._layer_cache[index] = [
+                self._dataset(index).events.T.astype(float)]
+        return self._layer_cache[index]
 
     def run_analog_window(self, indexes, accelerators):
-        """Fused window: one grouped dispatch scores every item.
+        """One grouped dispatch scores every item.
 
         Items map different event histories (different weights and tile
         scales) but identical matrix shapes, so their single-matvec
-        evaluations fuse along the member axis: the window costs two
-        kernel calls (analog + reference) instead of two per item.
-        Per-item results and ledgers stay bit-identical to the per-item
-        path.
+        evaluations run along the member axis: the window costs two
+        kernel calls (analog + reference).
         """
-        if len(accelerators) < 2 \
-                or not AnalogAcceleratorGroup.compatible(accelerators):
-            return super().run_analog_window(indexes, accelerators)
         datasets = [self._dataset(index) for index in indexes]
         activity = np.stack([
             d.events.sum(axis=1).astype(float) for d in datasets

@@ -316,11 +316,14 @@ class Crossbar:
             active_rows: indices of simultaneously activated word lines.
 
         Returns:
-            Array of shape (cols,): ``I_j = sum_i Vr / R[i, j]`` in amperes.
+            Array of shape (cols,): ``I_j = sum_i Vr / R[i, j]`` in amperes,
+            the conductances folded left in activation order.
         """
         rows = self._validated_rows(active_rows)
         conductance = 1.0 / self.resistances[rows, :]
-        return self.read_voltage * conductance.sum(axis=0)
+        # A cumulative sum folds strictly left to right; ``sum(axis=0)``
+        # would add 8 or more rows of a one-column array pairwise.
+        return self.read_voltage * np.cumsum(conductance, axis=0)[-1]
 
     def read_row(self, row: int) -> np.ndarray:
         """Conventional single-row memory read, returning stored bits.
@@ -500,9 +503,8 @@ class CrossbarStack:
         column), which indexes a table of every such sum.  Each row
         past the table's width folds on with one add.  These are the
         floats that adding each activated cell's ``1.0 / resistance``
-        in activation order gives; :meth:`Crossbar.column_currents`
-        gives them too, except on a single column with 8 or more
-        activated rows, where numpy's axis sum adds pairwise.
+        in activation order gives, as :meth:`Crossbar.column_currents`
+        does.
 
         Returns:
             (batch, cols) currents.

@@ -13,16 +13,19 @@ primitive into an end-to-end accelerator model:
   float weight matrix split into crossbar tiles, signed weights as
   differential (G+, G-) column pairs, magnitudes bit-sliced across
   binary cell planes, one scale factor per tile;
-* :mod:`~repro.mvm.pipeline` -- the mixed-signal conversion stages:
-  DAC input quantization + bit-serial slicing, and an ADC model with a
-  finite clipping range, leakage-baseline subtraction and saturation
-  accounting;
+* :mod:`~repro.mvm.pipeline` -- the mixed-signal conversion stages,
+  each written once over a batch: DAC input quantization + bit-serial
+  slicing, and an ADC model with a finite clipping range,
+  leakage-baseline subtraction and saturation accounting;
 * :class:`~repro.mvm.analog.AnalogMVM` /
-  :class:`~repro.mvm.analog.AnalogAccelerator` -- the executed
+  :class:`~repro.mvm.analog.AnalogAccelerator` /
+  :class:`~repro.mvm.analog.AnalogAcceleratorGroup` -- the executed
   pipeline: bit-serial reads through the (possibly non-ideal) crossbar
   fabric, shift-and-add recombination, and a partial-sum accumulator
   reducing across row tiles, with energy/latency priced from the
-  device's read cost;
+  device's read cost.  Every matvec runs as a group of members through
+  one kernel, :class:`~repro.mvm.kernel.TileStack`, a solo layer as a
+  group of one and wire-IR-drop fabrics included;
 * :class:`~repro.mvm.accuracy.AccuracySummary` -- application-accuracy
   metrics (task accuracy, float-reference agreement, worst output
   error, ADC saturation) with declared shard-merge policies so sharded
@@ -41,13 +44,7 @@ from repro.mvm.analog import (
 )
 from repro.mvm.kernel import TileStack
 from repro.mvm.mapper import CrossbarTile, MVMConfig, map_matrix
-from repro.mvm.pipeline import (
-    ADCModel,
-    bit_slices,
-    bit_slices_batch,
-    quantize_batch,
-    quantize_input,
-)
+from repro.mvm.pipeline import ADCModel, bit_slices_batch, quantize_batch
 
 __all__ = [
     "ADCModel",
@@ -58,9 +55,7 @@ __all__ = [
     "CrossbarTile",
     "MVMConfig",
     "TileStack",
-    "bit_slices",
     "bit_slices_batch",
     "map_matrix",
     "quantize_batch",
-    "quantize_input",
 ]

@@ -18,14 +18,21 @@ activation pays the per-column read energy over the tile's physical
 bit lines, and slices are sequential while tiles convert in parallel,
 so a matvec's latency is ``dac_bits`` read cycles per layer.
 
-:meth:`AnalogMVM.reference_matvec` evaluates the pipeline digitally
-without touching the fabric: where no ideal ADC code can clip or round
-away from its ON-cell count, as the exact integer matvec of the input
-slices with the quantized weights; elsewhere, as the ideal read
-currents synthesized from the intended programs and converted through
-the same ADC model.  On ideal hardware analog and reference agree
-bit-for-bit, and under nonidealities their divergence *is* the measured
-accuracy loss.
+Every analog matvec runs one way: :func:`_run_layer` quantizes a group
+of members' batches and hands them to the kernel
+(:meth:`repro.mvm.kernel.TileStack.execute_group`) in one call, then
+charges each member's ledger.  :class:`AnalogAcceleratorGroup` runs a
+window's accelerators through it, and :class:`AnalogMVM` runs its own
+batch as a group of one, on every fabric -- wire IR drop included.
+
+:meth:`AnalogMVM.reference_matvec_batch` evaluates the pipeline
+digitally without touching the fabric: where no ideal ADC code can
+clip or round away from its ON-cell count, as the exact integer matvec
+of the input slices with the quantized weights; elsewhere, as the ideal
+read currents synthesized from the intended programs and converted
+through the same ADC model.  On ideal hardware analog and reference
+agree bit-for-bit, and under nonidealities their divergence *is* the
+measured accuracy loss.
 """
 
 from __future__ import annotations
@@ -37,12 +44,7 @@ from repro.crossbar.scouting import ScoutingEnergyModel
 from repro.devices.base import DeviceParameters
 from repro.mvm.kernel import TileStack
 from repro.mvm.mapper import MVMConfig, map_matrix
-from repro.mvm.pipeline import (
-    ADCModel,
-    bit_slices,
-    quantize_batch,
-    quantize_input,
-)
+from repro.mvm.pipeline import ADCModel, quantize_batch
 from repro.obs.trace import span
 
 __all__ = ["AnalogAccelerator", "AnalogAcceleratorGroup", "AnalogMVM"]
@@ -51,8 +53,8 @@ __all__ = ["AnalogAccelerator", "AnalogAcceleratorGroup", "AnalogMVM"]
 def _sequential_fold(start: float, values: np.ndarray) -> float:
     """Left-fold ``start + v[0] + v[1] + ...`` with scalar rounding.
 
-    The ledger's float accumulators are defined by the serial path's
-    one-by-one accumulation order.  A plain 1-D ``values.sum()`` rounds
+    The ledger's float accumulators are defined by the per-read
+    loop's one-by-one accumulation order.  A plain 1-D ``values.sum()`` rounds
     differently (NumPy reduces the innermost stride pairwise), so the
     addends are laid out as the first column of a two-column matrix:
     reductions over a non-innermost axis run strictly sequentially in
@@ -124,11 +126,10 @@ class AnalogMVM:
         self._phys_cols = np.array(
             [tile.physical_cols for _, _, tile in self.tiles],
             dtype=np.int64)
-        self._op_energy = [
+        self._op_energy = np.array([
             self.energy_model.operation_energy(tile.physical_cols)
             for _, _, tile in self.tiles
-        ]
-        self._op_energy_arr = np.array(self._op_energy, dtype=float)
+        ], dtype=float)
         self.reads = 0
         self.adc_conversions = 0
         self.adc_saturations = 0
@@ -154,9 +155,9 @@ class AnalogMVM:
         energy and latency from zero.  Mapping a matrix once and
         twinning is observably identical to remapping it per item on an
         ideal fabric: construction is deterministic and consumes no
-        entropy there.  Non-ideal fabrics must not be twinned (their
-        construction draws per-item entropy, and IR-drop reads mutate
-        shared state).
+        entropy there.  Non-ideal fabrics must not be twinned: their
+        construction draws per-item entropy, so each item's faults,
+        spread and wires are its own.
         """
         twin = object.__new__(AnalogMVM)
         twin.__dict__.update(self.__dict__)
@@ -170,19 +171,23 @@ class AnalogMVM:
 
     # -- execution ---------------------------------------------------------------
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """One analog matrix-vector product through the fabric.
+    def matvec_batch(self, x_batch: np.ndarray) -> np.ndarray:
+        """A batch of analog matvecs through the fabric, one kernel call.
+
+        Sample ``m`` of the result -- outputs *and* every ledger
+        increment -- is bit-identical to a per-read loop over
+        ``x_batch[m]`` in batch order, on every fabric.
 
         Args:
-            x: non-negative float input vector of length ``in_dim``.
+            x_batch: non-negative float ``(batch, in_dim)`` matrix.
 
         Returns:
-            Float output vector of length ``out_dim``.
+            Float ``(batch, out_dim)`` outputs.
         """
-        return self._single(x, electrical=True)
+        return _run_layer([self], np.asarray(x_batch)[None], True)[0]
 
-    def reference_matvec(self, x: np.ndarray) -> np.ndarray:
-        """The digital golden twin of :meth:`matvec`.
+    def reference_matvec_batch(self, x_batch: np.ndarray) -> np.ndarray:
+        """The digital golden twin of :meth:`matvec_batch`.
 
         Same DAC quantization and shift-and-add, with no cost
         accounting and no fabric state.  Each read's code is its count
@@ -191,72 +196,18 @@ class AnalogMVM:
         reads are one integer matvec with the quantized weights;
         otherwise the ideal read currents are synthesized from the
         tiles' intended programs and pass the same ADC conversion and
-        debias gain.  Equals :meth:`matvec` exactly on an ideal fabric.
+        debias gain.  Equals :meth:`matvec_batch` exactly on an ideal
+        fabric.
         """
-        return self._single(x, electrical=False)
-
-    def matvec_batch(self, x_batch: np.ndarray) -> np.ndarray:
-        """A whole batch of analog matvecs in one kernel dispatch.
-
-        Sample ``m`` of the result -- outputs *and* every ledger
-        increment -- is bit-identical to calling :meth:`matvec` on
-        ``x_batch[m]`` in batch order; batching changes the layout of
-        the computation, never its numerics.
-
-        Args:
-            x_batch: non-negative float ``(batch, in_dim)`` matrix.
-
-        Returns:
-            Float ``(batch, out_dim)`` outputs.
-        """
-        return self._run_batch(x_batch, electrical=True)
-
-    def reference_matvec_batch(self, x_batch: np.ndarray) -> np.ndarray:
-        """Batched :meth:`reference_matvec` (no ledger, no fabric)."""
-        return self._run_batch(x_batch, electrical=False)
-
-    def _single(self, x: np.ndarray, electrical: bool) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.in_dim,):
-            raise ValueError(
-                f"expected a ({self.in_dim},) input vector, got "
-                f"{x.shape}"
-            )
-        return self._run_batch(x[None, :], electrical)[0]
-
-    def _run_batch(
-        self, x_batch: np.ndarray, electrical: bool
-    ) -> np.ndarray:
-        x_batch = np.asarray(x_batch, dtype=float)
-        if x_batch.ndim != 2 or x_batch.shape[1] != self.in_dim:
-            raise ValueError(
-                f"expected a (batch, {self.in_dim}) input matrix, got "
-                f"{x_batch.shape}"
-            )
-        if electrical and self._stack.has_wire_drop:
-            # Wire IR drop solves a nodal network per read whose result
-            # depends on the whole activation pattern; those fabrics
-            # keep the per-read serial path.
-            if x_batch.shape[0] == 0:
-                return np.zeros((0, self.out_dim), dtype=float)
-            return np.stack(
-                [self._matvec_serial(row) for row in x_batch])
-        with span("mvm.dac"):
-            x_int, scales = quantize_batch(x_batch, self.config.dac_bits)
-        y, counted, tile_sats = self._stack.execute(
-            x_int, scales, electrical)
-        if electrical:
-            with span("mvm.ledger"):
-                self._account_batch(counted, tile_sats)
-        return y
+        return _run_layer([self], np.asarray(x_batch)[None], False)[0]
 
     def _account_batch(
         self, counted: np.ndarray, tile_sats: np.ndarray
     ) -> None:
-        """Apply one batch's ledger increments in serial-path order.
+        """Apply one batch's ledger increments in per-read order.
 
         Integer counters are order-free sums; the float accumulators
-        replay the serial accumulation sequence exactly -- one latency
+        replay the per-read accumulation sequence exactly -- one latency
         step per sample, then per-read energy in (sample, slice, tile)
         order -- so batched ledgers match per-sample ledgers to the
         last ulp.
@@ -277,44 +228,9 @@ class AnalogMVM:
         # Energy adds in (sample, slice, tile) order; skipped reads
         # contribute exact +0.0 addends, which never change a
         # non-negative accumulator's bits.
-        energies = counted.transpose(1, 2, 0) * self._op_energy_arr
+        energies = counted.transpose(1, 2, 0) * self._op_energy
         self.energy_joules = _sequential_fold(
             self.energy_joules, energies.ravel())
-
-    def _matvec_serial(self, x: np.ndarray) -> np.ndarray:
-        """The per-read electrical path for IR-drop fabrics.
-
-        Wire networks make each read's currents a function of the full
-        activation pattern, so these fabrics execute the original
-        slice x tile loop against
-        :meth:`repro.crossbar.nonideal.NonidealCrossbar.column_currents`.
-        """
-        x_int, x_scale = quantize_input(x, self.config.dac_bits)
-        y = np.zeros(self.out_dim, dtype=float)
-        self.latency_seconds += \
-            self.config.dac_bits * self.energy_model.latency_seconds
-        if x_scale == 0.0:
-            return y
-        slices = bit_slices(x_int, self.config.dac_bits)
-        for s, mask in enumerate(slices):
-            weight = 2.0 ** s
-            for index, (row0, col0, tile) in enumerate(self.tiles):
-                sub = mask[row0:row0 + tile.rows]
-                active_rows = np.nonzero(sub)[0]
-                active = int(active_rows.size)
-                if active == 0:
-                    continue
-                currents = tile.crossbar.column_currents(
-                    list(active_rows))
-                codes, saturated = self.adc.convert(currents, active)
-                self.reads += 1
-                self.adc_conversions += tile.physical_cols
-                self.adc_saturations += saturated
-                self.tile_saturations[index] += saturated
-                self.energy_joules += self._op_energy[index]
-                y[col0:col0 + tile.out_cols] += \
-                    weight * tile.combine(codes)
-        return y * x_scale
 
 
 class AnalogAccelerator:
@@ -357,24 +273,6 @@ class AnalogAccelerator:
                       read_voltage_volts=read_voltage_volts)
             for weights in matrices
         ]
-
-    def matvec(self, layer: int, x: np.ndarray) -> np.ndarray:
-        """Analog matvec through the given layer's fabric."""
-        return self.layers[layer].matvec(x)
-
-    def reference_matvec(self, layer: int, x: np.ndarray) -> np.ndarray:
-        """Digital golden matvec of the given layer (no fabric state)."""
-        return self.layers[layer].reference_matvec(x)
-
-    def matvec_batch(self, layer: int, x_batch: np.ndarray) -> np.ndarray:
-        """Batched analog matvecs through the given layer's fabric."""
-        return self.layers[layer].matvec_batch(x_batch)
-
-    def reference_matvec_batch(
-        self, layer: int, x_batch: np.ndarray
-    ) -> np.ndarray:
-        """Batched digital golden matvecs of the given layer."""
-        return self.layers[layer].reference_matvec_batch(x_batch)
 
     # -- aggregated ledgers ------------------------------------------------------
 
@@ -430,59 +328,39 @@ class AnalogAccelerator:
 
 
 class AnalogAcceleratorGroup:
-    """Several same-geometry accelerators fused into grouped dispatches.
+    """Same-geometry accelerators run as one group, layer by layer.
 
-    The window-level execution form the ``analog_mvm`` engine's batch
-    runs use: when every item's accelerator shares the same tile layout
-    (same matrix shapes, knobs and converters -- fabrics, weights and
-    tile scales may differ per item), the members' conductance stacks
-    concatenate along a leading member axis and one kernel call serves
-    the whole window.  Member ``i``'s outputs and ledger increments are
-    bit-identical to running member ``i``'s batch alone -- members
-    never mix in any reduction -- so grouping is invisible to results,
-    costs and shard determinism.
+    The ``analog_mvm`` engine's execution form for a window, of one item
+    or many: every item's accelerator shares the same tile layout (same
+    matrix shapes, knobs, converters and read model -- fabrics, weights
+    and tile scales may differ per item), so each layer pass over the
+    whole window is one :func:`_run_layer` call.  Member ``i``'s outputs
+    and ledger increments are bit-identical to running member ``i``'s
+    batch alone -- members never mix in any reduction -- so grouping is
+    invisible to results, costs and shard determinism.
 
     Args:
         accelerators: the member :class:`AnalogAccelerator` objects, in
-            window order.  Must satisfy :meth:`compatible`.
+            window order.
+
+    Raises:
+        ValueError: on no members, or members whose layer counts or
+            per-layer geometry keys
+            (:meth:`repro.mvm.kernel.TileStack.geometry_key`) differ.
     """
 
     def __init__(self, accelerators) -> None:
         accelerators = list(accelerators)
         if not accelerators:
             raise ValueError("group needs at least one accelerator")
-        if not self.compatible(accelerators):
+        keys = [[layer._stack.geometry_key() for layer in acc.layers]
+                for acc in accelerators]
+        if any(key != keys[0] for key in keys[1:]):
             raise ValueError(
                 "accelerators cannot fuse: members must share layer "
-                "count and per-layer tile geometry, with no wire-drop "
-                "fabric"
+                "count and per-layer tile geometry"
             )
         self.accelerators = accelerators
-
-    @staticmethod
-    def compatible(accelerators) -> bool:
-        """True when the members can execute as one fused group.
-
-        Requires an equal layer count, per-layer identical geometry
-        keys (tiling, bands, converters, read voltage) and no wire
-        IR-drop fabric anywhere (those reads solve per-pattern nodal
-        networks and keep the serial path).
-        """
-        accelerators = list(accelerators)
-        if not accelerators:
-            return False
-        first = accelerators[0]
-        if any(len(acc.layers) != len(first.layers)
-               for acc in accelerators[1:]):
-            return False
-        for layer in range(len(first.layers)):
-            stacks = [acc.layers[layer]._stack for acc in accelerators]
-            if any(s.has_wire_drop for s in stacks):
-                return False
-            key = stacks[0].geometry_key()
-            if any(s.geometry_key() != key for s in stacks[1:]):
-                return False
-        return True
 
     def matvec_batch(self, layer: int, x_stacked: np.ndarray) -> np.ndarray:
         """Every member's analog batch through ``layer`` in one pass.
@@ -494,53 +372,59 @@ class AnalogAcceleratorGroup:
         Returns:
             Float ``(members, batch, out_dim)`` outputs.
         """
-        return self._run(layer, x_stacked, electrical=True)
+        return _run_layer([acc.layers[layer] for acc in self.accelerators],
+                          x_stacked, True)
 
     def reference_matvec_batch(
         self, layer: int, x_stacked: np.ndarray
     ) -> np.ndarray:
         """Grouped digital golden batches (no ledger, no fabric)."""
-        return self._run(layer, x_stacked, electrical=False)
+        return _run_layer([acc.layers[layer] for acc in self.accelerators],
+                          x_stacked, False)
 
-    def _run(
-        self, layer: int, x_stacked: np.ndarray, electrical: bool
-    ) -> np.ndarray:
-        mvms = [acc.layers[layer] for acc in self.accelerators]
-        proto = mvms[0]._stack
-        x = np.asarray(x_stacked, dtype=float)
-        if x.ndim != 3 or x.shape[0] != len(mvms) \
-                or x.shape[2] != proto.in_dim:
-            raise ValueError(
-                f"expected a ({len(mvms)}, batch, {proto.in_dim}) "
-                f"input tensor, got {x.shape}"
-            )
-        members, batch, n = x.shape
-        with span("mvm.dac"):
-            x_int, scales = quantize_batch(
-                x.reshape(members * batch, n), proto.config.dac_bits)
-        x_int = x_int.reshape(members, batch, n)
-        scales = scales.reshape(members, batch)
-        stacks = [mvm._stack for mvm in mvms]
 
-        def operand(stack: TileStack) -> np.ndarray:
-            return (stack.fabric_conductances() if electrical
-                    else stack.reference_operand)
+def _run_layer(
+    mvms: list[AnalogMVM], x_stacked: np.ndarray, electrical: bool
+) -> np.ndarray:
+    """Every member's batch through its mapped layer, in one kernel call.
 
-        if all(stack is proto for stack in stacks[1:]):
-            # Ledger twins share one mapped fabric: pass a single
-            # broadcast member (the kernel never mixes members, so a
-            # size-1 member axis is a pure layout change) instead of
-            # stacking identical copies.
-            operands = operand(proto)[None]
-            scale_gain = proto._scale_gain[None]
-        else:
-            operands = np.stack([operand(stack) for stack in stacks])
-            scale_gain = np.stack(
-                [stack._scale_gain for stack in stacks])
-        y, counted, tile_sats = proto.execute_group(
-            x_int, scales, electrical, operands, scale_gain)
-        if electrical:
-            with span("mvm.ledger"):
-                for i, mvm in enumerate(mvms):
-                    mvm._account_batch(counted[i], tile_sats[i])
-        return y
+    The one way an analog matvec runs.  The DAC quantizes each sample
+    on its own peak, the kernel reads every member's fabric (or
+    computes the digital reference), and each member's ledger is
+    charged in per-read order.
+
+    Args:
+        mvms: the members' layers, of one geometry, in member order.
+        x_stacked: non-negative float ``(members, batch, in_dim)``
+            inputs; member ``i`` executes ``x_stacked[i]``.
+        electrical: read the fabrics and charge their ledgers (True),
+            or compute the digital reference (False).
+
+    Returns:
+        Float ``(members, batch, out_dim)`` outputs.
+    """
+    proto = mvms[0]._stack
+    x = np.asarray(x_stacked, dtype=float)
+    if x.ndim != 3 or x.shape[0] != len(mvms) \
+            or x.shape[2] != proto.in_dim:
+        raise ValueError(
+            f"expected a ({len(mvms)}, batch, {proto.in_dim}) "
+            f"input tensor, got {x.shape}"
+        )
+    members, batch, n = x.shape
+    with span("mvm.dac"):
+        x_int, scales = quantize_batch(
+            x.reshape(members * batch, n), proto.config.dac_bits)
+    stacks = [mvm._stack for mvm in mvms]
+    if all(stack is proto for stack in stacks[1:]):
+        # Ledger twins share one mapped fabric: the kernel reads it
+        # once for all of them instead of stacking identical copies.
+        stacks = [proto]
+    y, counted, tile_sats = proto.execute_group(
+        x_int.reshape(members, batch, n), scales.reshape(members, batch),
+        electrical, stacks)
+    if electrical:
+        with span("mvm.ledger"):
+            for i, mvm in enumerate(mvms):
+                mvm._account_batch(counted[i], tile_sats[i])
+    return y

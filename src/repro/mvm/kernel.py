@@ -1,14 +1,14 @@
 """Structure-of-arrays execution kernel for the analog MVM pipeline.
 
-The scalar pipeline in :mod:`repro.mvm.analog` used to walk a Python
-loop nest -- samples x DAC slices x tiles -- performing one small
-NumPy read per (slice, tile).  This module replaces that hot path with
-a structure-of-arrays layout: at map time every tile's cell
-conductances are stacked into one padded ``(tiles, rows, cols)``
-tensor (``cols = out_cols * 2 * weight_bits`` bit lines, i.e. the
-bit-plane axis is unrolled into the physical column axis exactly as it
-is on the fabric), and a whole batch of matvecs executes as a handful
-of whole-tensor operations.
+The one implementation of an analog matvec.  A per-read pipeline would
+walk a Python loop nest -- samples x DAC slices x tiles -- performing
+one small NumPy read per (slice, tile); this kernel uses a
+structure-of-arrays layout instead: every tile's cell conductances are
+stacked into one padded ``(tiles, rows, cols)`` tensor (``cols =
+out_cols * 2 * weight_bits`` bit lines, i.e. the bit-plane axis is
+unrolled into the physical column axis exactly as it is on the
+fabric), and a whole group of members' batches executes as a handful
+of whole-tensor operations, a solo layer being a group of one.
 
 Each read -- one (sample, DAC slice, row band) activation -- is keyed
 by its fabric, its row band and its active-row pattern, and one
@@ -24,22 +24,29 @@ fabric, and a narrow DAC slice has few patterns -- but the ledger still
 charges every read, as the paper's energy and latency accounting
 requires.
 
-**Bit-for-bit contract.**  The kernel is not "close to" the scalar
+**Bit-for-bit contract.**  The kernel is not "close to" that per-read
 pipeline -- it is exactly it, for every sample, fabric and device
 window (the equivalence suite in ``tests/mvm/test_kernel_equivalence``
-pins this against a scalar transcription of the legacy loops, and
-against per-read crossbar reads on faulty and variable fabrics):
+pins this against the scalar loop kept in
+``tests/mvm/scalar_pipeline.py``, with ideal reads and with per-read
+crossbar reads on faulty, variable and wire-drop fabrics):
 
 * row sums: each read folds its active rows' conductances in ascending
   row order from 0.0 -- a doubling table over the lowest rows'
   patterns, then one masked in-place add per higher row -- which is
-  the legacy ``G[active_rows, :].sum(axis=0)`` bit for bit wherever
-  the table split falls (inactive rows add nothing; the serial path's
-  +0.0 addends are exact no-ops);
+  the crossbar's ``G[active_rows, :].sum(axis=0)`` bit for bit wherever
+  the table split falls (inactive rows add nothing; the per-read
+  loop's +0.0 addends are exact no-ops);
+* wire IR drop: a read's currents then depend on the whole activation
+  pattern, not on a sum of per-row terms, so on a fabric with
+  :attr:`TileStack.has_wire_drop` each distinct read takes them from
+  its tiles' own nodal solve instead of the row-sum table -- the one
+  step that differs by fabric;
 * deduplication: a read's currents, codes and clip flags are a
-  function of (fabric, tile, pattern) alone -- the row sum above, the
-  elementwise ADC, the exact plane fold -- so evaluating each key once
-  and gathering it per read is the per-read computation, in any chunk;
+  function of (fabric, tile, pattern) alone -- the row sum or nodal
+  solve above, the elementwise ADC, the exact plane fold -- so
+  evaluating each key once and gathering it per read is the per-read
+  computation, in any chunk;
 * the ADC applies the identical elementwise expression through
   :meth:`repro.mvm.pipeline.ADCModel.convert_codes`;
 * shift-and-add folds integer-valued floats scaled by exact powers of
@@ -60,12 +67,8 @@ count of ON cells (:attr:`TileStack.exact_reference`).  Then currents
 and ADC drop out, and the folded planes are one exact integer matvec
 of the activation masks with the tiles' quantized weights, so the
 reference shares neither the row sums nor the converter with the
-fabric read it checks.
-
-Tiles whose fabric models wire IR drop are the one exception: each
-read then solves a nodal network whose result depends on the whole
-activation pattern, so those fabrics keep the per-read serial path in
-:class:`repro.mvm.analog.AnalogMVM`.
+fabric read it checks.  The reference never reads a fabric, so it never
+solves a wire network.
 """
 
 from __future__ import annotations
@@ -154,8 +157,9 @@ class TileStack:
         self._read_voltage = tiles[0][2].crossbar.read_voltage
 
         # Shift-and-add constants: the shared pair vector and one
-        # ``scale * gain`` scalar per tile, computed with the exact
-        # float expression of CrossbarTile.combine.
+        # ``scale * gain`` scalar per tile.  The gain undoes the ADC's
+        # window bias (an ideal read of ``n`` ON cells codes to ``n *
+        # (1 - r_on/r_off)``), so the partial sum estimates the count.
         self._pair_vector = tiles[0][2]._pair_vector
         scale_gain = []
         leak_ratio = 0.0
@@ -202,14 +206,14 @@ class TileStack:
     def geometry_key(self) -> tuple:
         """Hashable layout signature; equal keys mean two stacks can
         execute as one group (same tiling, bands, converters, read
-        voltage and reference regime -- fabrics and scales are
-        per-member state)."""
+        voltage, read model and reference regime -- fabrics and scales
+        are per-member state)."""
         return (
             self.out_dim, self.in_dim, self._max_rows, self._cols,
             tuple(self.bands), tuple(int(r) for r in self._band_rows),
             tuple(self._col0), tuple(self._out_cols),
             self._read_voltage, self.config, self.adc,
-            self.exact_reference,
+            self.exact_reference, self.has_wire_drop,
         )
 
     def _stack(self, per_tile: list[np.ndarray]) -> np.ndarray:
@@ -227,7 +231,8 @@ class TileStack:
         Recomputed per batch (it is a tiny elementwise pass) so fault
         injection, variability spread and any later fabric mutation are
         always reflected; the elementwise ``1 / R`` matches the operand
-        the serial read path feeds its reduction.
+        :meth:`repro.crossbar.array.Crossbar.column_currents` feeds its
+        reduction.
         """
         return self._stack(
             [1.0 / tile.crossbar.resistances
@@ -241,77 +246,41 @@ class TileStack:
 
     # -- execution ---------------------------------------------------------------
 
-    def execute(
-        self, x_int: np.ndarray, scales: np.ndarray, electrical: bool
-    ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-        """Run a whole batch of quantized matvecs through the stack.
-
-        Args:
-            x_int: ``(batch, in_dim)`` quantized DAC levels.
-            scales: ``(batch,)`` per-sample DAC scales.
-            electrical: read the programmed fabric (True) or compute
-                the digital reference (False): the exact integer
-                matvec when :attr:`exact_reference`, else the ideal
-                currents through the ADC.
-
-        Returns:
-            ``(y, counted, tile_saturations)``: the ``(batch, out_dim)``
-            outputs, plus -- on the electrical path -- the boolean
-            ``(tiles, batch, slices)`` mask of performed reads and the
-            per-tile saturation totals (both ``None`` on the reference
-            path, which keeps no ledger).
-        """
-        operand = (self.fabric_conductances() if electrical
-                   else self.reference_operand)
-        y, counted, tile_sats = self.execute_group(
-            x_int[None], scales[None], electrical,
-            operand[None], self._scale_gain[None],
-        )
-        if not electrical:
-            return y[0], None, None
-        return y[0], counted[0], tile_sats[0]
-
     def execute_group(
         self,
         x_int: np.ndarray,
         scales: np.ndarray,
         electrical: bool,
-        operand: np.ndarray,
-        scale_gain: np.ndarray,
+        stacks: list["TileStack"],
     ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-        """Run several same-geometry members' batches as one pass.
+        """Run same-geometry members' batches as one pass.
 
-        The grouped core behind :meth:`execute`: member ``i`` of the
-        group (one accelerator's layer, with its own fabric and tile
-        scales) executes its own batch, and every tensor simply carries
-        the member axis in front.  Per-member numerics are exactly
-        :meth:`execute` -- members never mix in any reduction, and
-        share a distinct read's evaluation only when they share its
-        fabric, whose result depends on the key alone -- so grouping
-        is a pure layout change (the equivalence suite pins grouped ==
-        solo bit-for-bit).
+        The one analog matvec kernel: member ``i`` (one accelerator's
+        layer, with its own fabric and tile scales) executes its own
+        batch, and every tensor simply carries the member axis in
+        front, a solo layer being a group of one.  Members never mix in
+        any reduction, and share a distinct read's evaluation only when
+        they share its fabric, whose result depends on the key alone --
+        so grouping is a pure layout change (the equivalence suite pins
+        grouped == solo bit-for-bit).
 
         Args:
             x_int: ``(members, batch, in_dim)`` quantized DAC levels.
             scales: ``(members, batch)`` per-sample DAC scales.
-            electrical: fabric read (True) or digital reference
-                (False).
-            operand: per member, the stacked ``(tiles, rows, cols)``
-                cell conductances to read -- the fabric's, or on the
-                reference path outside :attr:`exact_reference` the
-                ideal ones -- or, on the exact reference path, the
-                ``(tiles, rows, out_cols)`` quantized weights
-                (:attr:`reference_operand`).  A size-1 member axis
-                broadcasts (members sharing one fabric, e.g. ledger
-                twins).
-            scale_gain: ``(members, tiles)`` per-tile ``scale * gain``;
-                a size-1 member axis broadcasts.
+            electrical: read the programmed fabric (True) or compute
+                the digital reference (False): the exact integer
+                matvec when :attr:`exact_reference`, else the ideal
+                conductances' currents through the ADC.
+            stacks: the members' stacks, of this stack's geometry, in
+                member order -- or one stack that every member reads
+                (ledger twins share one mapped fabric).
 
         Returns:
             ``(y, counted, tile_saturations)`` shaped ``(members,
             batch, out_dim)`` / ``(members, tiles, batch, slices)`` /
-            ``(members, tiles)``; the ledger pair is None on the
-            reference path.
+            ``(members, tiles)``: the outputs, the mask of performed
+            reads and the per-tile saturation totals.  The ledger pair
+            is None on the reference path, which keeps no ledger.
         """
         members, batch = x_int.shape[:2]
         s_bits = self.config.dac_bits
@@ -321,6 +290,14 @@ class TileStack:
         tile_sats = np.zeros((members, self.n_tiles), dtype=np.int64)
         if batch == 0 or members == 0:
             return y, counted, tile_sats if electrical else None
+        # Per fabric, the stacked ``(tiles, rows, cols)`` conductances
+        # to read -- the programmed ones, or the ideal ones outside the
+        # exact reference -- or the exact reference's ``(tiles, rows,
+        # out_cols)`` quantized weights, and the per-tile scale * gain.
+        operand = np.stack([
+            stack.fabric_conductances() if electrical
+            else stack.reference_operand for stack in stacks])
+        scale_gain = np.stack([stack._scale_gain for stack in stacks])
         # Stage spans are whole-tensor (one per chunk, not per sample),
         # so tracing never perturbs the numerics and enabled overhead
         # stays within the obs bench's <5% bar.
@@ -337,15 +314,16 @@ class TileStack:
             for m0 in range(0, batch, chunk):
                 window = slice(m0, m0 + chunk)
                 self._execute_chunk(
-                    slices[:, window], scales[:, window], operand,
-                    scale_gain, y[:, window],
+                    slices[:, window], scales[:, window], stacks,
+                    operand, scale_gain, y[:, window],
                     counted[:, :, window] if electrical else None,
                     tile_sats)
         return y, counted, tile_sats if electrical else None
 
     def _execute_chunk(
         self, slices: np.ndarray, scales: np.ndarray,
-        operand: np.ndarray, scale_gain: np.ndarray, y: np.ndarray,
+        stacks: list["TileStack"], operand: np.ndarray,
+        scale_gain: np.ndarray, y: np.ndarray,
         counted: np.ndarray | None, tile_sats: np.ndarray,
     ) -> None:
         """One sample chunk: masks -> distinct reads -> codes -> partials
@@ -392,12 +370,16 @@ class TileStack:
                           self._max_out).transpose(0, 1, 3, 4, 2, 5)
             else:
                 patterns, fabric, band, inverse = self._distinct_reads(
-                    band_masks, keyed=operand.shape[0] == members > 1)
+                    band_masks, keyed=len(stacks) == members > 1)
                 active = patterns.sum(axis=1, dtype=np.int64)
-                currents = self._row_sums(
-                    patterns, operand, fabric, band,
-                    reads=members * m * s_bits)
-                currents *= self._read_voltage
+                if electrical and self.has_wire_drop:
+                    currents = self._solved_currents(
+                        patterns, stacks, fabric, band)
+                else:
+                    currents = self._row_sums(
+                        patterns, operand, fabric, band,
+                        reads=members * m * s_bits)
+                    currents *= self._read_voltage
             # Free the stage's big temporaries while its span is still
             # open: teardown stays attributed to the stage that paid
             # for the allocation.
@@ -433,7 +415,7 @@ class TileStack:
             # Partial-sum accumulation in the legacy order: slice-major,
             # then grid (band) order.  Tiles within one (slice, band)
             # pair write disjoint output columns, so scattering then
-            # accumulating the leading axis reproduces the serial
+            # accumulating the leading axis reproduces the per-read
             # accumulation sequence exactly; skipped (inactive) reads
             # contribute signed zeros, which are exact no-ops on the
             # accumulator.  The accumulation is an explicit ordered loop
@@ -525,10 +507,10 @@ class TileStack:
         self, patterns: np.ndarray, conductance: np.ndarray,
         fabric: np.ndarray, band: np.ndarray, reads: int,
     ) -> np.ndarray:
-        """Conductance row sums of distinct reads, in serial fold order.
+        """Conductance row sums of distinct reads, in per-read fold order.
 
         Each read accumulates its active rows' conductances by an
-        ascending-row left fold from 0.0 (the serial path's order).  A
+        ascending-row left fold from 0.0 (the per-read loop's order).  A
         fold over the lowest ``tb`` rows depends only on their
         activation bit pattern, so those are precomputed for every
         pattern with a doubling recurrence -- ``table[p] = table[p -
@@ -536,7 +518,7 @@ class TileStack:
         highest bit is added last -- and gathered per read; rows above
         ``tb`` fold on top with masked in-place adds, one sequential
         addition each.  Inactive rows contribute nothing on either
-        path, which matches the serial sum bitwise: its +0.0 addends
+        path, which matches the per-read sum bitwise: its +0.0 addends
         never change the non-negative accumulator.  The result is the
         same fold wherever the table split falls, so it depends on
         (fabric, tile, pattern) alone.
@@ -580,3 +562,38 @@ class TileStack:
             np.add(summed, conductance[fab, tiles, r], out=summed,
                    where=patterns[:, r, None, None])
         return summed
+
+    def _solved_currents(
+        self, patterns: np.ndarray, stacks: list["TileStack"],
+        fabric: np.ndarray, band: np.ndarray,
+    ) -> np.ndarray:
+        """Bit-line currents of distinct reads on wire-drop fabrics.
+
+        A wire network couples every cell of a read, so its currents
+        are no sum of per-row terms: each distinct read solves the
+        nodal network of each tile in its band, through the fabric's
+        own :meth:`~repro.crossbar.nonideal.NonidealCrossbar.
+        column_currents`.  Inactive reads and padded columns stay zero,
+        as on the table path.
+
+        Args:
+            patterns: ``(D, rows)`` distinct activation masks.
+            stacks: the stacks ``fabric`` indexes.
+            fabric: ``(D,)`` index of each read's fabric in ``stacks``.
+            band: ``(D,)`` row band of each read.
+
+        Returns:
+            ``(D, tiles_per_band, cols)`` currents in amperes.
+        """
+        currents = np.zeros(
+            (len(patterns), self._band_tiles.shape[1], self._cols))
+        for d, pattern in enumerate(patterns):
+            rows = np.flatnonzero(pattern).tolist()
+            if not rows:
+                continue
+            tiles = stacks[fabric[d]]._tiles
+            for j, t in enumerate(self._band_tiles[band[d]]):
+                crossbar = tiles[t][2].crossbar
+                currents[d, j, :crossbar.cols] = \
+                    crossbar.column_currents(rows)
+        return currents

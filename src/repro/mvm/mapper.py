@@ -213,31 +213,6 @@ class CrossbarTile:
             )
         return mask.astype(np.int64) @ self._bit_matrix.astype(np.int64)
 
-    def combine(self, codes: np.ndarray) -> np.ndarray:
-        """Shift-and-add one slice's ADC codes into per-column partials.
-
-        Folds the differential pairs and weight planes under
-        :attr:`plane_weights`, then applies the tile scale and the
-        window debias gain (the ADC's exact ideal code is
-        ``n * (1 - r_on/r_off)``; dividing by that factor recovers the
-        count estimate whatever the device window).
-
-        Returns:
-            Float partial sums, one per logical output column.
-        """
-        codes = np.asarray(codes, dtype=float)
-        if codes.shape != (self.physical_cols,):
-            raise ValueError(
-                f"expected ({self.physical_cols},) codes, got "
-                f"{codes.shape}"
-            )
-        folded = codes.reshape(
-            self.out_cols, self.config.planes_per_col
-        ) @ self._pair_vector
-        params = self.crossbar.params
-        gain = 1.0 / (1.0 - params.r_on / params.r_off)
-        return folded * (self.scale * gain)
-
 
 def map_matrix(
     weights: np.ndarray,

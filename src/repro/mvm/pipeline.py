@@ -21,12 +21,19 @@ With an ideal fabric the subtraction makes the conversion exact in the
 sense that the code equals ``round(n * (1 - r_on/r_off))`` for ``n``
 activated ON cells, whatever the device window.  Where that code is
 ``n`` itself for every read -- a wide enough window and ADC for the
-tile height -- :meth:`repro.mvm.analog.AnalogMVM.reference_matvec` is
-an exact integer matvec that shares nothing with this converter;
-elsewhere (tie windows, narrow ADCs) it synthesizes the ideal read
-currents digitally and converts them through this same ADC model.
-Either way tests pin analog == reference bit-for-bit on ideal
-hardware -- half-tie roundings included.
+tile height --
+:meth:`repro.mvm.analog.AnalogMVM.reference_matvec_batch` is an exact
+integer matvec that shares nothing with this converter; elsewhere (tie
+windows, narrow ADCs) it synthesizes the ideal read currents digitally
+and converts them through this same ADC model.  Either way tests pin
+analog == reference bit-for-bit on ideal hardware -- half-tie roundings
+included.
+
+Each stage is written once, over a whole batch: an analog layer
+quantizes a group's batches in one call, and the kernel
+(:mod:`repro.mvm.kernel`) slices them and converts all their reads.
+The per-vector forms of the scalar pipeline are kept with its test
+oracle, ``tests/mvm/scalar_pipeline.py``.
 """
 
 from __future__ import annotations
@@ -37,74 +44,27 @@ import numpy as np
 
 __all__ = [
     "ADCModel",
-    "bit_slices",
     "bit_slices_batch",
     "quantize_batch",
-    "quantize_input",
 ]
-
-
-def _check_finite(peak) -> None:
-    """Reject a NaN or +inf row peak (``max`` propagates NaN, and -inf
-    already fails the non-negative check).  Without it the int64 cast
-    turns NaN into -2**63 and +inf into a NaN scale, silently."""
-    if not np.isfinite(peak):
-        raise ValueError(
-            "analog MVM inputs must be finite (the DAC cannot quantize "
-            "NaN or inf)")
-
-
-def quantize_input(
-    x: np.ndarray, bits: int
-) -> tuple[np.ndarray, float]:
-    """DAC quantization: non-negative floats -> integer levels + scale.
-
-    Args:
-        x: 1-D non-negative input vector.
-        bits: DAC resolution; levels span ``[0, 2**bits - 1]``.
-
-    Returns:
-        ``(x_int, scale)`` with ``x ~= x_int * scale``; the scale is
-        per-vector (full range maps to the vector's peak) and 0.0 for
-        an all-zero vector.
-
-    Raises:
-        ValueError: on a non-1-D vector, negative, NaN or infinite
-            entries, or a non-positive bit count.
-    """
-    if bits < 1:
-        raise ValueError("dac bits must be a positive integer")
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError(f"input must be a 1-D vector, got shape {x.shape}")
-    if x.size and float(x.min()) < 0:
-        raise ValueError(
-            "analog MVM inputs must be non-negative (signed weights are "
-            "handled by the differential mapping; rectify inputs before "
-            "the DAC)"
-        )
-    peak = float(x.max()) if x.size else 0.0
-    _check_finite(peak)
-    if peak == 0.0:
-        return np.zeros(x.shape, dtype=np.int64), 0.0
-    scale = peak / (2 ** bits - 1)
-    return np.rint(x / scale).astype(np.int64), scale
 
 
 def quantize_batch(
     x: np.ndarray, bits: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Batched :func:`quantize_input`: one scale per batch row.
+    """DAC quantization: non-negative floats -> integer levels + scales.
 
     Args:
         x: 2-D non-negative ``(batch, n)`` input matrix.
         bits: DAC resolution; levels span ``[0, 2**bits - 1]``.
 
     Returns:
-        ``(x_int, scales)`` of shapes ``(batch, n)`` / ``(batch,)``.
-        Every row quantizes exactly as :func:`quantize_input` would
-        quantize it alone (same peak, same scale, same roundings), so
-        batching is a pure layout change, not a numerics change.
+        ``(x_int, scales)`` of shapes ``(batch, n)`` / ``(batch,)``
+        with ``x[m] ~= x_int[m] * scales[m]``.  Each row has its own
+        scale (full range maps to the row's peak, 0.0 for an all-zero
+        row), so a row quantizes exactly as it would alone -- same
+        peak, same scale, same roundings -- and batching is a pure
+        layout change, not a numerics change.
 
     Raises:
         ValueError: on a non-2-D matrix, negative, NaN or infinite
@@ -127,35 +87,30 @@ def quantize_batch(
         return (np.zeros(x.shape, dtype=np.int64),
                 np.zeros(x.shape[0], dtype=float))
     peaks = x.max(axis=1)
-    _check_finite(peaks.max())
+    # Reject a NaN or +inf peak (``max`` propagates NaN, and -inf
+    # already fails the non-negative check): the int64 cast would turn
+    # NaN into -2**63 and +inf into a NaN scale, silently.
+    if not np.isfinite(peaks.max()):
+        raise ValueError(
+            "analog MVM inputs must be finite (the DAC cannot quantize "
+            "NaN or inf)")
     scales = np.where(peaks > 0.0, peaks / (2 ** bits - 1), 0.0)
     # Divide by 1.0 on all-zero rows (their x_int is forced to 0), so
-    # live rows see the exact ``x / scale`` division of the scalar path.
+    # live rows see the exact ``x / scale`` division.
     safe = np.where(scales > 0.0, scales, 1.0)
     x_int = np.rint(x / safe[:, None]).astype(np.int64)
     x_int[scales == 0.0] = 0
     return x_int, scales
 
 
-def bit_slices(x_int: np.ndarray, bits: int) -> np.ndarray:
-    """Bit-serial slices of a quantized input vector.
-
-    Returns:
-        Boolean ``(bits, n)`` array; row ``s`` is the word-line
-        activation mask of input bit ``s`` (LSB first), so
-        ``sum_s 2**s * slices[s]`` reconstructs ``x_int``.
-    """
-    x_int = np.asarray(x_int, dtype=np.int64)
-    shifts = np.arange(bits, dtype=np.int64)
-    return ((x_int[None, :] >> shifts[:, None]) & 1).astype(bool)
-
-
 def bit_slices_batch(x_int: np.ndarray, bits: int) -> np.ndarray:
-    """Batched :func:`bit_slices`.
+    """Bit-serial slices of quantized input vectors.
 
     Returns:
         Boolean ``(batch, bits, n)`` array; ``out[m, s]`` is sample
-        ``m``'s word-line activation mask for input bit ``s``.
+        ``m``'s word-line activation mask for input bit ``s`` (LSB
+        first), so ``sum_s 2**s * out[m, s]`` reconstructs
+        ``x_int[m]``.
     """
     x_int = np.asarray(x_int, dtype=np.int64)
     shifts = np.arange(bits, dtype=np.int64)
@@ -194,65 +149,33 @@ class ADCModel:
         """Top of the conversion range (``2**bits - 1``)."""
         return 2 ** self.bits - 1
 
-    def convert(
-        self, currents: np.ndarray, active_rows: int
-    ) -> tuple[np.ndarray, int]:
-        """Quantize bit-line currents from one multi-row activation.
-
-        Args:
-            currents: per-column currents in amperes.
-            active_rows: word lines driven in this read (sets the
-                leakage baseline).
-
-        Returns:
-            ``(codes, saturated)``: integer codes clipped to the range,
-            and how many columns exceeded it (clipped high).
-        """
-        codes, clipped = self.convert_batch(currents, active_rows)
-        return codes, int(clipped.sum())
-
-    def convert_batch(
+    def convert_codes(
         self, currents: np.ndarray, active_rows
     ) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized conversion over any batch of reads.
 
-        The workhorse behind :meth:`convert` and the batched MVM
-        kernel.  Saturation semantics are **per conversion**: every
-        element of ``currents`` is one ADC conversion, and it is
-        flagged exactly once iff its unclipped code exceeds
-        :attr:`max_code` -- independent of how many DAC slices, tiles
-        or samples share the surrounding loop (a column clipping on k
-        slices of one matvec is k conversions and k saturations).
+        Saturation semantics are **per conversion**: every element of
+        ``currents`` is one ADC conversion, and it is flagged exactly
+        once iff its unclipped code exceeds :attr:`max_code` --
+        independent of how many DAC slices, tiles or samples share the
+        read (a column clipping on k slices of one matvec is k
+        conversions and k saturations).
+
+        The kernel passes the ``(distinct reads, tiles, cols)``
+        currents of each distinct (fabric, pattern) read once, with
+        ``(distinct reads, 1)`` active-row counts, and gathers the
+        folded codes and clip counts back to every read -- exact, since
+        each element converts independently.  ``np.rint`` already
+        yields exact integer-valued floats and clipping preserves them,
+        so the codes feed the shift-and-add fold directly without an
+        int64 round trip.
 
         Args:
-            currents: per-conversion currents, any shape.
-            active_rows: word lines driven per read -- a scalar, or an
-                array broadcastable against ``currents`` with its
-                trailing (per-column) axis dropped.
-
-        Returns:
-            ``(codes, clipped)``: int64 codes clipped to the range and
-            a same-shaped boolean mask of saturated conversions.
-        """
-        codes, clipped = self.convert_codes(currents, active_rows)
-        return codes.astype(np.int64), clipped
-
-    def convert_codes(
-        self, currents: np.ndarray, active_rows
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`convert_batch` returning float-valued codes.
-
-        The kernel's conversion: it passes the ``(distinct reads,
-        tiles, cols)`` currents of each distinct (fabric, pattern) read
-        once, with ``(distinct reads, 1)`` active-row counts, and
-        gathers the folded codes and clip counts back to every read --
-        exact, since each element converts independently.  ``np.rint``
-        already yields exact integer-valued floats and clipping
-        preserves them, so the codes feed the shift-and-add fold
-        directly without an int64 round trip.  Numerically identical to
-        :meth:`convert_batch` -- ``convert_batch(c, a) ==
-        (convert_codes(c, a)[0].astype(int64), ...)`` element for
-        element.
+            currents: per-conversion currents in amperes, any shape.
+            active_rows: word lines driven per read (sets the leakage
+                baseline) -- a scalar, or an array broadcastable
+                against ``currents`` with its trailing (per-column)
+                axis dropped.
 
         Returns:
             ``(codes, clipped)``: float64 integer-valued codes clipped

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from repro.api import Engine, ScenarioSpec, ScenarioError, run
+from repro.api import Engine, ScenarioSpec, ScenarioError, adapter_for, run
 from repro.api.registry import DEVICES, ENGINES, WORKLOADS
 from repro.api.spec import SpecError
 from repro.crossbar.nonideal import (
@@ -62,6 +62,15 @@ class TestIdealRuns:
         # processes "uncorrelated" would already get 3/4 right, so
         # demand strictly better.
         assert a.task_accuracy > 0.75
+
+    def test_history_matrices_are_built_once_per_item(self):
+        """The engine prepares every item's layers, then maps them: the
+        second call hands back the arrays the first one built."""
+        adapter = adapter_for(TEMPORAL_SPEC, "analog_mvm")
+        for index in adapter.batch_indices:
+            (prepared,) = adapter.mvm_layers(index)
+            (mapped,) = adapter.mvm_layers(index)
+            assert mapped is prepared
 
     def test_item_costs_and_counters_recorded(self):
         result = run(MLP_SPEC)

@@ -163,6 +163,37 @@ class TestReads:
         assert i[1] == pytest.approx(vr / PARAMS.r_on + vr / PARAMS.r_off)
         assert i[3] == pytest.approx(2 * vr / PARAMS.r_off)
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_one_column_read_folds_left_like_the_stack(self, data):
+        """Eight or more activated rows of a single column fold left in
+        activation order, as every wider read does and as the stack
+        holding the same bits does (numpy's axis sum would add them
+        pairwise)."""
+        rows = data.draw(st.integers(8, 20), label="rows")
+        r_on = data.draw(st.floats(10.0, 1e6), label="r_on")
+        ratio = data.draw(st.floats(1.01, 1e4), label="r_off / r_on")
+        params = DeviceParameters(r_on=r_on, r_off=r_on * ratio)
+        bits = data.draw(arrays(np.int8, (rows, 1),
+                                elements=st.integers(0, 1)), label="bits")
+        order = data.draw(st.permutations(range(rows)), label="order")
+        active = order[:data.draw(st.integers(8, rows), label="active")]
+        xb = Crossbar(rows, 1, params=params)
+        xb.load_matrix(bits)
+        stack = CrossbarStack(1, rows, 1, params=params)
+        stack.load_tensor(bits[None])
+
+        conductance = 1.0 / np.where(bits[active, 0] == 1,
+                                     params.r_on, params.r_off)
+        folded = conductance[0]
+        for g in conductance[1:]:
+            folded = folded + g
+        currents = xb.column_currents(active)
+        assert currents.tobytes() == \
+            np.array([xb.read_voltage * folded]).tobytes()
+        assert currents.tobytes() == \
+            stack.column_currents(active)[0].tobytes()
+
     def test_duplicate_rows_rejected(self):
         xb = make()
         with pytest.raises(ValueError):

@@ -1,22 +1,26 @@
 """Vectorized kernel == legacy scalar pipeline, bit for bit.
 
-The structure-of-arrays kernel in ``repro.mvm.kernel`` promises to be
-a pure layout change: every output *and every ledger increment* must
-equal the original per-slice x per-tile scalar loop exactly -- not
-approximately.  This suite transcribes that legacy loop as an oracle
-(currents read per read, ADC conversion per tile, shift-and-add in
-slice-major tile order, one energy addend per read) and drives both
-through hypothesis-generated geometries -- ragged tiles, all-negative
-columns, zero tiles, 1-bit DAC, several row bands, tiles taller than
-an int64 read key, repeated input rows -- plus the grouped member-axis
-execution and ledger twins, asserting bitwise equality throughout.
+The structure-of-arrays kernel in ``repro.mvm.kernel`` is the one
+implementation of an analog matvec, and it promises to be a pure
+layout change: every output *and every ledger increment* must equal
+the original per-slice x per-tile scalar loop exactly -- not
+approximately.  That loop is kept as the oracle,
+``tests/mvm/scalar_pipeline.py`` (fixture ``scalar_pipeline``):
+currents read per read, ADC conversion per tile, shift-and-add in
+slice-major tile order, one energy addend per read.  This suite drives
+both through hypothesis-generated geometries -- ragged tiles,
+all-negative columns, zero tiles, 1-bit DAC, several row bands, tiles
+taller than an int64 read key, repeated input rows -- plus the grouped
+member-axis execution and ledger twins, asserting bitwise equality
+throughout.
 
 The kernel evaluates each distinct (fabric, row band, pattern) read
 once and gathers it back to every read, so repeats are drawn on
 purpose: on ideal fabrics (currents synthesized from the intended
-programs) and on faulty and variable ones (each tile's programmed
-crossbar read per read, as the serial IR-drop path does), solo and
-grouped, with members sharing one fabric or each owning theirs.
+programs) and on faulty, variable and wire-drop ones (each tile's
+programmed crossbar read per read, the wire networks solved per read),
+solo and grouped, with members sharing one fabric or each owning
+theirs.
 
 Device windows are drawn too, so the digital reference runs in both of
 its regimes: the exact integer matvec (every ideal code equals its
@@ -38,80 +42,12 @@ from repro.mvm import (
     AnalogAcceleratorGroup,
     AnalogMVM,
     MVMConfig,
-    bit_slices,
     quantize_batch,
-    quantize_input,
 )
 from repro.mvm import kernel
 
 #: The device registry's published windows.
 PRESET_WINDOWS = [entry.parameters for _, entry in DEVICES.items()]
-
-
-def ideal_read(tile, active_rows):
-    """A read's currents synthesized from the tile's intended program.
-
-    The operands and reduction order of ``Crossbar.column_currents`` on
-    the tile's ideal two-point conductances (white-box: the tile keeps
-    them for the kernel's reference path), so this is bit-for-bit the
-    ideal electrical read without touching (possibly nonideal) fabric
-    state.
-    """
-    conductance = tile._ideal_conductance[
-        np.asarray(active_rows, dtype=int), :]
-    return tile.crossbar.read_voltage * conductance.sum(axis=0)
-
-
-def fabric_read(tile, active_rows):
-    """A read of the tile's programmed crossbar (faults, spread)."""
-    return tile.crossbar.column_currents(list(active_rows))
-
-
-def legacy_run(mvm: AnalogMVM, x: np.ndarray, read=ideal_read):
-    """One sample through the original scalar loop: outputs + ledger.
-
-    A direct transcription of the pre-vectorization pipeline and of
-    :meth:`AnalogMVM._matvec_serial`: bit-serial slices outermost,
-    tiles in grid order, one ``read`` (ideal currents by default, or
-    :func:`fabric_read`), one ADC conversion block and one energy
-    addend per active read, float accumulations in the exact serial
-    order.
-    """
-    x_int, x_scale = quantize_input(x, mvm.config.dac_bits)
-    y = np.zeros(mvm.out_dim, dtype=float)
-    ledger = {
-        "reads": 0,
-        "adc_conversions": 0,
-        "adc_saturations": 0,
-        "tile_saturations": [0] * len(mvm.tiles),
-        # Raw per-read addends, in read order: the ledger folds energy
-        # one read at a time across the whole batch, so the oracle
-        # must not pre-fold a sample's reads into a subtotal.
-        "energy_addends": [],
-        "latency_seconds": mvm.config.dac_bits
-        * mvm.energy_model.latency_seconds,
-    }
-    if x_scale == 0.0:
-        return y, ledger
-    slices = bit_slices(x_int, mvm.config.dac_bits)
-    for s, mask in enumerate(slices):
-        weight = 2.0 ** s
-        for index, (row0, col0, tile) in enumerate(mvm.tiles):
-            sub = mask[row0:row0 + tile.rows]
-            active_rows = np.nonzero(sub)[0]
-            if active_rows.size == 0:
-                continue
-            currents = read(tile, active_rows)
-            codes, saturated = mvm.adc.convert(
-                currents, int(active_rows.size))
-            ledger["reads"] += 1
-            ledger["adc_conversions"] += tile.physical_cols
-            ledger["adc_saturations"] += saturated
-            ledger["tile_saturations"][index] += saturated
-            ledger["energy_addends"].append(
-                mvm.energy_model.operation_energy(tile.physical_cols))
-            y[col0:col0 + tile.out_cols] += weight * tile.combine(codes)
-    return y * x_scale, ledger
 
 
 def assert_ledger_equals(mvm: AnalogMVM, ledgers) -> None:
@@ -156,24 +92,28 @@ def exact_regime(mvm: AnalogMVM) -> bool:
 
 
 @st.composite
-def problems(draw):
+def problems(draw, small=False):
     """A random geometry, device window and batch, biased toward
     awkward edges, toward both reference regimes and toward reads that
-    repeat (duplicated input rows)."""
-    out_dim = draw(st.integers(1, 6))
+    repeat (duplicated input rows).  ``small`` problems keep a few
+    rows, columns and slices per read, for fabrics whose every read is
+    a nodal solve."""
+    out_dim = draw(st.integers(1, 3 if small else 6))
     # Short layers; long layers over many row bands; or tiles whose
     # activation patterns overflow an int64 read key (over 62 rows).
     in_dim, tile_rows = draw(st.sampled_from([
+        (st.integers(1, 12), st.integers(1, 6)),
+    ] if small else [
         (st.integers(1, 40), st.integers(1, 40)),
         (st.integers(41, 80), st.integers(1, 40)),
         (st.integers(63, 80), st.integers(63, 80)),
     ]).flatmap(lambda heights: st.tuples(*heights)))
     config = MVMConfig(
-        weight_bits=draw(st.integers(1, 4)),
-        dac_bits=draw(st.integers(1, 5)),
+        weight_bits=draw(st.integers(1, 2 if small else 4)),
+        dac_bits=draw(st.integers(1, 3 if small else 5)),
         adc_bits=draw(st.integers(2, 8)),
         tile_rows=tile_rows,
-        tile_cols=draw(st.integers(1, 5)),
+        tile_cols=draw(st.integers(1, 2 if small else 5)),
     )
     # A registry preset, r_off/r_on log-uniform in [2, 1e6], or a
     # window on the exact regime's edge (max_rows * r_on/r_off ~ 0.25).
@@ -195,7 +135,7 @@ def problems(draw):
         weights = -np.abs(weights)  # all-negative columns
     if draw(st.booleans()) and in_dim > 1:
         weights[:, in_dim // 2:] = 0.0  # zero tiles on the tail rows
-    batch = draw(st.integers(0, 3))
+    batch = draw(st.integers(0, 2 if small else 3))
     x = draw(hnp.arrays(
         np.float64, (batch, in_dim),
         elements=st.floats(0.0, 3.0, width=64)))
@@ -210,16 +150,29 @@ def problems(draw):
 
 @st.composite
 def nonidealities(draw):
-    """Stuck faults and/or lognormal variability (never ideal, never
-    wire IR drop, which keeps the serial path)."""
+    """Stuck faults, lognormal variability and/or wire IR drop (never
+    ideal)."""
+    wire = draw(st.sampled_from([0.0, 0.0, 2.0, 50.0]))
     fault_rate = draw(st.sampled_from([0.0, 0.05, 0.3, 1.0]))
-    sigma = draw(st.sampled_from([0.1, 0.4] if fault_rate == 0.0
+    sigma = draw(st.sampled_from([0.1, 0.4] if fault_rate == wire == 0.0
                                  else [0.0, 0.1, 0.4]))
     stuck = draw(st.sampled_from([0.0, 0.5, 1.0])) if fault_rate \
         else 0.5
     return NonidealitySpec(fault_rate=fault_rate,
                            stuck_at_one_fraction=stuck,
-                           variability_sigma=sigma)
+                           variability_sigma=sigma,
+                           wire_resistance=wire)
+
+
+@st.composite
+def nonideal_problems(draw):
+    """A nonideality and a problem to run on it: a small one on a
+    wire-drop fabric, where every distinct read (and every oracle
+    read) solves a nodal network."""
+    nonideality = draw(nonidealities())
+    wired = nonideality.wire_resistance > 0
+    event("wire drop" if wired else "no wire drop")
+    return draw(problems(small=wired)), nonideality
 
 
 def key_fits(rows: int, groups: int) -> bool:
@@ -238,12 +191,13 @@ def key_form(mvm: AnalogMVM) -> str:
 class TestVectorizedEqualsLegacy:
     @settings(max_examples=60, deadline=None)
     @given(problems())
-    def test_batch_outputs_and_ledger_match_oracle(self, problem):
+    def test_batch_outputs_and_ledger_match_oracle(self, scalar_pipeline,
+                                                   problem):
         config, params, weights, x = problem
         mvm = AnalogMVM(weights, config, params=params)
         event(key_form(mvm))
         y = mvm.matvec_batch(x)
-        oracle = [legacy_run(mvm, row) for row in x]
+        oracle = [scalar_pipeline.legacy_run(mvm, row) for row in x]
         assert y.shape == (x.shape[0], weights.shape[0])
         for m, (y_ref, _) in enumerate(oracle):
             assert np.array_equal(y[m], y_ref)
@@ -255,7 +209,7 @@ class TestVectorizedEqualsLegacy:
               else "float reference")
         assert np.array_equal(mvm.reference_matvec_batch(x), y)
 
-    def test_ragged_tiles_and_one_bit_dac(self):
+    def test_ragged_tiles_and_one_bit_dac(self, scalar_pipeline):
         rng = np.random.default_rng(11)
         weights = rng.normal(size=(7, 13))
         mvm = AnalogMVM(weights, MVMConfig(weight_bits=3, dac_bits=1,
@@ -263,7 +217,7 @@ class TestVectorizedEqualsLegacy:
                                            tile_cols=3))
         x = rng.random((4, 13))
         y = mvm.matvec_batch(x)
-        oracle = [legacy_run(mvm, row) for row in x]
+        oracle = [scalar_pipeline.legacy_run(mvm, row) for row in x]
         for m, (y_ref, _) in enumerate(oracle):
             assert np.array_equal(y[m], y_ref)
         assert_ledger_equals(mvm, [l for _, l in oracle])
@@ -276,7 +230,8 @@ class TestVectorizedEqualsLegacy:
         batch = rng.random((6, 9))
         solo = AnalogMVM(weights, config)
         batched = AnalogMVM(weights, config)
-        singles = np.stack([solo.matvec(row) for row in batch])
+        singles = np.stack([solo.matvec_batch(row[None])[0]
+                            for row in batch])
         assert np.array_equal(batched.matvec_batch(batch), singles)
         assert solo.energy_joules == batched.energy_joules
         assert solo.latency_seconds == batched.latency_seconds
@@ -284,31 +239,33 @@ class TestVectorizedEqualsLegacy:
 
 
 class TestNonidealEqualsPerRead:
-    """Faulty and variable fabrics against per-read crossbar reads."""
+    """Faulty, variable and wire-drop fabrics against per-read crossbar
+    reads."""
 
     @settings(max_examples=40, deadline=None)
-    @given(problems(), nonidealities(), st.integers(0, 2 ** 16))
-    def test_solo_matches_per_read_oracle(self, problem, nonideality,
-                                          seed):
-        config, params, weights, x = problem
+    @given(nonideal_problems(), st.integers(0, 2 ** 16))
+    def test_solo_matches_per_read_oracle(self, scalar_pipeline,
+                                          nonideal_problem, seed):
+        (config, params, weights, x), nonideality = nonideal_problem
         mvm = AnalogMVM(weights, config, params=params,
                         nonideality=nonideality,
                         rng=np.random.default_rng(seed))
         event(key_form(mvm))
         y = mvm.matvec_batch(x)
-        oracle = [legacy_run(mvm, row, fabric_read) for row in x]
+        oracle = [scalar_pipeline.legacy_run(
+            mvm, row, scalar_pipeline.fabric_read) for row in x]
         for m, (y_ref, _) in enumerate(oracle):
             assert np.array_equal(y[m], y_ref)
         assert_ledger_equals(mvm, [l for _, l in oracle])
 
     @settings(max_examples=20, deadline=None)
-    @given(problems(), nonidealities(), st.integers(2, 4))
-    def test_grouped_members_own_fabrics(self, problem, nonideality,
-                                         members):
+    @given(nonideal_problems(), st.integers(2, 4))
+    def test_grouped_members_own_fabrics(self, scalar_pipeline,
+                                         nonideal_problem, members):
         """Members program their own fabrics from their own streams
         and read overlapping batches: equal patterns on different
         fabrics are different reads."""
-        config, params, weights, x = problem
+        (config, params, weights, x), nonideality = nonideal_problem
         accelerators = [
             AnalogAccelerator([weights], config, params=params,
                               nonideality=nonideality,
@@ -318,7 +275,8 @@ class TestNonidealEqualsPerRead:
         y = AnalogAcceleratorGroup(accelerators).matvec_batch(0, xs)
         for i, accelerator in enumerate(accelerators):
             mvm = accelerator.layers[0]
-            oracle = [legacy_run(mvm, row, fabric_read) for row in xs[i]]
+            oracle = [scalar_pipeline.legacy_run(
+                mvm, row, scalar_pipeline.fabric_read) for row in xs[i]]
             for m, (y_ref, _) in enumerate(oracle):
                 assert np.array_equal(y[i, m], y_ref)
             assert_ledger_equals(mvm, [l for _, l in oracle])
@@ -367,30 +325,33 @@ class TestChunking:
     oracle."""
 
     @settings(max_examples=25, deadline=None)
-    @given(problems(), nonidealities(), st.integers(0, 2 ** 16))
-    def test_solo(self, problem, nonideality, seed):
-        config, params, weights, x = problem
+    @given(nonideal_problems(), st.integers(0, 2 ** 16))
+    def test_solo(self, scalar_pipeline, nonideal_problem, seed):
+        (config, params, weights, x), nonideality = nonideal_problem
         assume(len(x) >= 2)
         mvm = AnalogMVM(weights, config, params=params,
                         nonideality=nonideality,
                         rng=np.random.default_rng(seed))
         x_int, scales = quantize_batch(x, config.dac_bits)
-        whole = mvm._stack.execute(x_int, scales, electrical=True)
+        args = (x_int[None], scales[None], True, [mvm._stack])
+        whole = mvm._stack.execute_group(*args)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(kernel, "_WORKSPACE_ELEMENTS", 1)
-            chunked = mvm._stack.execute(x_int, scales, electrical=True)
+            chunked = mvm._stack.execute_group(*args)
             y = mvm.matvec_batch(x)
         for ours, theirs in zip(chunked, whole):
             assert np.array_equal(ours, theirs)
-        oracle = [legacy_run(mvm, row, fabric_read) for row in x]
+        oracle = [scalar_pipeline.legacy_run(
+            mvm, row, scalar_pipeline.fabric_read) for row in x]
         for m, (y_ref, _) in enumerate(oracle):
             assert np.array_equal(y[m], y_ref)
         assert_ledger_equals(mvm, [l for _, l in oracle])
 
     @settings(max_examples=25, deadline=None)
-    @given(problems(), nonidealities(), st.integers(2, 8))
-    def test_ledger_twin_group(self, problem, nonideality, members):
-        config, params, weights, x = problem
+    @given(nonideal_problems(), st.integers(2, 8))
+    def test_ledger_twin_group(self, scalar_pipeline, nonideal_problem,
+                               members):
+        (config, params, weights, x), nonideality = nonideal_problem
         assume(len(x) >= 2)
         template = AnalogAccelerator([weights], config, params=params,
                                      nonideality=nonideality,
@@ -402,8 +363,7 @@ class TestChunking:
         x_int, scales = quantize_batch(
             xs.reshape(-1, xs.shape[2]), config.dac_bits)
         args = (x_int.reshape(xs.shape), scales.reshape(xs.shape[:2]),
-                True, stack.fabric_conductances()[None],
-                stack._scale_gain[None])
+                True, [stack])
         whole = stack.execute_group(*args)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(kernel, "_WORKSPACE_ELEMENTS", 1)
@@ -413,7 +373,8 @@ class TestChunking:
             assert np.array_equal(ours, theirs)
         for i, twin in enumerate(twins):
             mvm = twin.layers[0]
-            oracle = [legacy_run(mvm, row, fabric_read) for row in xs[i]]
+            oracle = [scalar_pipeline.legacy_run(
+                mvm, row, scalar_pipeline.fabric_read) for row in xs[i]]
             for m, (y_ref, _) in enumerate(oracle):
                 assert np.array_equal(y[i, m], y_ref)
             assert_ledger_equals(mvm, [l for _, l in oracle])
@@ -478,10 +439,10 @@ class TestGroupedEqualsSolo:
         y0 = group.matvec_batch(0, x)
         y1 = group.matvec_batch(1, np.maximum(y0, 0.0))
         for i, acc in enumerate(solo):
-            h = acc.matvec_batch(0, x[i])
+            h = acc.layers[0].matvec_batch(x[i])
             assert np.array_equal(y0[i], h)
             assert np.array_equal(
-                y1[i], acc.matvec_batch(1, np.maximum(h, 0.0)))
+                y1[i], acc.layers[1].matvec_batch(np.maximum(h, 0.0)))
             assert grouped[i].energy_joules == acc.energy_joules
             assert grouped[i].latency_seconds == acc.latency_seconds
             assert grouped[i].tile_saturations == acc.tile_saturations
@@ -489,7 +450,23 @@ class TestGroupedEqualsSolo:
         ref = group.reference_matvec_batch(0, x)
         for i, acc in enumerate(solo):
             assert np.array_equal(
-                ref[i], acc.reference_matvec_batch(0, x[i]))
+                ref[i], acc.layers[0].reference_matvec_batch(x[i]))
+
+    def test_group_rejects_members_of_another_geometry(self):
+        """Members must share layer count, tiling and read model."""
+        weights = [np.ones((4, 10))]
+        base = AnalogAccelerator(weights, self.CONFIG)
+        for other in (
+                AnalogAccelerator([np.ones((4, 11))], self.CONFIG),
+                AnalogAccelerator(weights + [np.ones((2, 4))],
+                                  self.CONFIG),
+                AnalogAccelerator(
+                    weights, self.CONFIG,
+                    nonideality=NonidealitySpec(wire_resistance=5.0))):
+            with pytest.raises(ValueError, match="cannot fuse"):
+                AnalogAcceleratorGroup([base, other])
+        with pytest.raises(ValueError, match="at least one"):
+            AnalogAcceleratorGroup([])
 
     def test_ledger_twins_match_independent_members(self):
         rng = np.random.default_rng(13)
@@ -501,7 +478,7 @@ class TestGroupedEqualsSolo:
         x = rng.random((3, 5, 10))
         y = AnalogAcceleratorGroup(twins).matvec_batch(0, x)
         for i, acc in enumerate(solo):
-            assert np.array_equal(y[i], acc.matvec_batch(0, x[i]))
+            assert np.array_equal(y[i], acc.layers[0].matvec_batch(x[i]))
             assert twins[i].energy_joules == acc.energy_joules
             assert twins[i].latency_seconds == acc.latency_seconds
             assert twins[i].reads == acc.reads

@@ -57,14 +57,16 @@ class TestCrossbarTile:
         assert small.scale == pytest.approx(0.01 / 15)
         assert large.scale == pytest.approx(10.0 / 15)
 
-    def test_all_zero_tile_programs_nothing(self):
+    def test_all_zero_tile_programs_nothing(self, scalar_pipeline):
         tile = CrossbarTile(np.zeros((3, 4)), MVMConfig())
         assert tile.scale == 0.0
         assert not ideal_bits(tile).any()
         codes = np.zeros(tile.physical_cols)
-        assert np.array_equal(tile.combine(codes), np.zeros(3))
+        assert np.array_equal(scalar_pipeline.combine(tile, codes),
+                              np.zeros(3))
 
-    def test_all_negative_column_uses_only_minus_planes(self):
+    def test_all_negative_column_uses_only_minus_planes(
+            self, scalar_pipeline):
         """A fully negative output column programs no G+ cells."""
         block = -np.abs(np.random.default_rng(1).normal(
             1.0, 0.2, size=(1, 6)))
@@ -77,7 +79,7 @@ class TestCrossbarTile:
         assert minus_cols.any()
         # Recombination of exact counts recovers the negative weights.
         counts = tile.ideal_counts(np.ones(6, dtype=bool))
-        combined = tile.combine(counts.astype(float))
+        combined = scalar_pipeline.combine(tile, counts.astype(float))
         expected = (tile.quantized * tile.scale).sum(axis=1)
         gain = 1.0 / (1.0 - tile.crossbar.params.r_on
                       / tile.crossbar.params.r_off)
@@ -98,11 +100,6 @@ class TestCrossbarTile:
             CrossbarTile(np.zeros(4), MVMConfig())
         with pytest.raises(ValueError, match="2-D"):
             CrossbarTile(np.zeros((0, 4)), MVMConfig())
-
-    def test_combine_rejects_wrong_width(self):
-        tile = CrossbarTile(np.ones((2, 3)), MVMConfig(weight_bits=2))
-        with pytest.raises(ValueError, match="codes"):
-            tile.combine(np.zeros(3))
 
 
 class TestMapMatrix:

@@ -10,44 +10,55 @@ from repro.mvm import (
     AnalogAccelerator,
     AnalogMVM,
     MVMConfig,
-    bit_slices,
+    bit_slices_batch,
     quantize_batch,
-    quantize_input,
 )
+
+
+def matvec(mvm: AnalogMVM, x: np.ndarray) -> np.ndarray:
+    """One input vector through ``mvm`` as a batch of one."""
+    return mvm.matvec_batch(np.asarray(x)[None])[0]
+
+
+def reference_matvec(mvm: AnalogMVM, x: np.ndarray) -> np.ndarray:
+    """The digital reference of one input vector."""
+    return mvm.reference_matvec_batch(np.asarray(x)[None])[0]
 
 
 class TestDAC:
     def test_slices_reconstruct_quantized_vector(self):
-        x = np.random.default_rng(0).random(17) * 3.0
-        x_int, scale = quantize_input(x, bits=5)
-        slices = bit_slices(x_int, bits=5)
+        x = np.random.default_rng(0).random((3, 17)) * 3.0
+        x_int, scales = quantize_batch(x, bits=5)
+        slices = bit_slices_batch(x_int, bits=5)
+        assert slices.shape == (3, 5, 17)
         rebuilt = sum(
-            (1 << s) * slices[s].astype(np.int64) for s in range(5)
+            (1 << s) * slices[:, s].astype(np.int64) for s in range(5)
         )
         assert np.array_equal(rebuilt, x_int)
-        assert np.abs(x_int * scale - x).max() <= scale / 2 + 1e-12
+        assert (np.abs(x_int * scales[:, None] - x).max(axis=1)
+                <= scales / 2 + 1e-12).all()
 
     def test_one_bit_dac_degenerates_to_a_single_threshold_slice(self):
-        x = np.array([0.0, 0.2, 0.6, 1.0])
-        x_int, scale = quantize_input(x, bits=1)
-        assert scale == 1.0
-        assert x_int.tolist() == [0, 0, 1, 1]  # rint thresholds near 1/2
-        slices = bit_slices(x_int, bits=1)
-        assert slices.shape == (1, 4)
-        assert slices[0].tolist() == [False, False, True, True]
+        x = np.array([[0.0, 0.2, 0.6, 1.0]])
+        x_int, scales = quantize_batch(x, bits=1)
+        assert scales.tolist() == [1.0]
+        assert x_int.tolist() == [[0, 0, 1, 1]]  # rint thresholds near 1/2
+        slices = bit_slices_batch(x_int, bits=1)
+        assert slices.shape == (1, 1, 4)
+        assert slices[0, 0].tolist() == [False, False, True, True]
 
     def test_all_zero_vector_has_zero_scale(self):
-        x_int, scale = quantize_input(np.zeros(6), bits=4)
-        assert scale == 0.0
+        x_int, scales = quantize_batch(np.zeros((1, 6)), bits=4)
+        assert scales.tolist() == [0.0]
         assert not x_int.any()
 
     def test_rejects_negative_inputs_and_bad_shapes(self):
         with pytest.raises(ValueError, match="non-negative"):
-            quantize_input(np.array([0.5, -0.1]), bits=4)
-        with pytest.raises(ValueError, match="1-D"):
-            quantize_input(np.zeros((2, 2)), bits=4)
+            quantize_batch(np.array([[0.5, -0.1]]), bits=4)
+        with pytest.raises(ValueError, match="2-D"):
+            quantize_batch(np.zeros(2), bits=4)
         with pytest.raises(ValueError, match="dac bits"):
-            quantize_input(np.zeros(2), bits=0)
+            quantize_batch(np.zeros((1, 2)), bits=0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_nan_and_infinite_inputs(self, bad):
@@ -55,26 +66,22 @@ class TestDAC:
         both now fail at the DAC, wherever they sit in the input."""
         x = np.array([1.0, bad, 0.5])
         with pytest.raises(ValueError, match="finite"):
-            quantize_input(x, bits=4)
+            quantize_batch(x[None], bits=4)
         with pytest.raises(ValueError, match="finite"):
             quantize_batch(np.stack([np.ones(3), x]), bits=4)
         mvm = AnalogMVM(np.ones((2, 3)), MVMConfig())
-        with pytest.raises(ValueError, match="finite"):
-            mvm.matvec(x)
         with pytest.raises(ValueError, match="finite"):
             mvm.matvec_batch(np.stack([x, np.ones(3)]))
         assert mvm.reads == 0 and mvm.latency_seconds == 0.0
 
     def test_nan_beside_a_negative_entry_is_still_rejected(self):
         with pytest.raises(ValueError):
-            quantize_input(np.array([np.nan, -1.0]), bits=4)
-        with pytest.raises(ValueError):
             quantize_batch(np.array([[np.nan, -1.0]]), bits=4)
 
     def test_finite_inputs_quantize_as_before(self):
         """Per row: peak / (2**bits - 1) as the scale, rint(x / scale)
         as the levels, a zero row to zero scale -- up to the largest
-        finite float."""
+        finite float -- and each row as it quantizes alone."""
         rng = np.random.default_rng(9)
         x = rng.random((5, 7)) * 3.0
         x[1] = 0.0
@@ -83,9 +90,9 @@ class TestDAC:
         for bits in (1, 4, 8):
             x_int, scales = quantize_batch(x, bits)
             for row, levels, scale in zip(x, x_int, scales):
-                solo = quantize_input(row, bits)
-                assert np.array_equal(levels, solo[0])
-                assert scale == solo[1]
+                solo = quantize_batch(row[None], bits)
+                assert np.array_equal(levels, solo[0][0])
+                assert scale == solo[1][0]
                 peak = row.max()
                 if peak == 0.0:
                     assert scale == 0.0 and not levels.any()
@@ -100,22 +107,31 @@ class TestADC:
         adc = ADCModel(bits=6, lsb_current_amps=1e-6, leak_current_amps=1e-11)
         counts = np.array([0, 1, 17, 63])
         currents = counts * 1e-6 + 5 * 1e-11  # 5 active rows of leak
-        codes, saturated = adc.convert(currents, active_rows=5)
+        codes, clipped = adc.convert_codes(currents, active_rows=5)
         assert codes.tolist() == counts.tolist()
-        assert saturated == 0
+        assert not clipped.any()
 
     def test_clipping_counts_saturations(self):
         adc = ADCModel(bits=3, lsb_current_amps=1e-6)
         currents = np.array([2.0, 7.0, 7.4, 8.0, 30.0]) * 1e-6
-        codes, saturated = adc.convert(currents, active_rows=0)
+        codes, clipped = adc.convert_codes(currents, active_rows=0)
         assert codes.tolist() == [2, 7, 7, 7, 7]
-        assert saturated == 2   # 8 and 30 exceed the 3-bit ceiling
+        # 8 and 30 exceed the 3-bit ceiling, each clipping once.
+        assert clipped.tolist() == [False, False, False, True, True]
 
     def test_baseline_subtraction_clamps_at_zero(self):
         adc = ADCModel(bits=4, lsb_current_amps=1e-6, leak_current_amps=1e-7)
-        codes, saturated = adc.convert(np.array([0.0]), active_rows=8)
+        codes, clipped = adc.convert_codes(np.array([0.0]), active_rows=8)
         assert codes.tolist() == [0]
-        assert saturated == 0
+        assert not clipped.any()
+
+    def test_per_read_baselines_broadcast_over_columns(self):
+        """The kernel's form: one active-row count per read, its
+        baseline subtracted from every column of that read."""
+        adc = ADCModel(bits=4, lsb_current_amps=1e-6, leak_current_amps=1e-7)
+        currents = np.array([[3.2e-6, 1.2e-6], [3.2e-6, 1.2e-6]])
+        codes, _ = adc.convert_codes(currents, np.array([[2], [12]]))
+        assert codes.tolist() == [[3.0, 1.0], [2.0, 0.0]]
 
     def test_validation(self):
         with pytest.raises(ValueError, match="adc bits"):
@@ -133,8 +149,8 @@ class TestAnalogMVM:
                                            tile_cols=4))
         for _ in range(5):
             x = rng.random(14)
-            assert np.array_equal(mvm.matvec(x),
-                                  mvm.reference_matvec(x))
+            assert np.array_equal(matvec(mvm, x),
+                                  reference_matvec(mvm, x))
 
     def test_ideal_output_close_to_float_product(self):
         rng = np.random.default_rng(2)
@@ -143,7 +159,7 @@ class TestAnalogMVM:
         mvm = AnalogMVM(weights, MVMConfig(weight_bits=8, dac_bits=8,
                                            adc_bits=7, tile_rows=8,
                                            tile_cols=8))
-        y = mvm.matvec(x)
+        y = matvec(mvm, x)
         golden = weights @ x
         # Quantization-error bound: weight rounding costs <= scale/2
         # per matrix entry, DAC rounding <= x_scale/2 per input entry.
@@ -163,8 +179,8 @@ class TestAnalogMVM:
         narrow = AnalogMVM(weights, MVMConfig(weight_bits=1, dac_bits=1,
                                               adc_bits=3, tile_rows=32,
                                               tile_cols=8))
-        y_wide = wide.matvec(x)
-        y_narrow = narrow.matvec(x)
+        y_wide = matvec(wide, x)
+        y_narrow = matvec(narrow, x)
         assert wide.adc_saturations == 0
         assert y_wide == pytest.approx(np.full(2, 30.0), rel=1e-3)
         assert narrow.adc_saturations > 0
@@ -173,7 +189,7 @@ class TestAnalogMVM:
 
     def test_empty_slices_cost_no_reads(self):
         mvm = AnalogMVM(np.ones((2, 4)), MVMConfig(dac_bits=4))
-        y = mvm.matvec(np.zeros(4))
+        y = matvec(mvm, np.zeros(4))
         assert np.array_equal(y, np.zeros(2))
         assert mvm.reads == 0
         assert mvm.energy_joules == 0.0
@@ -185,7 +201,7 @@ class TestAnalogMVM:
                         MVMConfig(weight_bits=2, dac_bits=2,
                                   tile_rows=8, tile_cols=8))
         x = np.array([1.0, 2.0, 3.0, 3.0])
-        mvm.matvec(x)
+        matvec(mvm, x)
         # 2 slices, both non-empty, one tile -> 2 reads over 12 cols.
         assert mvm.reads == 2
         assert mvm.adc_conversions == 2 * 3 * 4
@@ -205,8 +221,8 @@ class TestAnalogMVM:
         mvm = AnalogMVM(weights, MVMConfig(weight_bits=7, dac_bits=8,
                                            adc_bits=8, tile_rows=32,
                                            tile_cols=8), params=params)
-        y = mvm.matvec(x)
-        assert np.array_equal(y, mvm.reference_matvec(x))
+        y = matvec(mvm, x)
+        assert np.array_equal(y, reference_matvec(mvm, x))
         assert y == pytest.approx(weights @ x, rel=0.05)
 
     def test_half_tie_windows_still_match_reference(self):
@@ -223,13 +239,16 @@ class TestAnalogMVM:
                                    tile_cols=8), params=params)
             for _ in range(5):
                 x = rng.random(16)
-                assert np.array_equal(mvm.matvec(x),
-                                      mvm.reference_matvec(x))
+                assert np.array_equal(matvec(mvm, x),
+                                      reference_matvec(mvm, x))
 
     def test_input_length_validated(self):
         mvm = AnalogMVM(np.ones((2, 4)), MVMConfig())
-        with pytest.raises(ValueError, match="input vector"):
-            mvm.matvec(np.ones(5))
+        for bad in (np.ones((1, 5)), np.ones(4), np.ones((1, 1, 4))):
+            with pytest.raises(ValueError, match="input tensor"):
+                mvm.matvec_batch(bad)
+            with pytest.raises(ValueError, match="input tensor"):
+                mvm.reference_matvec_batch(bad)
 
 
 class TestSaturationSemantics:
@@ -253,7 +272,7 @@ class TestSaturationSemantics:
 
     def test_tile_split_reconciles_with_totals(self):
         mvm = self._saturating_mvm()
-        mvm.matvec(np.ones(24))
+        matvec(mvm, np.ones(24))
         assert mvm.adc_saturations > 0
         assert sum(mvm.tile_saturations) == mvm.adc_saturations
         assert mvm.adc_saturations <= mvm.adc_conversions
@@ -265,10 +284,10 @@ class TestSaturationSemantics:
     def test_repeated_matvecs_add_identical_increments(self):
         mvm = self._saturating_mvm()
         x = np.linspace(0.1, 1.0, 24)
-        mvm.matvec(x)
+        matvec(mvm, x)
         first = (mvm.reads, mvm.adc_conversions, mvm.adc_saturations,
                  list(mvm.tile_saturations))
-        mvm.matvec(x)
+        matvec(mvm, x)
         assert mvm.reads == 2 * first[0]
         assert mvm.adc_conversions == 2 * first[1]
         assert mvm.adc_saturations == 2 * first[2]
@@ -278,12 +297,12 @@ class TestSaturationSemantics:
         # The degenerate single-threshold DAC: one slice, one read,
         # every physical column converted exactly once.
         mvm = self._saturating_mvm(dac_bits=1)
-        y = mvm.matvec(np.ones(24))
+        y = matvec(mvm, np.ones(24))
         assert mvm.reads == 1
         assert mvm.adc_conversions == 16
         assert mvm.adc_saturations == 8
         assert sum(mvm.tile_saturations) == mvm.adc_saturations
-        assert np.array_equal(y, mvm.reference_matvec(np.ones(24)))
+        assert np.array_equal(y, reference_matvec(mvm, np.ones(24)))
 
 
 class TestAnalogAccelerator:
@@ -294,8 +313,8 @@ class TestAnalogAccelerator:
              rng.normal(0, 1, size=(3, 4))],
             MVMConfig(tile_rows=8, tile_cols=8),
         )
-        h = np.maximum(acc.matvec(0, rng.random(6)), 0.0)
-        acc.matvec(1, h)
+        h = np.maximum(matvec(acc.layers[0], rng.random(6)), 0.0)
+        matvec(acc.layers[1], h)
         assert acc.reads == sum(layer.reads for layer in acc.layers)
         assert acc.energy_joules == pytest.approx(
             sum(layer.energy_joules for layer in acc.layers))
@@ -304,7 +323,7 @@ class TestAnalogAccelerator:
 
     def test_reference_matvec_leaves_ledger_untouched(self):
         acc = AnalogAccelerator([np.ones((2, 3))], MVMConfig())
-        acc.reference_matvec(0, np.ones(3))
+        reference_matvec(acc.layers[0], np.ones(3))
         assert acc.reads == 0
         assert acc.energy_joules == 0.0
         assert acc.latency_seconds == 0.0

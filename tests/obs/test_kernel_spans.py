@@ -12,10 +12,13 @@ likewise cover >= 90% of ``engine.run``, and a slow stream generator
 must show up under ``workload.prepare``.  So must the ``mvp_batched``
 engine's (query lowering, the stack and processor build, and the
 window with its golden counts), with a slow lowering billed to
-``workload.prepare``.
+``workload.prepare``, and the ``analog_mvm`` engine's (the weight
+matrices, the tile mapping, and the window), with slow MLP training or
+slow event histories billed to ``workload.prepare``.
 """
 
 import time
+from collections import OrderedDict
 
 import pytest
 
@@ -169,6 +172,19 @@ def _covered(root, children):
         / root.duration_seconds
 
 
+def _assert_prepared_before_build(children, slept):
+    """Every slept interval lies inside ``workload.prepare``, and the
+    fabric build and the window start after the last one ends."""
+    by_name = {rec.name: rec for rec in children}
+    prepare = by_name["workload.prepare"]
+    for begin, end in slept:
+        assert prepare.start_seconds <= begin
+        assert end <= prepare.start_seconds + prepare.duration_seconds
+    last = max(end for _, end in slept)
+    for name in ("fabric.build", "window.execute"):
+        assert by_name[name].start_seconds >= last, name
+
+
 @pytest.mark.parametrize("spec", AP_SPECS.values(), ids=AP_SPECS)
 def test_slow_ap_streams_bill_workload_prepare(spec, monkeypatch):
     """A slow stream generator is billed to ``workload.prepare``, which
@@ -250,14 +266,7 @@ def test_slow_mvp_lowering_bills_workload_prepare(monkeypatch):
         "spec.resolve", "workload.prepare", "fabric.build",
         "window.execute"]
     assert len(slept) == MVP_SPEC.items
-    by_name = {rec.name: rec for rec in children}
-    prepare = by_name["workload.prepare"]
-    for begin, end in slept:
-        assert prepare.start_seconds <= begin
-        assert end <= prepare.start_seconds + prepare.duration_seconds
-    last = max(end for _, end in slept)
-    for name in ("fabric.build", "window.execute"):
-        assert by_name[name].start_seconds >= last, name
+    _assert_prepared_before_build(children, slept)
 
 
 def test_mvp_stage_spans_cover_90pct_of_run():
@@ -269,6 +278,75 @@ def test_mvp_stage_spans_cover_90pct_of_run():
     for _ in range(3):
         with traced() as tracer:
             Engine.from_spec(MVP_SPEC).run()
+        best = max(best, _covered(*_run_children(tracer.records())))
+    assert best >= 0.90, (
+        f"engine.run's direct children cover {best:.1%} of it")
+
+
+#: The analog workloads: served_mlp's request shape, and temporal
+#: correlation at the ideal check's shape.
+ANALOG_SPECS = {
+    "mlp_inference": ScenarioSpec(
+        engine="analog_mvm", workload="mlp_inference", size=128,
+        items=16, batch=16, seed=1),
+    "temporal_correlation": ScenarioSpec(
+        engine="analog_mvm", workload="temporal_correlation", size=64,
+        items=8, batch=4, seed=1),
+}
+
+#: Per analog workload, the generator its weight matrices come from,
+#: and whether a window calls it per item (one event history each) or
+#: once (one shared MLP training).
+ANALOG_GENERATORS = {
+    "mlp_inference": ("train_mlp", False),
+    "temporal_correlation": ("make_correlated_processes", True),
+}
+
+#: Seconds a deliberately slow weight generator sleeps per call.
+SLOW_LAYERS_SECONDS = 0.03
+
+
+@pytest.mark.parametrize("workload", ANALOG_SPECS)
+def test_slow_analog_layers_bill_workload_prepare(workload, monkeypatch):
+    """A slow weight generator -- MLP training, with the cross-run model
+    memo emptied, or an item's event history -- is billed to
+    ``workload.prepare``, which runs before the tile mapping, and not
+    to the build or the window."""
+    from repro.api import workloads
+    monkeypatch.setattr(workloads, "_MLP_MODEL_CACHE", OrderedDict())
+    spec = ANALOG_SPECS[workload]
+    name, per_item = ANALOG_GENERATORS[workload]
+    generate = getattr(workloads, name)
+    slept = []
+
+    def slow_generate(*args, **kwargs):
+        tracer = active_tracer()
+        begin = tracer.now()
+        time.sleep(SLOW_LAYERS_SECONDS)
+        slept.append((begin, tracer.now()))
+        return generate(*args, **kwargs)
+
+    monkeypatch.setattr(workloads, name, slow_generate)
+    with traced() as tracer:
+        Engine.from_spec(spec).run()
+    root, children = _run_children(tracer.records())
+    assert [rec.name for rec in children] == [
+        "spec.resolve", "workload.prepare", "fabric.build",
+        "window.execute"]
+    assert len(slept) == (spec.batch if per_item else 1)
+    _assert_prepared_before_build(children, slept)
+
+
+@pytest.mark.parametrize("spec", ANALOG_SPECS.values(), ids=ANALOG_SPECS)
+def test_analog_stage_spans_cover_90pct_of_run(spec):
+    """The analog run's stage spans explain it.
+
+    Best of three runs, for the reason :func:`kernel_trace` gives.
+    """
+    best = 0.0
+    for _ in range(3):
+        with traced() as tracer:
+            Engine.from_spec(spec).run()
         best = max(best, _covered(*_run_children(tracer.records())))
     assert best >= 0.90, (
         f"engine.run's direct children cover {best:.1%} of it")

@@ -1,10 +1,13 @@
 """Sharded analog MVM == single-process, AccuracySummary included.
 
-The analog engine's determinism contract extends PR-3's: besides
-outputs and cost records, the new AccuracySummary (and, for nonideal
-specs, the FidelitySummary over all tile fabrics) must fold across
-shards bit-identically to the workers=1 run, and a cache replay must
-return the accuracy the miss computed.
+The analog engine's determinism contract extends the sharded
+executor's: besides outputs and cost records, the AccuracySummary (and,
+for nonideal specs, the FidelitySummary over all tile fabrics) must
+fold across shards bit-identically to the workers=1 run, and a cache
+replay must return the accuracy the miss computed.  Every window runs
+as one group through the kernel, so a shard plan that splits a batch
+into 1-item windows compares groups of one with the whole-batch group,
+wire-IR-drop fabrics included.
 """
 
 import pytest
@@ -19,9 +22,17 @@ TEMPORAL = ScenarioSpec(engine="analog_mvm",
                         size=48, items=4, batch=5, seed=2)
 FAULTY = MLP.replaced(nonideality={"fault_rate": 0.05})
 NOISY = TEMPORAL.replaced(nonideality={"variability_sigma": 0.3})
+#: Wire IR drop: every distinct read solves its tiles' nodal networks,
+#: so the histories stay short (one row band, 16 steps).
+WIRED = TEMPORAL.replaced(size=16, items=3,
+                          nonideality={"wire_resistance": 5.0})
 
-_IDS = "{0.workload}-{0.nonideality.fault_rate}-" \
-       "{0.nonideality.variability_sigma}".format
+
+def _IDS(spec):
+    wires = spec.nonideality.wire_resistance
+    return (f"{spec.workload}-{spec.nonideality.fault_rate}-"
+            f"{spec.nonideality.variability_sigma}"
+            + (f"-wire{wires}" if wires else ""))
 
 
 def comparable(result):
@@ -32,7 +43,7 @@ def comparable(result):
 
 
 class TestShardedEqualsPlain:
-    @pytest.mark.parametrize("spec", [MLP, TEMPORAL, FAULTY, NOISY],
+    @pytest.mark.parametrize("spec", [MLP, TEMPORAL, FAULTY, NOISY, WIRED],
                              ids=_IDS)
     @pytest.mark.parametrize("workers", [2, 3, 5, 8])
     def test_inline_shard_plan_is_bit_identical(self, spec, workers):
@@ -57,27 +68,13 @@ class TestShardedEqualsPlain:
 
 
 class TestGroupedDispatchEquivalence:
-    """The fused-window fast paths are pure layout changes.
+    """Ledger twins are a pure layout change.
 
-    The engine may fuse a window's same-geometry items into grouped
-    kernel dispatches and may share one mapped fabric between ideal
-    items via ledger twins; disabling either optimization must
-    reproduce the exact same result, provenance scheduling aside.
+    Ideal items holding one model's very weight arrays share one
+    mapped fabric, and a group reads it once for all of them; mapping
+    every item separately must reproduce the exact same result,
+    provenance scheduling aside.
     """
-
-    @pytest.mark.parametrize("spec", [MLP, TEMPORAL, FAULTY, NOISY],
-                             ids=_IDS)
-    def test_grouped_window_equals_per_item_loop(self, spec,
-                                                 monkeypatch):
-        from repro.mvm.analog import AnalogAcceleratorGroup
-        grouped = Engine.from_spec(spec).run()
-        monkeypatch.setattr(AnalogAcceleratorGroup, "compatible",
-                            staticmethod(lambda accelerators: False))
-        looped = Engine.from_spec(spec).run()
-        assert comparable(looped) == comparable(grouped)
-        assert looped.cost == grouped.cost
-        assert looped.item_costs == grouped.item_costs
-        assert looped.accuracy == grouped.accuracy
 
     def test_ledger_twins_equal_independent_builds(self, monkeypatch):
         from repro.api import engines
