@@ -12,11 +12,12 @@ bit vectors:
 3. *Output identification* (Eq. 4): ``A = a . c`` against the Accept
    Vector.
 
-This module implements that model exactly, over numpy boolean arrays, and
-counts the kernel invocations (vector dot products and bitwise ANDs) that
-the hardware cost models price.  Every run steps through one kernel: a
-single input is a batch of one, and batched multi-stream execution is the
-throughput mode hardware APs are built for.
+This module implements that model exactly and counts the kernel
+invocations (vector dot products and bitwise ANDs) that the hardware cost
+models price.  Every run steps through one kernel on bit-packed Active
+Vectors, :func:`batched_matrix_steps`: a single input is a batch of one,
+and batched multi-stream execution is the throughput mode hardware APs
+are built for.
 """
 
 from __future__ import annotations
@@ -63,6 +64,14 @@ def encode_streams(
     return indices, lengths
 
 
+def _pack(rows: np.ndarray, words: int) -> np.ndarray:
+    """Boolean ``(..., N)`` rows as ``(..., words)`` little-endian uint64
+    words, state k in bit k % 8 of byte k // 8 on any host, zero past N."""
+    padded = np.zeros(rows.shape[:-1] + (words * 64,), dtype=bool)
+    padded[..., : rows.shape[-1]] = rows
+    return np.packbits(padded, axis=-1, bitorder="little").view("<u8")
+
+
 def batched_matrix_steps(
     start: np.ndarray,
     routing: np.ndarray,
@@ -77,17 +86,22 @@ def batched_matrix_steps(
 
     The one stepping kernel behind :meth:`GenericAPModel.run_batch` and
     the hardware model's matrix backend (``run`` of either is a batch of
-    one): each step is one (M, N) x (N, N)
-    product plus (M, N) bitwise ops, servicing every stream at once.
-    The product runs in float32, one BLAS call per symbol (numpy never
-    hands bool or integer matmul to BLAS), and writes into buffers
-    allocated once per call.  It is exact: every partial sum of a
-    Follow entry counts active predecessors, an integer no larger than
-    N, and float32 holds every integer up to 2**24, so any BLAS
-    summation order gives the same count and its nonzero test is the
-    OR of Eq. 2.  Eq. 4 is scored once, after the loop, over the accept
-    columns only.
-    Each row of the product and of the STE gather depends only on its
+    one).  It steps bit-packed Active Vectors: each stream's (N,) row is
+    ``ceil(N/64)`` little-endian uint64 words, so byte j of a row holds
+    states 8j..8j+7.  Eq. 2 is a lookup by byte (the "four Russians"
+    method) in a per-call table of about 4 N**2 bytes: for each of the
+    ``ceil(N/8)`` groups of 8 states and each of its 256 activation
+    patterns, the OR of those states' routing rows.  A step is one index
+    add (each group's byte plus the group's offset), one ``take`` of a
+    Follow row per group and stream, one OR-reduce over the groups and
+    one AND with the step's packed STE rows (Eqs. 1 and 3), gathered
+    before the loop.  OR and AND of bits are exact, whatever N.  Eq. 2
+    is OR-linear, f(a | s) = f(a) | f(s), and every lookup reads one
+    group-0 entry, so an unanchored run ORs Follow(start) into each
+    group-0 entry once instead of re-arming the start states before
+    every symbol.  The history is unpacked once after the loop, and
+    Eq. 4 is scored on those bools, over the accept columns only.
+    Each row of the lookup and of the STE gather depends only on its
     own stream, so per-stream results are identical to stepping each
     stream alone -- equivalently, a stream's trace is invariant to which
     other streams share the batch.  That co-scheduling invariance is
@@ -98,9 +112,7 @@ def batched_matrix_steps(
 
     Args:
         start: (N,) initial Active Vector.
-        routing: (N, N) boolean routing matrix R.  Exactness needs
-            N < 2**24, which every matrix that fits in memory meets: a
-            boolean one with 2**24 states takes 2**48 bytes.
+        routing: (N, N) boolean routing matrix R.
         ste: (|Sigma|, N) boolean STE matrix V.
         accept: (N,) boolean Accept Vector c.
         indices: (M, T_max) padded symbol-index matrix.
@@ -112,31 +124,48 @@ def batched_matrix_steps(
 
     Returns:
         ``(actives, accepts)``: (M, T_max + 1, N) Active Vector history
-        (a view of the kernel's time-major buffer) and (M, T_max)
+        (a view of the unpacked time-major history) and (M, T_max)
         per-step Eq. 4 outputs.
     """
     m, t_max = indices.shape
     n = start.shape[0]
-    # A wide accumulator: uint8 would wrap to 0 when a state has a
-    # multiple of 256 active predecessors, silently dropping the edge.
-    # float32 counts them exactly (every partial sum is an integer
-    # <= N < 2**24) and multiplies on BLAS.
-    routing32 = routing.astype(np.float32)
+    groups, words = -(-n // 8), -(-n // 64)
+    rows = np.zeros((groups * 8, words), dtype="<u8")
+    rows[:n] = _pack(routing, words)
+    # table[g, p]: the OR of the routing rows of group g's states set in
+    # p.  Built pattern-major by doubling p's range, so that each OR
+    # spans all groups, then copied group-major a row (void) at a time.
+    by_bit = rows.reshape(groups, 8, words).transpose(1, 0, 2)
+    by_bit = by_bit.reshape(8, groups * words)
+    table = np.zeros((256, groups * words), dtype="<u8")
+    for bit in range(8):
+        low = 1 << bit
+        np.bitwise_or(table[:low], by_bit[bit], out=table[low:2 * low])
+    if unanchored:
+        table[:, :words] |= np.bitwise_or.reduce(rows[:n][start])
+    row = np.dtype((np.void, 8 * words))
+    table = np.ascontiguousarray(table.view(row).T).view("<u8")
+    table = table.reshape(groups * 256, words)
+    offsets = np.arange(0, groups * 256, 256)[:, None]
+    steps = _pack(ste, words)[indices.T]
     # Time-major, so that each step reads and writes one contiguous
-    # (M, N) slab.
-    history = np.empty((t_max + 1, m, n), dtype=bool)
-    history[0] = start
-    source = np.empty((m, n), dtype=np.float32)
-    follow = np.empty((m, n), dtype=np.float32)
-    symbols = indices.T
-    for t in range(t_max):
-        if unanchored:
-            np.logical_or(history[t], start, out=source)
-        else:
-            source[...] = history[t]
-        np.matmul(source, routing32, out=follow)
-        np.logical_and(follow, ste[symbols[t]], out=history[t + 1])
-    actives = history.transpose(1, 0, 2)
+    # (M, words) slab; its first ``groups`` bytes index the table.
+    history = np.empty((t_max + 1, m, words), dtype="<u8")
+    history[0] = _pack(start, words)
+    patterns = history.view(np.uint8)[:, :, :groups].transpose(0, 2, 1)
+    index = np.empty((groups, m), dtype=np.intp)
+    gathered = np.empty((groups, m, words), dtype="<u8")
+    # Indices are in range by construction: mode="clip" only spares the
+    # buffered copy of ``out`` that a bounds check makes, and the method
+    # skips the array-function dispatch of ``np.take``.
+    for pattern, step, active in zip(patterns, steps, history[1:]):
+        np.add(pattern, offsets, out=index)
+        table.take(index, axis=0, out=gathered, mode="clip")
+        np.bitwise_or.reduce(gathered, axis=0, out=active)
+        np.bitwise_and(active, step, out=active)
+    actives = np.unpackbits(
+        history.view(np.uint8), axis=2, count=n, bitorder="little",
+    ).view(bool).transpose(1, 0, 2)
     accepts = actives[:, 1:, np.flatnonzero(accept)].any(axis=2)
     if counts is not None:
         # One read of each kind per symbol of each stream.

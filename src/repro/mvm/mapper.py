@@ -19,8 +19,8 @@ partial sums across the row tiles.  This module owns that mapping:
 
 The physical column order inside a tile is output-major:
 ``col(j, p, sign) = (j * weight_bits + p) * 2 + sign`` with sign 0 for
-G+ and 1 for G-, and :attr:`CrossbarTile.plane_weights` carries the
-matching ``(+/-) 2**p`` recombination weights.
+G+ and 1 for G-, and ``CrossbarTile._pair_vector`` carries the
+matching ``(+/-) 2**p`` recombination weights of one output column.
 """
 
 from __future__ import annotations
@@ -128,8 +128,9 @@ class CrossbarTile:
             quantized``); 0.0 for an all-zero tile.
         crossbar: the programmed (possibly non-ideal) fabric,
             ``rows x (out_cols * 2 * weight_bits)``.
-        plane_weights: signed shift-and-add weights per physical
-            column, ``(out_cols * 2 * weight_bits,)``.
+        _pair_vector: signed shift-and-add weights of one output
+            column's physical columns, ``(2 * weight_bits,)``; the
+            kernel folds every output column with it.
     """
 
     def __init__(
@@ -158,7 +159,6 @@ class CrossbarTile:
         self.quantized = quantized
         self._bit_matrix = self._plane_bits(quantized, config)
         self._pair_vector = self._pair_weights(config.weight_bits)
-        self.plane_weights = np.tile(self._pair_vector, self.out_cols)
         params_resolved = params or DeviceParameters()
         self._ideal_conductance = 1.0 / np.where(
             self._bit_matrix.astype(bool),

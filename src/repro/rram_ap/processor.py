@@ -147,7 +147,8 @@ class AutomataProcessor:
         :meth:`repro.automata.generic_ap.GenericAPModel.run_batch`: every
         per-stream trace is identical to stepping that stream alone, and
         stream lengths may differ.  The "matrix" backend steps all live
-        streams through one (M, N) x (N, N) kernel per symbol -- the
+        streams through one bit-packed Follow lookup per symbol
+        (:func:`~repro.automata.generic_ap.batched_matrix_steps`) -- the
         throughput mode hardware APs are built for; the electrical
         "crossbar" backend evaluates streams one symbol at a time (its
         per-read circuit model is single-vector) behind the identical API.

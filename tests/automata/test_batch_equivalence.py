@@ -12,10 +12,15 @@ per-stream costs must price each stream's symbols.  The electrical
 "crossbar" backend keeps its own per-read loop and is checked against
 the oracle too.
 
-The property suites use a 2-symbol alphabet and automata of a few
-states; :class:`TestWorkloadScale` runs both paths on each of the four
-AP workloads, anchored and unanchored, networking at the benchmark's
-size, where BLAS blocks the batched follow-vector product.
+The pattern property suites use a 2-symbol alphabet and automata of a
+few states.  The kernel steps Active Vectors packed 64 states to a word
+and looks Eq. 2 up per byte of 8 states, so a random-model suite draws
+automata over 3 symbols whose state counts sit at and around those
+byte and word boundaries, with start and accept states anywhere.
+:class:`TestWorkloadScale` runs both paths on each of the four AP
+workloads, anchored and unanchored, networking at the benchmark's size
+(206 states), where each Follow lookup ORs one table entry from each of
+26 byte groups into 4 words.
 """
 
 import numpy as np
@@ -36,6 +41,13 @@ streams = st.lists(
     st.text(alphabet="ab", min_size=0, max_size=12),
     min_size=1, max_size=6,
 )
+
+#: State counts at and around the kernel's byte (8-state) and word
+#: (64-state) boundaries.
+BOUNDARY_STATES = [1, 7, 8, 9, 63, 64, 65, 127, 129, 255, 256, 257]
+#: Routing, start and accept densities, from none to all.
+DENSITIES = st.sampled_from([0.0, 0.02, 0.1, 0.3, 0.6, 1.0])
+ABC = Alphabet("abc")
 
 
 def _assert_traces_equal(got, want):
@@ -102,12 +114,14 @@ class TestGenericModelEquivalence:
         assert build_example_ap().run_batch([]) == []
 
     def test_wide_fanin_does_not_overflow(self, scalar_ap):
-        """256 active predecessors must not wrap the matmul accumulator.
+        """256 active predecessors all reach their targets.
 
-        Regression test: a narrow (uint8) accumulator in the batched
-        follow-vector kernel wraps to zero at exactly 256 active
-        predecessor states, silently killing the transition that the
-        per-symbol oracle takes.
+        Every state is active and routes to every state, so each Follow
+        lookup ORs a full entry from each of 32 byte groups into 4
+        words.  Regression test: a counting kernel with a narrow (uint8)
+        accumulator wrapped to zero at exactly 256 active predecessors,
+        silently killing the transition that the per-symbol oracle
+        takes.
         """
         n = 256
         model_args = dict(
@@ -122,6 +136,34 @@ class TestGenericModelEquivalence:
         traces = GenericAPModel(Alphabet("a"), **model_args).run_batch(
             ["aa", "a"])
         assert all(trace.accepted for trace in traces)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.sampled_from(BOUNDARY_STATES),
+        routing_p=DENSITIES, start_p=DENSITIES, accept_p=DENSITIES,
+        ste_p=st.sampled_from([0.3, 0.6, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+        seqs=st.lists(st.text(alphabet="abc", max_size=12),
+                      min_size=1, max_size=5),
+        unanchored=st.booleans(),
+    )
+    def test_random_models_at_byte_and_word_boundaries(
+            self, scalar_ap, n, routing_p, start_p, accept_p, ste_p,
+            seed, seqs, unanchored):
+        """Random models, from an empty to a full routing matrix, with
+        start and accept states anywhere, so that the start states fall
+        in several byte groups and the last group and word are partial
+        or full, match the oracle on ragged streams."""
+        rng = np.random.default_rng(seed)
+        model_args = dict(
+            ste=rng.random((ABC.size, n)) < ste_p,
+            routing=rng.random((n, n)) < routing_p,
+            start=rng.random(n) < start_p,
+            accept=rng.random(n) < accept_p,
+        )
+        _assert_generic_matches_oracle(
+            scalar_ap, lambda: GenericAPModel(ABC, **model_args),
+            seqs, unanchored)
 
     def test_zero_length_stream_counts_one_accept_read(self, scalar_ap):
         _assert_generic_matches_oracle(scalar_ap, build_example_ap, [""])

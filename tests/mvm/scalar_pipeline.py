@@ -121,7 +121,7 @@ def combine(tile, codes: np.ndarray) -> np.ndarray:
     """Shift-and-add one slice's ADC codes into per-column partials.
 
     Folds the differential pairs and weight planes under the tile's
-    ``plane_weights``, then applies the tile scale and the window
+    ``_pair_vector``, then applies the tile scale and the window
     debias gain (the ADC's exact ideal code is ``n * (1 -
     r_on/r_off)``; dividing by that factor recovers the count estimate
     whatever the device window).

@@ -188,7 +188,11 @@ def _assert_prepared_before_build(children, slept):
 @pytest.mark.parametrize("spec", AP_SPECS.values(), ids=AP_SPECS)
 def test_slow_ap_streams_bill_workload_prepare(spec, monkeypatch):
     """A slow stream generator is billed to ``workload.prepare``, which
-    runs before the fabric build, and not to the build or the kernel."""
+    runs before the fabric build, and not to the build or the kernel.
+
+    Every one of three runs must bill it so; the coverage bar takes the
+    best of the three, for the reason :func:`kernel_trace` gives.
+    """
     adapter_cls = type(adapter_for(spec, "rram_ap"))
     streams = adapter_cls.streams
     slept = []
@@ -201,24 +205,25 @@ def test_slow_ap_streams_bill_workload_prepare(spec, monkeypatch):
         return streams(self)
 
     monkeypatch.setattr(adapter_cls, "streams", slow_streams)
-    with traced() as tracer:
-        Engine.from_spec(spec).run()
-    root, children = _run_children(tracer.records())
-    assert [rec.name for rec in children] == [
-        "spec.resolve", "workload.prepare", "fabric.build",
-        "window.execute", "workload.golden"]
-    [(begin, end)] = slept
-    by_name = {rec.name: rec for rec in children}
-    prepare = by_name["workload.prepare"]
-    assert prepare.start_seconds <= begin
-    assert end <= prepare.start_seconds + prepare.duration_seconds
-    for name in ("fabric.build", "window.execute"):
-        assert by_name[name].start_seconds >= end, name
-    compiles = [rec for rec in tracer.records()
-                if rec.name == "automata.compile"]
-    assert [rec.parent_id for rec in compiles] == [
-        by_name["fabric.build"].span_id]
-    assert _covered(root, children) >= 0.90
+    best = 0.0
+    for _ in range(3):
+        slept.clear()
+        with traced() as tracer:
+            Engine.from_spec(spec).run()
+        records = tracer.records()
+        root, children = _run_children(records)
+        assert [rec.name for rec in children] == [
+            "spec.resolve", "workload.prepare", "fabric.build",
+            "window.execute", "workload.golden"]
+        assert len(slept) == 1
+        _assert_prepared_before_build(children, slept)
+        (build,) = [rec for rec in children if rec.name == "fabric.build"]
+        compiles = [rec for rec in records
+                    if rec.name == "automata.compile"]
+        assert [rec.parent_id for rec in compiles] == [build.span_id]
+        best = max(best, _covered(root, children))
+    assert best >= 0.90, (
+        f"engine.run's direct children cover {best:.1%} of it")
 
 
 @pytest.mark.parametrize("spec", AP_SPECS.values(), ids=AP_SPECS)
